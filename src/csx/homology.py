@@ -43,13 +43,17 @@ class SmithForm:
     """Invariant factors plus optional unimodular certificates.
 
     When present, left and right satisfy left * M * right == diag(factors)
-    extended by zeros to the shape of M.
+    extended by zeros to the shape of M.  A sparse reduction that leaves a
+    nonempty block after unit elimination keeps that block as remainder and
+    its certified Smith form as remainder_form; all torsion lives there.
     """
 
     shape: tuple[int, int]
     factors: tuple[int, ...]
     left: list[list[int]] | None = None
     right: list[list[int]] | None = None
+    remainder: list[list[int]] | None = None
+    remainder_form: SmithForm | None = None
 
     @property
     def rank(self) -> int:
@@ -163,57 +167,77 @@ def _dense_snf(M, R, C, policy, transforms):
     return SmithForm((R, C), tuple(factors), U, V)
 
 
-def _sparse_unit_reduce(sm: SparseMatrix, policy):
-    """Strip unit pivots off a sparse matrix; return (count, dense remainder)."""
+def _sweep(entries, policy="bigint", p=None):
+    """Pivot column by column, cheapest columns first; return (pivots, rows left).
+
+    Each pass visits the live columns in order of their count at the start
+    of the pass and, in each, pivots on the shortest row whose entry there
+    qualifies: +-1 over the integers, any nonzero entry mod the prime p.
+    Row operations clear the rest of the column, then the pivot row and
+    column are dropped.  Over the integers a unit pivot is a unimodular
+    step, so the invariant factors are one 1 per pivot plus those of the
+    rows left over.  Fill-in can create units in columns already passed, so
+    passes repeat until one finds no pivot.  A pass costs O(nnz) plus the
+    fill-in it makes; picking the globally cheapest pivot each time would
+    cost O(nnz) per pivot.  Counts are not updated within a pass: on the
+    SC9 top boundary that took less time and memory than a heap kept
+    current under fill-in.
+    """
     rows: dict[int, dict[int, int]] = {}
     cols: dict[int, set[int]] = {}
-    for (r, c), v in sm.entries.items():
+    for (r, c), v in entries.items():
+        if p is not None:
+            v %= p
+            if not v:
+                continue
         rows.setdefault(r, {})[c] = v
         cols.setdefault(c, set()).add(r)
-    units = 0
-    while True:
-        pivot = None
-        best_fill = None
-        for r, row in rows.items():
-            for c, v in row.items():
-                if v in (1, -1):
-                    fill = (len(row) - 1) * (len(cols[c]) - 1)
-                    if best_fill is None or fill < best_fill:
-                        best_fill = fill
-                        pivot = (r, c)
-                        if fill == 0:
-                            break
-            if pivot is not None and best_fill == 0:
-                break
-        if pivot is None:
-            break
-        r, c = pivot
-        pv = rows[r][c]
-        prow = dict(rows[r])
-        for r2 in list(cols[c]):
-            if r2 == r:
+    pivots = 0
+    progress = True
+    while progress:
+        progress = False
+        for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
+            hits = cols.get(c)
+            if hits is None:
                 continue
-            q = rows[r2][c] * pv  # pv is +-1, so q * prow clears the entry
-            row2 = rows[r2]
-            for c2, v2 in prow.items():
-                nv = row2.get(c2, 0) - q * v2
-                if nv:
-                    row2[c2] = nv
-                    cols.setdefault(c2, set()).add(r2)
-                else:
-                    if c2 in row2:
-                        del row2[c2]
+            candidates = hits if p is not None else [r for r in hits if rows[r][c] in (1, -1)]
+            if not candidates:
+                continue
+            r = min(candidates, key=lambda r: (len(rows[r]), r))
+            prow = rows.pop(r)
+            # a unit is its own inverse
+            inv = prow[c] if p is None else pow(prow[c], -1, p)
+            for r2 in list(hits):
+                if r2 == r:
+                    continue
+                row2 = rows[r2]
+                q = row2[c] * inv
+                for c2, v2 in prow.items():
+                    nv = row2.get(c2, 0) - q * v2
+                    if p is not None:
+                        nv %= p
+                    if nv:
+                        row2[c2] = nv
+                        cols[c2].add(r2)
+                    else:
+                        row2.pop(c2, None)
                         cols[c2].discard(r2)
-            _check_range(row2.values(), policy)
-            if not row2:
-                del rows[r2]
-        # pivot column is now clear; discard the pivot row and its column hits
-        for c2 in prow:
-            cols[c2].discard(r)
-            if not cols[c2]:
-                del cols[c2]
-        del rows[r]
-        units += 1
+                _check_range(row2.values(), policy)
+                if not row2:
+                    del rows[r2]
+            for c2 in prow:
+                hits2 = cols[c2]
+                hits2.discard(r)
+                if not hits2:
+                    del cols[c2]
+            pivots += 1
+            progress = True
+    return pivots, rows
+
+
+def _sparse_unit_reduce(sm: SparseMatrix, policy):
+    """Strip unit pivots off a sparse matrix; return (count, dense remainder)."""
+    units, rows = _sweep(sm.entries, policy)
     remaining_rows = sorted(rows)
     remaining_cols = sorted({c for row in rows.values() for c in row})
     col_pos = {c: j for j, c in enumerate(remaining_cols)}
@@ -229,8 +253,8 @@ def smith_normal_form(matrix, shape=None, transforms=False, policy="bigint") -> 
 
     matrix is either a dense list of rows or a SparseMatrix.  With
     transforms=True the reduction runs densely and returns unimodular
-    certificates; without them large sparse inputs take a unit-pivot
-    elimination first and only the small remainder is reduced densely.
+    certificates; without them the input takes a unit-pivot elimination
+    first and only the remainder is reduced densely, with certificates.
     """
     if policy not in ("bigint", "checked"):
         raise ValueError(f"unknown overflow policy {policy!r}")
@@ -244,11 +268,10 @@ def smith_normal_form(matrix, shape=None, transforms=False, policy="bigint") -> 
     if transforms:
         return _dense_snf(sm.to_dense(), sm.rows, sm.cols, policy, True)
     units, remainder = _sparse_unit_reduce(sm, policy)
-    if remainder:
-        tail = _dense_snf(remainder, len(remainder), len(remainder[0]), policy, False)
-    else:
-        tail = SmithForm((0, 0), ())
-    return SmithForm((sm.rows, sm.cols), (1,) * units + tail.factors)
+    if not remainder:
+        return SmithForm((sm.rows, sm.cols), (1,) * units)
+    tail = _dense_snf(remainder, len(remainder), len(remainder[0]), policy, True)
+    return SmithForm((sm.rows, sm.cols), (1,) * units + tail.factors, remainder=remainder, remainder_form=tail)
 
 
 def verify_transforms(matrix, sf: SmithForm) -> bool:
@@ -270,30 +293,7 @@ def verify_transforms(matrix, sf: SmithForm) -> bool:
 
 def rank_mod_p(sm: SparseMatrix, p: int = _CROSSCHECK_PRIME) -> int:
     """Rank over the field with p elements, used as an independent cross-check."""
-    rows = {}
-    for (r, c), v in sm.entries.items():
-        if v % p:
-            rows.setdefault(r, {})[c] = v % p
-    rank = 0
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows.values():
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                prow = pivots[c]
-                factor = row[c] * pow(prow[c], p - 2, p) % p
-                for c2, v2 in prow.items():
-                    nv = (row.get(c2, 0) - factor * v2) % p
-                    if nv:
-                        row[c2] = nv
-                    elif c2 in row:
-                        del row[c2]
-            else:
-                pivots[c] = row
-                rank += 1
-                break
-    return rank
+    return _sweep(sm.entries, p=p)[0]
 
 
 @dataclass
@@ -381,9 +381,10 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint", verify: bool =
     """Betti numbers and torsion from Smith forms of the boundary matrices.
 
     Matrices up to 200x200 are reduced with certificates and re-verified
-    exactly; larger ones go through the sparse path and their rank is
-    cross-checked over a large prime field.  The top dimension lacks the
-    incoming boundary and is flagged unreliable.
+    exactly.  Larger ones go through the sparse path: the certificate of the
+    remainder left by unit elimination is re-verified, and the rank of the
+    whole matrix is cross-checked over a large prime field.  The top
+    dimension lacks the incoming boundary and is flagged unreliable.
     """
     sizes = cc.basis_sizes()
     ranks = [0] * (cc.max_dim + 2)
@@ -396,8 +397,11 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint", verify: bool =
             if small:
                 if not verify_transforms(sm, sf):
                     raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
-            elif rank_mod_p(sm) != sf.rank:
-                raise ArithmeticError(f"rank cross-check failed for boundary {n}")
+            else:
+                if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
+                    raise ArithmeticError(f"remainder certificate failed for boundary {n}")
+                if rank_mod_p(sm) != sf.rank:
+                    raise ArithmeticError(f"rank cross-check failed for boundary {n}")
         ranks[n] = sf.rank
         factors[n] = sf.factors
     groups = []

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csx import homology
+from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, total_space
 from csx.homology import (
+    ChainComplexData,
     SparseMatrix,
     export_sparse_matrix,
     homology_report,
@@ -15,7 +18,7 @@ from csx.homology import (
     smith_normal_form,
     verify_transforms,
 )
-from csx.simpset import build_C, build_SC, build_delta
+from csx.simpset import build_C, build_S, build_SC, build_delta
 
 # invariant factors computed from determinant divisors:
 # d1 = gcd of entries, d2 = gcd of 2x2 minors, d3 = |det|
@@ -87,6 +90,88 @@ def test_snf_certified_rank_matches_prime_field_bound(rows):
     # unless some invariant factor vanishes mod p (impossible here: factors
     # are far below the prime)
     assert rank_mod_p(sm) == sf.rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    # about three entries per row or column, like a boundary matrix
+    R = draw(st.integers(min_value=1, max_value=25))
+    C = draw(st.integers(min_value=1, max_value=25))
+    cell = st.tuples(st.integers(0, R - 1), st.integers(0, C - 1))
+    entries = draw(st.dictionaries(cell, st.sampled_from([1, -1, 2, -3]), max_size=3 * max(R, C)))
+    return SparseMatrix(R, C, entries)
+
+
+@given(sparse_matrices(), st.sampled_from([2, 3, 2**31 - 1]))
+@settings(max_examples=100, deadline=None)
+def test_sweep_matches_certified_dense(sm, p):
+    M = sm.to_dense()
+    dense = smith_normal_form(M, transforms=True)
+    assert verify_transforms(M, dense)
+    sparse = smith_normal_form(sm)
+    assert sparse.factors == dense.factors
+    if sparse.remainder is not None:
+        assert verify_transforms(sparse.remainder, sparse.remainder_form)
+    # over F_p the rank counts the invariant factors that p does not divide
+    assert rank_mod_p(sm, p) == sum(1 for f in dense.factors if f % p)
+
+
+def _rp3_boundary_2():
+    """The 2-boundary of the degree-2 bundle over the tetrahedron boundary (RP^3)."""
+    decor = decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 1)))
+    return normalized_complex(total_space(decor).total).boundaries[2]
+
+
+def test_sparse_path_certifies_torsion_remainder():
+    d2 = _rp3_boundary_2()
+    sf = smith_normal_form(d2)
+    assert sf.left is None and sf.right is None
+    assert sf.factors == (1,) * 12 + (2,)
+    assert sf.remainder and len(sf.remainder) < d2.rows
+    assert sf.remainder_form.factors == (2,)
+    assert verify_transforms(sf.remainder, sf.remainder_form)
+
+
+def test_homology_report_certifies_torsion_above_transform_limit(monkeypatch):
+    # the RP^3 2-boundary plus a 200x200 identity block: over the certified
+    # size, so the torsion comes out of the sparse path's remainder
+    d2 = _rp3_boundary_2()
+    k = 200
+    entries = dict(d2.entries)
+    entries.update({(d2.rows + i, d2.cols + i): 1 for i in range(k)})
+    big = SparseMatrix(d2.rows + k, d2.cols + k, entries)
+    basis = [[0], list(range(big.rows)), list(range(big.cols))]
+    cc = ChainComplexData(2, basis, [None, SparseMatrix(1, big.rows), big])
+    rep = homology_report(cc)
+    rank = 13 + k
+    assert rep.groups[1] == (big.rows - rank, (2,))
+    assert rep.groups[2] == (big.cols - rank, ())
+
+    def forged(matrix, **kwargs):
+        sf = smith_normal_form(matrix, **kwargs)
+        if sf.remainder:
+            sf.remainder_form.left[0][0] += 1
+        return sf
+
+    monkeypatch.setattr(homology, "smith_normal_form", forged)
+    with pytest.raises(ArithmeticError, match="remainder certificate"):
+        homology_report(cc)
+
+
+def test_sparse_group_boundary_is_all_units():
+    sm = normalized_complex(build_S(6)).boundaries[6]
+    assert (sm.rows, sm.cols) == (309, 2119)
+    sf = smith_normal_form(sm)
+    assert sf.factors == (1,) * 265
+    assert sf.remainder is None
+    assert rank_mod_p(sm) == 265
+
+
+def test_checked_policy_rejects_sparse_fill_in():
+    sm = SparseMatrix.from_dense([[1, 2**62], [2**62, 1]])
+    with pytest.raises(OverflowError):
+        smith_normal_form(sm, policy="checked")
+    assert smith_normal_form(sm).factors == (1, 2**124 - 1)
 
 
 def test_rank_mod_p_detects_divisor():
