@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 from itertools import product
 
 from csx.bundles import (
@@ -31,12 +30,6 @@ from csx.bundles import (
 )
 from csx.homology import homology_report, normalized_complex
 from csx.simpset import dumps_canonical
-
-
-@dataclass
-class GalleryConfig:
-    out: str | None = None
-    policy: str = "bigint"
 
 
 def one_row(bits: tuple[int, ...], policy: str) -> dict:
@@ -60,9 +53,8 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     ap.add_argument("--overflow", choices=("bigint", "checked"), default="bigint")
     args = ap.parse_args()
-    cfg = GalleryConfig(out=args.out, policy=args.overflow)
 
-    rows = [one_row(bits, cfg.policy) for bits in product((0, 1), repeat=4)]
+    rows = [one_row(bits, args.overflow) for bits in product((0, 1), repeat=4)]
     print(f"{'cochain':<12} {'deg':>4} {'extends':>8}  H_0..H_3")
     for r in sorted(rows, key=lambda r: (r["degree"], r["cochain"])):
         bits = "".join(str(b) for b in r["cochain"])
@@ -73,10 +65,10 @@ def main() -> int:
         by_degree.setdefault(abs(r["degree"]), set()).add(tuple(r["groups"]))
     assert all(len(v) == 1 for v in by_degree.values()), "equal |degree| must give equal homology"
     print("\nhomology depends only on |degree|, as it should")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical({"rows": rows}))
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     return 0
 
 

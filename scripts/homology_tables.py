@@ -8,19 +8,10 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import json
 import time
-from dataclasses import dataclass
 
 from csx.homology import homology_report, normalized_complex
 from csx.simpset import build_C, build_S, build_SC, dumps_canonical, nondegenerate_list
-
-
-@dataclass
-class TableConfig:
-    max_dim: int = 6
-    out: str | None = None
-    policy: str = "bigint"
 
 
 BUILDERS = {"S": build_S, "C": build_C, "SC": build_SC}
@@ -46,9 +37,8 @@ def main() -> int:
     ap.add_argument("--out", default=None)
     ap.add_argument("--overflow", choices=("bigint", "checked"), default="bigint")
     args = ap.parse_args()
-    cfg = TableConfig(max_dim=args.max_dim, out=args.out, policy=args.overflow)
 
-    tables = [one_table(name, cfg.max_dim, cfg.policy) for name in ("C", "S", "SC")]
+    tables = [one_table(name, args.max_dim, args.overflow) for name in ("C", "S", "SC")]
     for t in tables:
         print(f"\n{t['object']} truncated at dim {t['max_dim']} ({t['seconds']}s)")
         print(f"  cells:  {' '.join(str(c) for c in t['cells'])}")
@@ -56,10 +46,10 @@ def main() -> int:
         shown = t["groups"][:-1] + [t["groups"][-1] + " (top, unreliable)"]
         for k, g in enumerate(shown):
             print(f"  H_{k} = {g}")
-    if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(dumps_canonical({"tables": tables}))
-        print(f"\nwrote {cfg.out}")
+        print(f"\nwrote {args.out}")
     return 0
 
 

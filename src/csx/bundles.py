@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .delta import monotone_ops
+from .delta import monotone_ops, peel
 from .perms import (
     Word,
     apply_operator_word,
@@ -20,6 +20,7 @@ from .perms import (
     degeneracy_perm,
     face_perm,
     inverse,
+    is_perm_word,
     multiply,
 )
 from .simpset import (
@@ -32,12 +33,15 @@ from .simpset import (
     build_SC,
     build_delta,
     from_rules,
+    payload_str,
     pullback,
     quotient_circ,
     quotient_map,
     reorient_upsilon,
     sc_degeneracy,
     sc_face,
+    sset_from_json,
+    sset_to_json,
     twisted_product,
     yoneda,
 )
@@ -101,8 +105,7 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
             return (vals, bp)
         v = eta[i]  # the unique value lost by dropping position i
         squeezed = tuple(w - 1 if w > v else w for w in vals)
-        b = base.id_of(k, bp)
-        return (squeezed, base.payload(k - 1, base.face(k, b, v)))
+        return (squeezed, base.face_payload(k, bp, v))
 
     def degen_fn(m, p, i):
         eta, bp = p
@@ -113,6 +116,13 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
 
 # ---------------------------------------------------------------------------
 # decorations
+
+
+def _fits(base, assignment, n: int, k: int, c: CircularPermutation) -> bool:
+    """True iff class c on simplex k of dimension n matches its decorated faces."""
+    return n == 0 or all(
+        sc_face(i, c) == assignment[n - 1][base.face(n, k, i)] for i in range(n + 1)
+    )
 
 
 @dataclass
@@ -133,9 +143,8 @@ class Decoration:
             for k, c in enumerate(level):
                 if c.degree != n:
                     raise ValueError(f"degree {c.degree} rotation class on a {n}-simplex")
-                for i in range(n + 1) if n >= 1 else ():
-                    if sc_face(i, c) != self.assignment[n - 1][self.base.face(n, k, i)]:
-                        raise ValueError(f"face {i} incompatibility at dim {n} id {k}")
+                if not _fits(self.base, self.assignment, n, k, c):
+                    raise ValueError(f"face incompatibility at dim {n} id {k}")
 
     def value(self, n: int, k: int) -> CircularPermutation:
         return self.assignment[n][k]
@@ -143,22 +152,11 @@ class Decoration:
 
 def apply_operator_circ(xi_values, target_size: int, c: CircularPermutation) -> CircularPermutation:
     """Contravariant operator action on rotation classes (same peeling as words)."""
-    values = list(xi_values)
-    present = set(values)
-    for v in range(target_size - 1, -1, -1):
-        if v not in present:
-            c = sc_face(v, c)
-            values = [w - 1 if w > v else w for w in values]
-    s_stack = []
-    j = 0
-    while j + 1 < len(values):
-        if values[j] == values[j + 1]:
-            s_stack.append(j)
-            del values[j + 1]
-        else:
-            j += 1
-    for j in reversed(s_stack):
-        c = sc_degeneracy(j, c)
+    faces, degeneracies = peel(xi_values, target_size - 1)
+    for i in faces:
+        c = sc_face(i, c)
+    for i in degeneracies:
+        c = sc_degeneracy(i, c)
     return c
 
 
@@ -217,7 +215,7 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     include the top cells of the bundle.
     """
     n = len(g) - 1
-    if sorted(g) != list(range(n + 1)):
+    if not is_perm_word(g):
         raise ValueError(f"not a permutation word: {g}")
     if max_dim is None:
         max_dim = n + 1
@@ -293,30 +291,17 @@ def upsilon_comparison(g: Word, max_dim: int | None = None) -> bool:
     a = SimplicialMap.from_payload_fn(X, S, lambda m, p: decor_word(p))
     Y = reorient_upsilon(X, a)
 
-    table = []
-    for m in range(max_dim + 1):
-        row = []
-        for k in range(Y.simplex_count(m)):
-            h, xi = Y.payload(m, k)
-            target = (_pushforward_op(xi, g_inv), inverse(decor_word((h, xi))))
-            try:
-                row.append(E.id_of(m, target))
-            except KeyError:
-                return False
-        if len(set(row)) != E.simplex_count(m) or len(row) != E.simplex_count(m):
-            return False
-        table.append(row)
-    for m in range(1, max_dim + 1):
-        for k in range(Y.simplex_count(m)):
-            for i in range(m + 1):
-                if table[m - 1][Y.face(m, k, i)] != E.face(m, table[m][k], i):
-                    return False
-    for m in range(max_dim):
-        for k in range(Y.simplex_count(m)):
-            for i in range(m + 1):
-                if table[m + 1][Y.degeneracy(m, k, i)] != E.degeneracy(m, table[m][k], i):
-                    return False
-    return True
+    def paired(m, p):
+        return (_pushforward_op(p[1], g_inv), inverse(decor_word(p)))
+
+    try:
+        pairing = SimplicialMap.from_payload_fn(Y, E, paired)
+    except (KeyError, ValueError):
+        return False
+    return all(
+        len(set(pairing.table[m])) == E.simplex_count(m) == Y.simplex_count(m)
+        for m in range(max_dim + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +347,7 @@ def decorate_from_cochain(base: TruncatedSimplicialSet, cochain: TwoCochain) -> 
         raise ValueError("cochain decorations need a base of dimension <= 2")
     if len(cochain.values) != (base.simplex_count(2) if base.max_dim == 2 else 0):
         raise ValueError("cochain length must match the number of 2-simplices")
-    assignment = [[CircularPermutation((0,))] * base.simplex_count(0)]
-    if base.max_dim >= 1:
-        assignment.append([CircularPermutation((0, 1))] * base.simplex_count(1))
+    assignment = [all_circular(n) * base.simplex_count(n) for n in range(min(base.max_dim, 1) + 1)]
     if base.max_dim == 2:
         assignment.append([TWISTED if v else FLAT for v in cochain.values])
     return Decoration(base, assignment)
@@ -391,18 +374,10 @@ def extend_decoration(base: TruncatedSimplicialSet, partial: dict) -> Decoration
         for k in range(base.simplex_count(n)):
             fixed = assignment[n][k]
             if fixed is not None:
-                if n >= 1 and any(
-                    sc_face(i, fixed) != assignment[n - 1][base.face(n, k, i)] for i in range(n + 1)
-                ):
+                if not _fits(base, assignment, n, k, fixed):
                     raise ValueError(f"partial assignment incompatible at dim {n} id {k}")
                 continue
-            found = None
-            for c in all_circular(n):
-                if n == 0 or all(
-                    sc_face(i, c) == assignment[n - 1][base.face(n, k, i)] for i in range(n + 1)
-                ):
-                    found = c
-                    break
+            found = next((c for c in all_circular(n) if _fits(base, assignment, n, k, c)), None)
             if found is None:
                 return Obstruction(n, k)
             assignment[n][k] = found
@@ -426,14 +401,12 @@ def sphere_cochain_degree(cochain: TwoCochain) -> int:
 
 
 def decoration_to_json(decor: Decoration) -> dict:
-    from .simpset import sset_to_json
-
     return {
         "base": sset_to_json(decor.base),
         "assignment": [
             {
                 "dim": n,
-                "values": ["circ:" + ",".join(map(str, c.word)) for c in level],
+                "values": [payload_str(c) for c in level],
             }
             for n, level in enumerate(decor.assignment)
         ],
@@ -447,22 +420,28 @@ def _parse_circ(s: str) -> CircularPermutation:
 
 
 def decoration_from_json(obj: dict) -> Decoration:
-    from .simpset import sset_from_json
-
+    if not isinstance(obj, dict):
+        raise ValueError("decoration JSON must be an object")
     base = sset_from_json(obj["base"])
     raw = obj["assignment"]
     if isinstance(raw, dict):
         raw = [raw]
+    if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
+        raise ValueError("assignment must be an object or a list of objects")
+    for entry in raw:
+        values = entry["values"]
+        if not isinstance(entry["dim"], int) or not (
+            isinstance(values, list) and all(isinstance(v, str) for v in values)
+        ):
+            raise ValueError("each assignment entry needs an int dim and a list of string values")
     levels = {entry["dim"]: [_parse_circ(s) for s in entry["values"]] for entry in raw}
     assignment = []
     for n in range(base.max_dim + 1):
-        if n not in levels:
-            if n == 0:
-                assignment.append([CircularPermutation((0,))] * base.simplex_count(0))
-            elif n == 1:
-                assignment.append([CircularPermutation((0, 1))] * base.simplex_count(1))
-            else:
-                raise ValueError(f"assignment missing dimension {n}")
-        else:
+        if n in levels:
             assignment.append(levels[n])
+        elif n <= 1:
+            # dimensions 0 and 1 have a single rotation class
+            assignment.append(all_circular(n) * base.simplex_count(n))
+        else:
+            raise ValueError(f"assignment missing dimension {n}")
     return Decoration(base, assignment)

@@ -40,6 +40,7 @@ from .perms import (
     all_perms,
     degeneracy_perm,
     face_perm,
+    is_perm_word,
     multiply,
     pulled_index,
 )
@@ -52,6 +53,7 @@ from .simpset import (
     dumps_canonical,
     nondegenerate_list,
     quotient_map,
+    sset_to_json,
     twisted_product,
 )
 
@@ -99,7 +101,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
         g = tuple(int(v) for v in text.split(","))
     except ValueError:
         raise ValueError(f"bad permutation word {text!r}; expected comma-separated ints")
-    if sorted(g) != list(range(len(g))):
+    if not is_perm_word(g):
         raise ValueError(f"not a permutation word: {g}")
     return g
 
@@ -126,6 +128,13 @@ _BASES = {
 }
 
 
+def _load_bundle(max_dim: int, args):
+    """The decoration the arguments name, its builtin base name or None, and its bundle."""
+    decor, base_name = _load_decoration(args)
+    # total_space picks its own depth unless the user set one explicitly
+    return decor, base_name, total_space(decor, max_dim=max_dim if args.max_dim_set else None)
+
+
 def _load_decoration(args):
     if getattr(args, "decoration", None):
         obj = json.loads(Path(args.decoration).read_text(encoding="utf-8"))
@@ -137,6 +146,44 @@ def _load_decoration(args):
     count = base.simplex_count(2) if base.max_dim >= 2 else 0
     cochain = _parse_cochain_items(getattr(args, "cochain", None), count)
     return decorate_from_cochain(base, cochain), base_name
+
+
+def _build_E(max_dim: int, args):
+    if not args.g:
+        raise ValueError("enumerate E needs --g")
+    g = _parse_word(args.g)
+    return E_of(g, max_dim).total, {"g": list(g)}
+
+
+def _build_bundle(max_dim: int, args):
+    _, base_name, bundle = _load_bundle(max_dim, args)
+    return bundle.total, ({"base": base_name} if base_name else {})
+
+
+# Every object the CLI builds by name: a builder from (max_dim, args) to the
+# object and the keys it adds to the report.  Each subcommand accepts a subset.
+_OBJECTS = {
+    "S": lambda max_dim, args: (build_S(max_dim), {}),
+    "C": lambda max_dim, args: (build_C(max_dim), {}),
+    "SC": lambda max_dim, args: (build_SC(max_dim), {}),
+    "delta": lambda max_dim, args: (build_delta(args.n, max_dim), {"n": args.n}),
+    "twisted": lambda max_dim, args: (
+        twisted_product(build_C(max_dim), build_delta(args.n, max_dim)),
+        {"n": args.n},
+    ),
+    "E": _build_E,
+    "bundle": _build_bundle,
+}
+_ENUMERATE_TARGETS = ("S", "C", "SC", "delta", "twisted", "E")
+_IDENTITY_TARGETS = ("S", "C", "SC", "delta", "twisted")
+_HOMOLOGY_TARGETS = ("S", "C", "SC", "delta", "bundle")
+
+
+def _build_object(name: str, accepted, what: str, cfg: RunConfig, args):
+    """Build the named object if this subcommand accepts it; return (X, report keys)."""
+    if name not in accepted:
+        raise ValueError(f"unknown {what} {name!r}")
+    return _OBJECTS[name](cfg.max_dim, args)
 
 
 # ---------------------------------------------------------------------------
@@ -151,59 +198,27 @@ def _counts(X) -> dict:
 
 
 def cmd_enumerate(cfg: RunConfig, args) -> tuple[dict, int]:
-    which = args.which
-    report = {"command": "enumerate", "which": which, "max_dim": cfg.max_dim}
-    if which == "S":
-        X = build_S(cfg.max_dim)
-    elif which == "C":
-        X = build_C(cfg.max_dim)
-    elif which == "SC":
-        X = build_SC(cfg.max_dim)
-    elif which == "delta":
-        X = build_delta(args.n, cfg.max_dim)
-        report["n"] = args.n
-    elif which == "twisted":
-        X = twisted_product(build_C(cfg.max_dim), build_delta(args.n, cfg.max_dim))
-        report["n"] = args.n
-    elif which == "E":
-        if not args.g:
-            raise ValueError("enumerate E needs --g")
-        g = _parse_word(args.g)
-        X = E_of(g, cfg.max_dim).total
-        report["g"] = list(g)
-    else:
-        raise ValueError(f"unknown object {which!r}")
+    X, keys = _build_object(args.which, _ENUMERATE_TARGETS, "object", cfg, args)
+    report = {"command": "enumerate", "which": args.which, "max_dim": cfg.max_dim, **keys}
     report.update(_counts(X))
     return report, 0
 
 
-def _check_identities(cfg: RunConfig, target: str, n: int) -> dict:
-    if target == "S":
-        X = build_S(cfg.max_dim)
-    elif target == "C":
-        X = build_C(cfg.max_dim)
-    elif target == "SC":
-        X = build_SC(cfg.max_dim)
-    elif target == "delta":
-        X = build_delta(n, cfg.max_dim)
-    elif target == "twisted":
-        X = twisted_product(build_C(cfg.max_dim), build_delta(n, cfg.max_dim))
-    else:
-        raise ValueError(f"unknown identities target {target!r}")
+def _check_result(name: str, cases: int, counterexample: str | None) -> dict:
+    return {"name": name, "cases": cases, "pass": counterexample is None, "counterexample": counterexample}
+
+
+def _check_identities(cfg: RunConfig, target: str, args) -> dict:
+    X, _ = _build_object(target, _IDENTITY_TARGETS, "identities target", cfg, args)
     bad = audit_identities(X)
     cases = sum(X.simplex_count(m) for m in range(X.max_dim + 1))
-    return {
-        "name": f"identities:{target}",
-        "cases": cases,
-        "pass": not bad,
-        "counterexample": bad[0] if bad else None,
-    }
+    return _check_result(f"identities:{target}", cases, bad[0] if bad else None)
 
 
 def _check_crossed(cfg: RunConfig) -> list[dict]:
     rng = random.Random(cfg.seed)
     out = []
-    for rel in ("face", "degeneracy"):
+    for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
         cases = 0
         counterexample = None
         for n in range(1, cfg.max_dim + 1):
@@ -222,26 +237,13 @@ def _check_crossed(cfg: RunConfig) -> list[dict]:
                 prod = multiply(h, f)
                 for i in range(n + 1):
                     cases += 1
-                    if rel == "face":
-                        got = face_perm(i, prod)
-                        want = multiply(face_perm(i, h), face_perm(pulled_index(h, i), f))
-                    else:
-                        got = degeneracy_perm(i, prod)
-                        want = multiply(
-                            degeneracy_perm(i, h), degeneracy_perm(pulled_index(h, i), f)
-                        )
+                    got = op(i, prod)
+                    want = multiply(op(i, h), op(pulled_index(h, i), f))
                     if got != want and counterexample is None:
                         counterexample = f"n={n} h={h} f={f} i={i}"
             if counterexample:
                 break
-        out.append(
-            {
-                "name": f"crossed:{rel}",
-                "cases": cases,
-                "pass": counterexample is None,
-                "counterexample": counterexample,
-            }
-        )
+        out.append(_check_result(f"crossed:{rel}", cases, counterexample))
     return out
 
 
@@ -262,16 +264,16 @@ def _check_wordwise(cfg: RunConfig, name: str, fn) -> dict:
                 counterexample = f"g={g}"
         if counterexample:
             break
-    return {"name": name, "cases": cases, "pass": counterexample is None, "counterexample": counterexample}
+    return _check_result(name, cases, counterexample)
 
 
 def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
     suite = args.suite
     checks: list[dict] = []
     if suite in ("identities", "all"):
-        targets = [args.target] if suite == "identities" and args.target else ["S", "C", "SC", "delta", "twisted"]
+        targets = [args.target] if suite == "identities" and args.target else _IDENTITY_TARGETS
         for t in targets:
-            checks.append(_check_identities(cfg, t, args.n))
+            checks.append(_check_identities(cfg, t, args))
     if suite in ("crossed", "all"):
         checks.extend(_check_crossed(cfg))
     if suite in ("lemma", "all"):
@@ -304,41 +306,21 @@ def _dump_matrices(cc, directory: str) -> list[str]:
 
 
 def cmd_homology(cfg: RunConfig, args) -> tuple[dict, int]:
-    target = args.target
-    report = {"command": "homology", "target": target, "policy": cfg.overflow}
-    if target == "bundle":
-        decor, base_name = _load_decoration(args)
-        bundle = total_space(decor, max_dim=cfg.max_dim if args.max_dim_set else None)
-        X = bundle.total
-        if base_name:
-            report["base"] = base_name
-    elif target == "S":
-        X = build_S(cfg.max_dim)
-    elif target == "C":
-        X = build_C(cfg.max_dim)
-    elif target == "SC":
-        X = build_SC(cfg.max_dim)
-    elif target == "delta":
-        X = build_delta(args.n, cfg.max_dim)
-        report["n"] = args.n
-    else:
-        raise ValueError(f"unknown homology target {target!r}")
+    X, keys = _build_object(args.target, _HOMOLOGY_TARGETS, "homology target", cfg, args)
+    report = {"command": "homology", "target": args.target, "policy": cfg.overflow, **keys}
     report["max_dim"] = X.max_dim
     cc = normalized_complex(X)
     rep = homology_report(cc, policy=cfg.overflow)
     report.update(rep.to_json())
     report["groups"] = [rep.pretty(k) for k in range(len(rep.groups))]
-    report["chains"] = [len(b) for b in cc.basis]
+    report["chains"] = cc.basis_sizes()
     if args.dump_matrices:
         report["matrix_files"] = _dump_matrices(cc, args.dump_matrices)
     return report, 0
 
 
 def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
-    from .simpset import sset_to_json
-
-    decor, base_name = _load_decoration(args)
-    bundle = total_space(decor, max_dim=cfg.max_dim if args.max_dim_set else None)
+    decor, base_name, bundle = _load_bundle(cfg.max_dim, args)
     X = bundle.total
 
     # the defining square: classifying composed with the quotient must equal
@@ -359,8 +341,7 @@ def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
         "chern_cochain": list(chern.values),
         "pullback_square": "commutes" if square_ok else "BROKEN",
         "counts": _counts(X),
-        "H": rep.to_json()["H"],
-        "unreliable_top": rep.unreliable_top,
+        **rep.to_json(),
         "groups": [rep.pretty(k) for k in range(len(rep.groups))],
         "total_space": sset_to_json(X),
     }
@@ -421,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     pe = sub.add_parser("enumerate", help="per-dimension simplex counts")
-    pe.add_argument("which", choices=("S", "C", "SC", "delta", "twisted", "E"))
+    pe.add_argument("which", choices=_ENUMERATE_TARGETS)
     pe.add_argument("--g", default=None, help="permutation word, comma-separated values")
     pe.add_argument("--n", type=int, default=2, help="simplex dimension for delta/twisted")
     common(pe, default_dim=4)
@@ -433,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc, default_dim=4)
 
     ph = sub.add_parser("homology", help="exact integer homology of a truncation")
-    ph.add_argument("target", choices=("S", "C", "SC", "delta", "bundle"))
+    ph.add_argument("target", choices=_HOMOLOGY_TARGETS)
     ph.add_argument("--n", type=int, default=2, help="simplex dimension for the delta target")
     ph.add_argument("--decoration", default=None, help="decoration JSON file (bundle target)")
     ph.add_argument("--base", default=None, help=f"builtin base: {', '.join(sorted(_BASES))}")
@@ -461,7 +442,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # total_space picks its own depth unless the user set one explicitly
         args.max_dim_set = args.max_dim is not None
         cfg = RunConfig(
             command=args.command,

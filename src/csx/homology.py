@@ -67,11 +67,11 @@ def _check_range(values, policy):
                 raise OverflowError("entry left the signed 64-bit range under checked policy")
 
 
-def _dense_snf(M, R, C, policy, transforms):
+def _dense_snf(M, R, C, policy):
     # Row ops mirror onto U, column ops onto V, keeping U*input*V == A.
     A = [row[:] for row in M]
-    U = [[int(i == j) for j in range(R)] for i in range(R)] if transforms else None
-    V = [[int(i == j) for j in range(C)] for i in range(C)] if transforms else None
+    U = [[int(i == j) for j in range(R)] for i in range(R)]
+    V = [[int(i == j) for j in range(C)] for i in range(C)]
     factors = []
     t = 0
     while True:
@@ -93,14 +93,12 @@ def _dense_snf(M, R, C, policy, transforms):
         i, j = pivot
         if i != t:
             A[t], A[i] = A[i], A[t]
-            if transforms:
-                U[t], U[i] = U[i], U[t]
+            U[t], U[i] = U[i], U[t]
         if j != t:
             for row in A:
                 row[t], row[j] = row[j], row[t]
-            if transforms:
-                for row in V:
-                    row[t], row[j] = row[j], row[t]
+            for row in V:
+                row[t], row[j] = row[j], row[t]
         while True:
             # clear below the pivot
             for i in range(t + 1, R):
@@ -108,13 +106,11 @@ def _dense_snf(M, R, C, policy, transforms):
                     q = A[i][t] // A[t][t]
                     if q:
                         A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                        if transforms:
-                            U[i] = [a - q * b for a, b in zip(U[i], U[t])]
+                        U[i] = [a - q * b for a, b in zip(U[i], U[t])]
                         _check_range(A[i], policy)
                     if A[i][t]:
                         A[t], A[i] = A[i], A[t]
-                        if transforms:
-                            U[t], U[i] = U[i], U[t]
+                        U[t], U[i] = U[i], U[t]
             if any(A[i][t] for i in range(t + 1, R)):
                 continue
             # clear to the right of the pivot
@@ -125,16 +121,14 @@ def _dense_snf(M, R, C, policy, transforms):
                     if q:
                         for row in A:
                             row[j] -= q * row[t]
-                        if transforms:
-                            for row in V:
-                                row[j] -= q * row[t]
+                        for row in V:
+                            row[j] -= q * row[t]
                         _check_range((row[j] for row in A), policy)
                     if A[t][j]:
                         for row in A:
                             row[t], row[j] = row[j], row[t]
-                        if transforms:
-                            for row in V:
-                                row[t], row[j] = row[j], row[t]
+                        for row in V:
+                            row[t], row[j] = row[j], row[t]
                         redo = True
                         break
             if redo:
@@ -153,13 +147,11 @@ def _dense_snf(M, R, C, policy, transforms):
             if fix is None:
                 break
             A[t] = [a + b for a, b in zip(A[t], A[fix])]
-            if transforms:
-                U[t] = [a + b for a, b in zip(U[t], U[fix])]
+            U[t] = [a + b for a, b in zip(U[t], U[fix])]
             _check_range(A[t], policy)
         if A[t][t] < 0:
             A[t] = [-a for a in A[t]]
-            if transforms:
-                U[t] = [-a for a in U[t]]
+            U[t] = [-a for a in U[t]]
         factors.append(A[t][t])
         t += 1
         if t == R or t == C:
@@ -248,7 +240,7 @@ def _sparse_unit_reduce(sm: SparseMatrix, policy):
     return units, dense
 
 
-def smith_normal_form(matrix, shape=None, transforms=False, policy="bigint") -> SmithForm:
+def smith_normal_form(matrix, transforms=False, policy="bigint") -> SmithForm:
     """Smith normal form over the integers.
 
     matrix is either a dense list of rows or a SparseMatrix.  With
@@ -262,15 +254,13 @@ def smith_normal_form(matrix, shape=None, transforms=False, policy="bigint") -> 
         sm = matrix
     else:
         sm = SparseMatrix.from_dense(matrix)
-    if shape is not None and (sm.rows, sm.cols) != tuple(shape):
-        raise ValueError("shape mismatch")
     _check_range(sm.entries.values(), policy)
     if transforms:
-        return _dense_snf(sm.to_dense(), sm.rows, sm.cols, policy, True)
+        return _dense_snf(sm.to_dense(), sm.rows, sm.cols, policy)
     units, remainder = _sparse_unit_reduce(sm, policy)
     if not remainder:
         return SmithForm((sm.rows, sm.cols), (1,) * units)
-    tail = _dense_snf(remainder, len(remainder), len(remainder[0]), policy, True)
+    tail = _dense_snf(remainder, len(remainder), len(remainder[0]), policy)
     return SmithForm((sm.rows, sm.cols), (1,) * units + tail.factors, remainder=remainder, remainder_form=tail)
 
 
@@ -311,14 +301,13 @@ class ChainComplexData:
         return [len(b) for b in self.basis]
 
 
-def normalized_complex(X: TruncatedSimplicialSet, audit: bool = True) -> ChainComplexData:
+def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     """Boundary matrices on nondegenerate simplices with signs (-1)^i.
 
     Composing consecutive boundaries must give zero; that and the identity
     audit guard against malformed inputs.
     """
-    if audit:
-        assert_valid(X)
+    assert_valid(X)
     basis = [nondegenerate_list(X, n) for n in range(X.max_dim + 1)]
     positions = [{k: idx for idx, k in enumerate(level)} for level in basis]
     boundaries: list[SparseMatrix | None] = [None]
@@ -377,7 +366,7 @@ class HomologyReport:
 _TRANSFORM_LIMIT = 200
 
 
-def homology_report(cc: ChainComplexData, policy: str = "bigint", verify: bool = True) -> HomologyReport:
+def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyReport:
     """Betti numbers and torsion from Smith forms of the boundary matrices.
 
     Matrices up to 200x200 are reduced with certificates and re-verified
@@ -392,16 +381,15 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint", verify: bool =
     for n in range(1, cc.max_dim + 1):
         sm = cc.boundaries[n]
         small = sm.rows <= _TRANSFORM_LIMIT and sm.cols <= _TRANSFORM_LIMIT
-        sf = smith_normal_form(sm, transforms=small and verify, policy=policy)
-        if verify:
-            if small:
-                if not verify_transforms(sm, sf):
-                    raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
-            else:
-                if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
-                    raise ArithmeticError(f"remainder certificate failed for boundary {n}")
-                if rank_mod_p(sm) != sf.rank:
-                    raise ArithmeticError(f"rank cross-check failed for boundary {n}")
+        sf = smith_normal_form(sm, transforms=small, policy=policy)
+        if small:
+            if not verify_transforms(sm, sf):
+                raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
+        else:
+            if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
+                raise ArithmeticError(f"remainder certificate failed for boundary {n}")
+            if rank_mod_p(sm) != sf.rank:
+                raise ArithmeticError(f"rank cross-check failed for boundary {n}")
         ranks[n] = sf.rank
         factors[n] = sf.factors
     groups = []

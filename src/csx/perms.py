@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import permutations
 
+from .delta import peel
+
 Word = tuple[int, ...]
 
 
@@ -99,29 +101,15 @@ def apply_operator_word(xi_values: tuple[int, ...], target_size: int, f: Word) -
     """Contravariant action of the monotone operator xi on the word f.
 
     xi is a monotone map [m] -> [n] given by its value word; f has degree n.
-    The operator is peeled into cofaces (one per value missing from the
-    image) and codegeneracies (one per repeated value), and the word-level
-    face/degeneracy operators are applied accordingly.  Any peeling order
-    gives the same answer by the simplicial identities.
+    The word-level face and degeneracy operators are applied along the
+    peeling of xi (delta.peel).
     """
     assert len(f) == target_size
-    values = list(xi_values)
-    present = set(values)
-    for v in range(target_size - 1, -1, -1):
-        if v not in present:
-            f = face_perm(v, f)
-            values = [w - 1 if w > v else w for w in values]
-    s_stack = []
-    j = 0
-    while j + 1 < len(values):
-        if values[j] == values[j + 1]:
-            s_stack.append(j)
-            del values[j + 1]
-        else:
-            j += 1
-    assert values == list(range(len(values)))
-    for j in reversed(s_stack):
-        f = degeneracy_perm(j, f)
+    faces, degeneracies = peel(xi_values, target_size - 1)
+    for i in faces:
+        f = face_perm(i, f)
+    for i in degeneracies:
+        f = degeneracy_perm(i, f)
     return f
 
 

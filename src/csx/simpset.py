@@ -12,17 +12,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
-from .delta import MonotoneOp, monotone_ops
+from .delta import monotone_ops, peel
 from .perms import (
     Word,
     all_perms,
-    apply_operator_word,
     cyclic_word,
     degeneracy_perm,
     face_perm,
-    identity_perm,
-    inverse,
-    multiply,
+    is_perm_word,
     pulled_index,
 )
 
@@ -38,7 +35,7 @@ class CircularPermutation:
     word: Word
 
     def __post_init__(self):
-        if not self.word or self.word[0] != 0 or sorted(self.word) != list(range(len(self.word))):
+        if not self.word or self.word[0] != 0 or not is_perm_word(self.word):
             raise ValueError(f"not a canonical circular word: {self.word}")
 
     @property
@@ -110,18 +107,13 @@ class TruncatedSimplicialSet:
             raise ValueError("face-only object has no degeneracy tables")
         return self.degeneracies[n][k][i]
 
-    def is_degenerate(self, n: int, k: int) -> bool:
-        if n == 0:
-            return False
-        if self.degeneracies is None:
-            return False
-        return k in self._degenerate_ids(n)
+    def face_payload(self, n: int, p, i: int):
+        """The payload of face i of the dimension-n simplex with payload p."""
+        return self.payload(n - 1, self.face(n, self.id_of(n, p), i))
 
-    def _degenerate_ids(self, n: int):
-        ids = set()
-        for k in range(self.simplex_count(n - 1)):
-            ids.update(self.degeneracies[n - 1][k])
-        return ids
+    def degeneracy_payload(self, n: int, p, i: int):
+        """The payload of degeneracy i of the dimension-n simplex with payload p."""
+        return self.payload(n + 1, self.degeneracy(n, self.id_of(n, p), i))
 
 
 def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
@@ -135,24 +127,16 @@ def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
     for n, level in enumerate(payloads):
         if len(index[n]) != len(level):
             raise ValueError(f"duplicate payloads in dimension {n}")
-    faces = [None]
-    for n in range(1, max_dim + 1):
-        faces.append(
-            tuple(
-                tuple(index[n - 1][face_fn(n, p, i)] for i in range(n + 1))
-                for p in payloads[n]
-            )
+
+    def table(fn, n, target):
+        return tuple(
+            tuple(index[target][fn(n, p, i)] for i in range(n + 1)) for p in payloads[n]
         )
+
+    faces = [None] + [table(face_fn, n, n - 1) for n in range(1, max_dim + 1)]
     degeneracies = None
     if degeneracy_fn is not None:
-        degeneracies = []
-        for n in range(max_dim):
-            degeneracies.append(
-                tuple(
-                    tuple(index[n + 1][degeneracy_fn(n, p, i)] for i in range(n + 1))
-                    for p in payloads[n]
-                )
-            )
+        degeneracies = [table(degeneracy_fn, n, n + 1) for n in range(max_dim)]
     return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
 
 
@@ -163,7 +147,7 @@ def nondegenerate_list(X: TruncatedSimplicialSet, n: int) -> list[int]:
     """
     if n == 0 or not X.has_degeneracies:
         return list(range(X.simplex_count(n)))
-    hit = X._degenerate_ids(n)
+    hit = set().union(*X.degeneracies[n - 1])
     return [k for k in range(X.simplex_count(n)) if k not in hit]
 
 
@@ -192,15 +176,12 @@ def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
                 sj = X.degeneracy(n, k, j)
                 for i in range(n + 2):
                     got = X.face(n + 1, sj, i)
+                    # at n == 0 the only index pairs are i == j and i == j + 1
                     if i == j or i == j + 1:
                         want = k
                     elif i < j:
-                        if n == 0:
-                            continue
                         want = X.degeneracy(n - 1, X.face(n, k, i), j - 1)
                     else:
-                        if n == 0:
-                            continue
                         want = X.degeneracy(n - 1, X.face(n, k, i - 1), j)
                     if got != want:
                         bad.append(f"d{i} s{j} identity fails at dim {n} id {k}")
@@ -220,12 +201,11 @@ class SimplicialMap:
     checked on construction.
     """
 
-    def __init__(self, source, target, table, check=True):
+    def __init__(self, source, target, table):
         self.source = source
         self.target = target
         self.table = table
-        if check:
-            self._check()
+        self._check()
 
     def _check(self):
         X, Y = self.source, self.target
@@ -249,12 +229,12 @@ class SimplicialMap:
         return self.table[n][k]
 
     @classmethod
-    def from_payload_fn(cls, source, target, fn, check=True):
+    def from_payload_fn(cls, source, target, fn):
         table = [
             tuple(target.id_of(n, fn(n, source.payload(n, k))) for k in range(source.simplex_count(n)))
             for n in range(source.max_dim + 1)
         ]
-        return cls(source, target, table, check=check)
+        return cls(source, target, table)
 
 
 # ---------------------------------------------------------------------------
@@ -311,11 +291,9 @@ def build_SC(max_dim: int) -> TruncatedSimplicialSet:
     )
 
 
-def quotient_map(max_dim: int, S=None, SC=None) -> SimplicialMap:
+def quotient_map(max_dim: int) -> SimplicialMap:
     """The projection sending a word to its rotation class."""
-    S = S or build_S(max_dim)
-    SC = SC or build_SC(max_dim)
-    return SimplicialMap.from_payload_fn(S, SC, lambda n, w: quotient_circ(w))
+    return SimplicialMap.from_payload_fn(build_S(max_dim), build_SC(max_dim), lambda n, w: quotient_circ(w))
 
 
 def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
@@ -339,13 +317,11 @@ def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
 
     def face_fn(n, p, i):
         h, x = p
-        xf = X.payload(n - 1, X.face(n, X.id_of(n, x), pulled_index(h, i)))
-        return (face_perm(i, h), xf)
+        return (face_perm(i, h), X.face_payload(n, x, pulled_index(h, i)))
 
     def degen_fn(n, p, i):
         h, x = p
-        xs = X.payload(n + 1, X.degeneracy(n, X.id_of(n, x), pulled_index(h, i)))
-        return (degeneracy_perm(i, h), xs)
+        return (degeneracy_perm(i, h), X.degeneracy_payload(n, x, pulled_index(h, i)))
 
     return from_rules(max_dim, payload_lists, face_fn, degen_fn if X.has_degeneracies else None)
 
@@ -374,17 +350,11 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
 
     def face_fn(n, pay, i):
         x, y = pay
-        return (
-            X.payload(n - 1, X.face(n, X.id_of(n, x), i)),
-            Y.payload(n - 1, Y.face(n, Y.id_of(n, y), i)),
-        )
+        return (X.face_payload(n, x, i), Y.face_payload(n, y, i))
 
     def degen_fn(n, pay, i):
         x, y = pay
-        return (
-            X.payload(n + 1, X.degeneracy(n, X.id_of(n, x), i)),
-            Y.payload(n + 1, Y.degeneracy(n, Y.id_of(n, y), i)),
-        )
+        return (X.degeneracy_payload(n, x, i), Y.degeneracy_payload(n, y, i))
 
     both_degen = X.has_degeneracies and Y.has_degeneracies
     P = from_rules(max_dim, payload_lists, face_fn, degen_fn if both_degen else None)
@@ -396,32 +366,17 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
 def evaluate_operator(X: TruncatedSimplicialSet, xi_values, n: int, k: int) -> tuple[int, int]:
     """Apply the monotone operator xi: [m] -> [n] to simplex k of dimension n.
 
-    Returns (m, id).  The operator is peeled into faces for values missing
-    from its image and degeneracies for repeated values; every intermediate
-    dimension stays within max(m, n), so the truncation is never left.
+    Returns (m, id).  The faces and degeneracies come from delta.peel, so
+    the truncation is never left.
     """
-    values = list(xi_values)
-    if any(v < 0 or v > n for v in values) or any(a > b for a, b in zip(values, values[1:])):
-        raise ValueError("not a monotone operator into the simplex dimension")
-    dim = n
-    present = set(values)
-    for v in range(n, -1, -1):
-        if v not in present:
-            k = X.face(dim, k, v)
-            dim -= 1
-            values = [w - 1 if w > v else w for w in values]
-    s_stack = []
-    j = 0
-    while j + 1 < len(values):
-        if values[j] == values[j + 1]:
-            s_stack.append(j)
-            del values[j + 1]
-        else:
-            j += 1
-    for j in reversed(s_stack):
-        k = X.degeneracy(dim, k, j)
-        dim += 1
-    return dim, k
+    faces, degeneracies = peel(xi_values, n)
+    for i in faces:
+        k = X.face(n, k, i)
+        n -= 1
+    for i in degeneracies:
+        k = X.degeneracy(n, k, i)
+        n += 1
+    return n, k
 
 
 def yoneda(X: TruncatedSimplicialSet, n: int, k: int, max_dim=None) -> SimplicialMap:
@@ -455,24 +410,19 @@ def reorient_upsilon(X: TruncatedSimplicialSet, decor: SimplicialMap) -> Truncat
     """
     if decor.source is not X:
         raise ValueError("decoration must be defined on the object being reoriented")
-    payloads = X.payloads
-    faces = [None]
-    for n in range(1, X.max_dim + 1):
+
+    def rewired(structure_map, n):
         level = []
         for k in range(X.simplex_count(n)):
             w = decor.target.payload(n, decor.apply(n, k))
-            level.append(tuple(X.face(n, k, w[i]) for i in range(n + 1)))
-        faces.append(tuple(level))
+            level.append(tuple(structure_map(n, k, w[i]) for i in range(n + 1)))
+        return tuple(level)
+
+    faces = [None] + [rewired(X.face, n) for n in range(1, X.max_dim + 1)]
     degeneracies = None
     if X.has_degeneracies:
-        degeneracies = []
-        for n in range(X.max_dim):
-            level = []
-            for k in range(X.simplex_count(n)):
-                w = decor.target.payload(n, decor.apply(n, k))
-                level.append(tuple(X.degeneracy(n, k, w[i]) for i in range(n + 1)))
-            degeneracies.append(tuple(level))
-    Y = TruncatedSimplicialSet(X.max_dim, payloads, faces, degeneracies)
+        degeneracies = [rewired(X.degeneracy, n) for n in range(X.max_dim)]
+    Y = TruncatedSimplicialSet(X.max_dim, X.payloads, faces, degeneracies)
     assert_valid(Y)
     return Y
 
@@ -506,37 +456,56 @@ def sset_to_json(X: TruncatedSimplicialSet) -> dict:
     return {"max_dim": X.max_dim, "dims": dims}
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _read_table(rows, n: int, count: int, bound: int, what: str) -> tuple:
+    """A face or degeneracy table of dimension n: count rows of n + 1 ids below bound."""
+    if not isinstance(rows, list) or len(rows) != count:
+        raise ValueError(f"{what} table missing or wrong size at dim {n}")
+    for row in rows:
+        shaped = isinstance(row, list) and len(row) == n + 1
+        if not shaped or not all(_is_int(v) and 0 <= v < bound for v in row):
+            raise ValueError(f"bad {what} row at dim {n}")
+    return tuple(tuple(row) for row in rows)
+
+
 def sset_from_json(obj: dict) -> TruncatedSimplicialSet:
-    """Rebuild from the dict form; payloads come back as opaque strings."""
+    """Rebuild from the dict form; payloads come back as opaque strings.
+
+    Values of the wrong type or out of range raise ValueError.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("simplicial set JSON must be an object")
     max_dim = obj["max_dim"]
     dims = obj["dims"]
+    if not _is_int(max_dim) or max_dim < 0:
+        raise ValueError(f"max_dim must be a nonnegative integer, got {max_dim!r}")
+    if not isinstance(dims, list) or not all(isinstance(level, dict) for level in dims):
+        raise ValueError("dims must be a list of objects")
     if len(dims) != max_dim + 1:
         raise ValueError("dimension list does not match max_dim")
-    payloads = [tuple(level["payloads"]) for level in dims]
-    for level in payloads:
-        if len(set(level)) != len(level):
+    payloads = []
+    for level in dims:
+        names = level["payloads"]
+        if not isinstance(names, list) or not all(isinstance(p, str) for p in names):
+            raise ValueError("payloads must be lists of strings")
+        if len(set(names)) != len(names):
             raise ValueError("duplicate payloads in one dimension")
-    faces = [None]
-    for n in range(1, max_dim + 1):
-        rows = dims[n]["faces"]
-        if len(rows) != len(payloads[n]):
-            raise ValueError(f"face table size mismatch at dim {n}")
-        for row in rows:
-            if len(row) != n + 1 or any(not 0 <= v < len(payloads[n - 1]) for v in row):
-                raise ValueError(f"bad face row at dim {n}")
-        faces.append(tuple(tuple(row) for row in rows))
-    has_deg = any("degeneracies" in dims[n] for n in range(max_dim))
+        payloads.append(tuple(names))
+    faces = [None] + [
+        _read_table(dims[n]["faces"], n, len(payloads[n]), len(payloads[n - 1]), "face")
+        for n in range(1, max_dim + 1)
+    ]
     degeneracies = None
-    if has_deg:
-        degeneracies = []
-        for n in range(max_dim):
-            rows = dims[n].get("degeneracies")
-            if rows is None or len(rows) != len(payloads[n]):
-                raise ValueError(f"degeneracy table missing or wrong size at dim {n}")
-            for row in rows:
-                if len(row) != n + 1 or any(not 0 <= v < len(payloads[n + 1]) for v in row):
-                    raise ValueError(f"bad degeneracy row at dim {n}")
-            degeneracies.append(tuple(tuple(row) for row in rows))
+    if any("degeneracies" in dims[n] for n in range(max_dim)):
+        degeneracies = [
+            _read_table(
+                dims[n].get("degeneracies"), n, len(payloads[n]), len(payloads[n + 1]), "degeneracy"
+            )
+            for n in range(max_dim)
+        ]
     X = TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
     bad = audit_identities(X)
     if bad:

@@ -32,6 +32,9 @@ from csx.simpset import (
     CircularPermutation,
     all_circular,
     audit_identities,
+    build_S,
+    build_SC,
+    evaluate_operator,
     nondegenerate_list,
     quotient_circ,
     sc_face,
@@ -174,6 +177,27 @@ def test_operator_action_descends_to_classes():
                     left = apply_operator_circ(xi.values, n + 1, quotient_circ(g))
                     right = quotient_circ(apply_operator_word(xi.values, n + 1, g))
                     assert left == right
+
+
+def test_table_word_and_class_actions_agree():
+    # the three actions share one peeling of the operator
+    S, SC = build_S(4), build_SC(4)
+    for n in range(4):
+        for m in range(5):
+            for xi in monotone_ops(m, n):
+                for f in all_perms(n):
+                    moved = apply_operator_word(xi.values, n + 1, f)
+                    assert evaluate_operator(S, xi.values, n, S.id_of(n, f)) == (m, S.id_of(m, moved))
+                for c in all_circular(n):
+                    moved = apply_operator_circ(xi.values, n + 1, c)
+                    assert evaluate_operator(SC, xi.values, n, SC.id_of(n, c)) == (m, SC.id_of(m, moved))
+    not_monotone = (1, 0)
+    with pytest.raises(ValueError):
+        apply_operator_word(not_monotone, 3, (0, 1, 2))
+    with pytest.raises(ValueError):
+        apply_operator_circ(not_monotone, 3, CircularPermutation((0, 1, 2)))
+    with pytest.raises(ValueError):
+        evaluate_operator(S, not_monotone, 2, 0)
 
 
 def test_total_space_over_vertex_is_circle():

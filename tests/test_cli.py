@@ -136,6 +136,25 @@ def test_exit_codes_for_bad_input(capsys):
     assert main(["homology", "bundle", "--base", "boundary3", "--cochain", "oops"]) == 2
 
 
+@pytest.mark.parametrize("case", ["string max_dim", "list payload", "int value", "top-level list"])
+def test_malformed_decoration_file_is_an_input_error(capsys, tmp_path, case):
+    from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json
+
+    obj = decoration_to_json(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))))
+    if case == "string max_dim":
+        obj["base"]["max_dim"] = "2"
+    elif case == "list payload":
+        obj["base"]["dims"][0]["payloads"][0] = [0]
+    elif case == "int value":
+        obj["assignment"][2]["values"][0] = 5
+    else:
+        obj = [obj]
+    path = tmp_path / "decor.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["bundle", "--decoration", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_exit_code_for_cap(capsys):
     assert main(["enumerate", "S", "--max-dim", "12"]) == 3
 

@@ -14,6 +14,7 @@ from csx.delta import (
     compose_ops,
     identity_op,
     monotone_ops,
+    peel,
     sort_factorization,
 )
 
@@ -124,3 +125,20 @@ def test_compose_ops_pointwise(phi):
     assert compose_ops(post, phi).values == phi.values
     with pytest.raises(ValueError):
         compose_ops(phi, SetMap(1, phi.source_size + 1, (0,)))
+
+
+def test_peel_composes_back_to_the_operator():
+    # face i acts by precomposing with coface i, degeneracy j with codegeneracy j
+    for n in range(4):
+        for m in range(5):
+            for xi in monotone_ops(m, n):
+                faces, degeneracies = peel(xi.values, n)
+                op, dim = identity_op(n), n
+                for i in faces:
+                    op, dim = compose_ops(op, coface(dim, i)), dim - 1
+                for j in degeneracies:
+                    op, dim = compose_ops(op, codegeneracy(dim, j)), dim + 1
+                assert op == xi
+    for bad in ((1, 0), (0, 3), (-1, 0)):
+        with pytest.raises(ValueError):
+            peel(bad, 2)

@@ -24,6 +24,17 @@ COMMANDS = {
     "homology_bundle_degree2.json": [
         "homology", "bundle", "--base", "boundary3", "--cochain", "1:1", "3:1",
     ],
+    # one command per object the CLI builds by name, and the audits over them
+    "enumerate_S_4.json": ["enumerate", "S", "--max-dim", "4"],
+    "enumerate_C_4.json": ["enumerate", "C", "--max-dim", "4"],
+    "enumerate_SC_4.json": ["enumerate", "SC", "--max-dim", "4"],
+    "enumerate_delta_2.json": ["enumerate", "delta", "--n", "2"],
+    "enumerate_twisted_2.json": ["enumerate", "twisted", "--n", "2"],
+    "enumerate_E_201_3.json": ["enumerate", "E", "--g", "2,0,1", "--max-dim", "3"],
+    "check_all_4.json": ["check", "all", "--max-dim", "4"],
+    "check_identities_twisted_3.json": [
+        "check", "identities", "--target", "twisted", "--n", "3", "--max-dim", "4",
+    ],
 }
 
 
