@@ -33,6 +33,8 @@ from .simpset import (
     build_SC,
     build_delta,
     from_rules,
+    is_json_int,
+    json_field,
     payload_str,
     pullback,
     quotient_circ,
@@ -420,21 +422,31 @@ def _parse_circ(s: str) -> CircularPermutation:
 
 
 def decoration_from_json(obj: dict) -> Decoration:
+    """Rebuild a decoration; malformed input of any kind raises ValueError.
+
+    Each dimension of the base may be given at most once; dimensions 0 and 1
+    may be left out.
+    """
     if not isinstance(obj, dict):
         raise ValueError("decoration JSON must be an object")
-    base = sset_from_json(obj["base"])
-    raw = obj["assignment"]
+    base = sset_from_json(json_field(obj, "base"))
+    raw = json_field(obj, "assignment")
     if isinstance(raw, dict):
         raw = [raw]
     if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
         raise ValueError("assignment must be an object or a list of objects")
+    levels = {}
     for entry in raw:
-        values = entry["values"]
-        if not isinstance(entry["dim"], int) or not (
+        n, values = json_field(entry, "dim"), json_field(entry, "values")
+        if not is_json_int(n) or not (
             isinstance(values, list) and all(isinstance(v, str) for v in values)
         ):
             raise ValueError("each assignment entry needs an int dim and a list of string values")
-    levels = {entry["dim"]: [_parse_circ(s) for s in entry["values"]] for entry in raw}
+        if not 0 <= n <= base.max_dim:
+            raise ValueError(f"assignment dimension {n} outside the base's 0..{base.max_dim}")
+        if n in levels:
+            raise ValueError(f"assignment gives dimension {n} twice")
+        levels[n] = [_parse_circ(s) for s in values]
     assignment = []
     for n in range(base.max_dim + 1):
         if n in levels:

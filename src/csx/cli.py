@@ -458,7 +458,7 @@ def main(argv=None) -> int:
     except OverflowError as e:
         print(f"error: 64-bit overflow under checked policy: {e}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     _emit(cfg, report)

@@ -313,9 +313,10 @@ def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     boundaries: list[SparseMatrix | None] = [None]
     for n in range(1, X.max_dim + 1):
         entries: dict[tuple[int, int], int] = {}
+        faces, below = X.faces[n], positions[n - 1]
         for col, k in enumerate(basis[n]):
-            for i in range(n + 1):
-                row = positions[n - 1].get(X.face(n, k, i))
+            for i, f in enumerate(faces[k]):
+                row = below.get(f)
                 if row is None:
                     continue
                 key = (row, col)

@@ -30,7 +30,7 @@ def identity_perm(n: int) -> Word:
 def multiply(f: Word, h: Word) -> Word:
     """The composite f after h: j -> f(h(j))."""
     assert len(f) == len(h)
-    return tuple(f[h[j]] for j in range(len(f)))
+    return tuple(map(f.__getitem__, h))
 
 
 def inverse(f: Word) -> Word:
@@ -72,15 +72,13 @@ def face_perm(i: int, f: Word) -> Word:
     This is the unique degree n-1 word g with coface(n, i) o g equal to
     f o coface(n, pulled_index(f, i)) as maps of ordinals.
     """
-    n = degree(f)
-    assert n >= 1 and 0 <= i <= n
-    return tuple(v - 1 if v > i else v for v in f if v != i)
+    assert 0 <= i < len(f) and len(f) >= 2
+    return tuple([v - 1 if v > i else v for v in f if v != i])
 
 
 def degeneracy_perm(i: int, f: Word) -> Word:
     """Shift values above i up by one and insert i+1 right after the value i."""
-    n = degree(f)
-    assert 0 <= i <= n
+    assert 0 <= i < len(f)
     shifted = [v + 1 if v > i else v for v in f]
     shifted.insert(shifted.index(i) + 1, i + 1)
     return tuple(shifted)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
 
 from .delta import monotone_ops, peel
@@ -43,10 +43,15 @@ class CircularPermutation:
         return len(self.word) - 1
 
 
+def _zero_first(f: Word) -> Word:
+    """The rotation of the word f that starts with the value 0."""
+    j = f.index(0)
+    return f[j:] + f[:j]
+
+
 def quotient_circ(f: Word) -> CircularPermutation:
     """The rotation class of a permutation word."""
-    j = f.index(0)
-    return CircularPermutation(f[j:] + f[:j])
+    return CircularPermutation(_zero_first(f))
 
 
 def sc_face(i: int, c: CircularPermutation) -> CircularPermutation:
@@ -66,9 +71,14 @@ def sc_is_degenerate(c: CircularPermutation) -> bool:
     return any(w[(w.index(i) + 1) % n] == i + 1 for i in range(n - 1))
 
 
+def _circular_words(n: int) -> list[Word]:
+    """The 0-first words of degree n in lexicographic order."""
+    return [(0,) + rest for rest in permutations(range(1, n + 1))]
+
+
 def all_circular(n: int) -> list[CircularPermutation]:
     """All rotation classes of degree n, lexicographic by canonical word."""
-    return [CircularPermutation((0,) + rest) for rest in sorted(permutations(range(1, n + 1)))]
+    return [CircularPermutation(w) for w in _circular_words(n)]
 
 
 class TruncatedSimplicialSet:
@@ -84,7 +94,10 @@ class TruncatedSimplicialSet:
         self.payloads = payloads
         self.faces = faces
         self.degeneracies = degeneracies
-        self._index = [{p: k for k, p in enumerate(level)} for level in payloads]
+
+    @cached_property
+    def _index(self) -> list[dict]:
+        return [{p: k for k, p in enumerate(level)} for level in self.payloads]
 
     @property
     def has_degeneracies(self) -> bool:
@@ -137,7 +150,9 @@ def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
     degeneracies = None
     if degeneracy_fn is not None:
         degeneracies = [table(degeneracy_fn, n, n + 1) for n in range(max_dim)]
-    return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
+    X = TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
+    X._index = index  # already built for the tables
+    return X
 
 
 def nondegenerate_list(X: TruncatedSimplicialSet, n: int) -> list[int]:
@@ -154,35 +169,38 @@ def nondegenerate_list(X: TruncatedSimplicialSet, n: int) -> list[int]:
 def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
     """All violations of the simplicial identities inside the truncation."""
     bad = []
+    faces, degeneracies = X.faces, X.degeneracies
     for n in range(2, X.max_dim + 1):
-        for k in range(X.simplex_count(n)):
+        lower = faces[n - 1]
+        for k, row in enumerate(faces[n]):
             for j in range(1, n + 1):
+                dj = lower[row[j]]
                 for i in range(j):
-                    if X.face(n - 1, X.face(n, k, j), i) != X.face(n - 1, X.face(n, k, i), j - 1):
+                    if dj[i] != lower[row[i]][j - 1]:
                         bad.append(f"d{i} d{j} != d{j-1} d{i} at dim {n} id {k}")
     if not X.has_degeneracies:
         return bad
     for n in range(X.max_dim - 1):
-        for k in range(X.simplex_count(n)):
+        upper = degeneracies[n + 1]
+        for k, row in enumerate(degeneracies[n]):
             for i in range(n + 1):
+                si = upper[row[i]]
                 for j in range(i, n + 1):
-                    if X.degeneracy(n + 1, X.degeneracy(n, k, j), i) != X.degeneracy(
-                        n + 1, X.degeneracy(n, k, i), j + 1
-                    ):
+                    if upper[row[j]][i] != si[j + 1]:
                         bad.append(f"s{i} s{j} != s{j+1} s{i} at dim {n} id {k}")
     for n in range(X.max_dim):
-        for k in range(X.simplex_count(n)):
-            for j in range(n + 1):
-                sj = X.degeneracy(n, k, j)
-                for i in range(n + 2):
-                    got = X.face(n + 1, sj, i)
-                    # at n == 0 the only index pairs are i == j and i == j + 1
+        # at n == 0 the only index pairs are i == j and i == j + 1
+        below = degeneracies[n - 1] if n else None
+        face_rows, upper = faces[n], faces[n + 1]
+        for k, row in enumerate(degeneracies[n]):
+            for j, sj in enumerate(row):
+                for i, got in enumerate(upper[sj]):
                     if i == j or i == j + 1:
                         want = k
                     elif i < j:
-                        want = X.degeneracy(n - 1, X.face(n, k, i), j - 1)
+                        want = below[face_rows[k][i]][j - 1]
                     else:
-                        want = X.degeneracy(n - 1, X.face(n, k, i - 1), j)
+                        want = below[face_rows[k][i - 1]][j]
                     if got != want:
                         bad.append(f"d{i} s{j} identity fails at dim {n} id {k}")
     return bad
@@ -211,18 +229,21 @@ class SimplicialMap:
         X, Y = self.source, self.target
         if Y.max_dim < X.max_dim:
             raise ValueError("target truncation too shallow")
+        table = self.table
         for n in range(1, X.max_dim + 1):
-            for k in range(X.simplex_count(n)):
-                for i in range(n + 1):
-                    if self.table[n - 1][X.face(n, k, i)] != Y.face(n, self.table[n][k], i):
+            below, image, target_rows = table[n - 1], table[n], Y.faces[n]
+            for k, row in enumerate(X.faces[n]):
+                want = target_rows[image[k]]
+                for i, f in enumerate(row):
+                    if below[f] != want[i]:
                         raise ValueError(f"map does not commute with face {i} at dim {n} id {k}")
         if X.has_degeneracies and Y.has_degeneracies:
             for n in range(X.max_dim):
-                for k in range(X.simplex_count(n)):
-                    for i in range(n + 1):
-                        if self.table[n + 1][X.degeneracy(n, k, i)] != Y.degeneracy(
-                            n, self.table[n][k], i
-                        ):
+                above, image, target_rows = table[n + 1], table[n], Y.degeneracies[n]
+                for k, row in enumerate(X.degeneracies[n]):
+                    want = target_rows[image[k]]
+                    for i, s in enumerate(row):
+                        if above[s] != want[i]:
                             raise ValueError(f"map does not commute with degeneracy {i} at dim {n}")
 
     def apply(self, n: int, k: int) -> int:
@@ -255,44 +276,56 @@ def build_delta(n: int, max_dim: int) -> TruncatedSimplicialSet:
     return from_rules(max_dim, payload_lists, face_fn, degen_fn)
 
 
+# Table rules on plain words.  On a 0-first word a degeneracy keeps the 0 in
+# front, and so does deleting any bead but the 0 itself; only face 0 rotates.
+
+
+def _word_face(n: int, w: Word, i: int) -> Word:
+    return face_perm(i, w)
+
+
+def _word_degeneracy(n: int, w: Word, i: int) -> Word:
+    return degeneracy_perm(i, w)
+
+
+def _zero_first_face(n: int, w: Word, i: int) -> Word:
+    f = face_perm(i, w)
+    return f if i else _zero_first(f)
+
+
 @lru_cache(maxsize=32)
 def build_S(max_dim: int) -> TruncatedSimplicialSet:
     """All permutation words, with the crossed face/degeneracy operators."""
     payload_lists = [all_perms(n) for n in range(max_dim + 1)]
-    return from_rules(
-        max_dim,
-        payload_lists,
-        lambda n, w, i: face_perm(i, w),
-        lambda n, w, i: degeneracy_perm(i, w),
-    )
+    return from_rules(max_dim, payload_lists, _word_face, _word_degeneracy)
 
 
 @lru_cache(maxsize=32)
 def build_C(max_dim: int) -> TruncatedSimplicialSet:
     """The rotation subgroup: dimension n holds the n+1 powers of tau(n)."""
     payload_lists = [[cyclic_word(n, k) for k in range(n + 1)] for n in range(max_dim + 1)]
-    return from_rules(
-        max_dim,
-        payload_lists,
-        lambda n, w, i: face_perm(i, w),
-        lambda n, w, i: degeneracy_perm(i, w),
-    )
+    return from_rules(max_dim, payload_lists, _word_face, _word_degeneracy)
 
 
 @lru_cache(maxsize=32)
 def build_SC(max_dim: int) -> TruncatedSimplicialSet:
-    """Rotation classes of permutation words; the quotient of build_S."""
-    payload_lists = [all_circular(n) for n in range(max_dim + 1)]
-    return from_rules(
-        max_dim,
-        payload_lists,
-        lambda n, c, i: sc_face(i, c),
-        lambda n, c, i: sc_degeneracy(i, c),
-    )
+    """Rotation classes of permutation words; the quotient of build_S.
+
+    The tables are built on the 0-first words; each word is wrapped as a
+    CircularPermutation once, keeping its lexicographic id.
+    """
+    payload_lists = [_circular_words(n) for n in range(max_dim + 1)]
+    W = from_rules(max_dim, payload_lists, _zero_first_face, _word_degeneracy)
+    payloads = [tuple(map(CircularPermutation, level)) for level in W.payloads]
+    return TruncatedSimplicialSet(max_dim, payloads, W.faces, W.degeneracies)
 
 
+@lru_cache(maxsize=32)
 def quotient_map(max_dim: int) -> SimplicialMap:
-    """The projection sending a word to its rotation class."""
+    """The projection sending a word to its rotation class.
+
+    Built and checked once per depth; every caller shares the one map.
+    """
     return SimplicialMap.from_payload_fn(build_S(max_dim), build_SC(max_dim), lambda n, w: quotient_circ(w))
 
 
@@ -456,8 +489,17 @@ def sset_to_json(X: TruncatedSimplicialSet) -> dict:
     return {"max_dim": X.max_dim, "dims": dims}
 
 
-def _is_int(v) -> bool:
+def is_json_int(v) -> bool:
+    """True for a JSON integer; JSON true and false are not integers."""
     return isinstance(v, int) and not isinstance(v, bool)
+
+
+def json_field(obj: dict, key: str):
+    """obj[key], with a missing key reported as malformed input."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"missing key {key!r}") from None
 
 
 def _read_table(rows, n: int, count: int, bound: int, what: str) -> tuple:
@@ -466,7 +508,7 @@ def _read_table(rows, n: int, count: int, bound: int, what: str) -> tuple:
         raise ValueError(f"{what} table missing or wrong size at dim {n}")
     for row in rows:
         shaped = isinstance(row, list) and len(row) == n + 1
-        if not shaped or not all(_is_int(v) and 0 <= v < bound for v in row):
+        if not shaped or not all(is_json_int(v) and 0 <= v < bound for v in row):
             raise ValueError(f"bad {what} row at dim {n}")
     return tuple(tuple(row) for row in rows)
 
@@ -474,13 +516,13 @@ def _read_table(rows, n: int, count: int, bound: int, what: str) -> tuple:
 def sset_from_json(obj: dict) -> TruncatedSimplicialSet:
     """Rebuild from the dict form; payloads come back as opaque strings.
 
-    Values of the wrong type or out of range raise ValueError.
+    Missing keys and values of the wrong type or out of range raise ValueError.
     """
     if not isinstance(obj, dict):
         raise ValueError("simplicial set JSON must be an object")
-    max_dim = obj["max_dim"]
-    dims = obj["dims"]
-    if not _is_int(max_dim) or max_dim < 0:
+    max_dim = json_field(obj, "max_dim")
+    dims = json_field(obj, "dims")
+    if not is_json_int(max_dim) or max_dim < 0:
         raise ValueError(f"max_dim must be a nonnegative integer, got {max_dim!r}")
     if not isinstance(dims, list) or not all(isinstance(level, dict) for level in dims):
         raise ValueError("dims must be a list of objects")
@@ -488,14 +530,14 @@ def sset_from_json(obj: dict) -> TruncatedSimplicialSet:
         raise ValueError("dimension list does not match max_dim")
     payloads = []
     for level in dims:
-        names = level["payloads"]
+        names = json_field(level, "payloads")
         if not isinstance(names, list) or not all(isinstance(p, str) for p in names):
             raise ValueError("payloads must be lists of strings")
         if len(set(names)) != len(names):
             raise ValueError("duplicate payloads in one dimension")
         payloads.append(tuple(names))
     faces = [None] + [
-        _read_table(dims[n]["faces"], n, len(payloads[n]), len(payloads[n - 1]), "face")
+        _read_table(json_field(dims[n], "faces"), n, len(payloads[n]), len(payloads[n - 1]), "face")
         for n in range(1, max_dim + 1)
     ]
     degeneracies = None

@@ -1,12 +1,27 @@
 """End-to-end command-line behavior: reports, formats, and exit codes."""
 
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from csx import cli
+from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json
 from csx.cli import RunConfig, effective_cap, main
+from csx.simpset import from_rules
+
+
+def hopf_decoration() -> dict:
+    """The JSON form of the degree-1 decoration of the tetrahedron boundary."""
+    return decoration_to_json(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))))
 
 
 def run(capsys, *argv):
@@ -138,9 +153,7 @@ def test_exit_codes_for_bad_input(capsys):
 
 @pytest.mark.parametrize("case", ["string max_dim", "list payload", "int value", "top-level list"])
 def test_malformed_decoration_file_is_an_input_error(capsys, tmp_path, case):
-    from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json
-
-    obj = decoration_to_json(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))))
+    obj = hopf_decoration()
     if case == "string max_dim":
         obj["base"]["max_dim"] = "2"
     elif case == "list payload":
@@ -153,6 +166,102 @@ def test_malformed_decoration_file_is_an_input_error(capsys, tmp_path, case):
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["bundle", "--decoration", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", ["repeated and extra dims", "dim above the base", "bool dim"])
+def test_conflicting_decoration_dims_are_an_input_error(capsys, tmp_path, case):
+    obj = hopf_decoration()
+    if case == "repeated and extra dims":
+        # a later flat dimension 2 would turn the Hopf sphere into S^2 x S^1
+        obj["assignment"] += [
+            {"dim": 2, "values": ["circ:0,1,2"] * 4},
+            {"dim": 7, "values": ["circ:0"]},
+        ]
+    elif case == "dim above the base":
+        obj["assignment"].append({"dim": 3, "values": []})
+    else:
+        obj["assignment"][1]["dim"] = True
+    path = tmp_path / "decor.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["homology", "bundle", "--decoration", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("drop", ["assignment", "base", "max_dim", "faces", "dim", "values"])
+def test_missing_decoration_key_is_an_input_error(capsys, tmp_path, drop):
+    obj = hopf_decoration()
+    owner = {
+        "assignment": obj,
+        "base": obj,
+        "max_dim": obj["base"],
+        "faces": obj["base"]["dims"][1],
+        "dim": obj["assignment"][2],
+        "values": obj["assignment"][2],
+    }[drop]
+    del owner[drop]
+    path = tmp_path / "decor.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    assert main(["homology", "bundle", "--decoration", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: missing key '{drop}'\n"
+
+
+def test_construction_bug_is_not_an_input_error(monkeypatch):
+    # a rule whose face leaves the payload lists is a bug in the builder
+    def broken(max_dim, args):
+        return from_rules(1, [[(0,)], [(0, 1)]], lambda n, p, i: (9,)), {}
+
+    monkeypatch.setitem(cli._OBJECTS, "S", broken)
+    with pytest.raises(KeyError):
+        main(["homology", "S", "--max-dim", "1"])
+
+
+def _exit_code_for_decoration(obj) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "decor.json"
+        path.write_text(json.dumps(obj), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            return main(["homology", "bundle", "--decoration", str(path)])
+
+
+_KEYS = ("base", "assignment", "dim", "values", "max_dim", "dims", "payloads", "faces", "degeneracies")
+_SCALARS = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+json_values = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+@settings(max_examples=200, deadline=None)
+def test_any_json_value_is_a_result_or_an_input_error(obj):
+    assert _exit_code_for_decoration(obj) in (0, 2)
+
+
+def _paths(node, path=()):
+    """Every (container, key) position inside a JSON tree."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield node, key
+        yield from _paths(child, path + (key,))
+
+
+_SWAPS = (None, True, False, -1, 0, 1, 3, 7, 2**70, 1.5, "", "x", "circ:0,1,2", "circ:0,2,1", [], [0], {})
+
+
+@given(st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(("delete",) + _SWAPS)), max_size=3))
+@settings(max_examples=120, deadline=None)
+def test_damaged_decoration_is_a_result_or_an_input_error(edits):
+    obj = hopf_decoration()
+    for pick, edit in edits:
+        spots = list(_paths(obj))
+        owner, key = spots[pick % len(spots)]
+        if edit == "delete":
+            del owner[key]
+        else:
+            owner[key] = copy.deepcopy(edit)
+    assert _exit_code_for_decoration(obj) in (0, 2)
 
 
 def test_exit_code_for_cap(capsys):

@@ -35,6 +35,8 @@ COMMANDS = {
     "check_identities_twisted_3.json": [
         "check", "identities", "--target", "twisted", "--n", "3", "--max-dim", "4",
     ],
+    # every face and degeneracy table of a pullback through the quotient map
+    "bundle_degree1.json": ["bundle", "--base", "boundary3", "--cochain", "1:1"],
 }
 
 

@@ -5,10 +5,11 @@ from math import comb, factorial
 
 import pytest
 
-from csx.perms import all_perms, cyclic_word, inverse, tau
+from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse, tau
 from csx.simpset import (
     CircularPermutation,
     SimplicialMap,
+    TruncatedSimplicialSet,
     all_circular,
     assert_valid,
     audit_identities,
@@ -103,6 +104,67 @@ def test_audit_catches_corruption():
     assert audit_identities(broken)
     with pytest.raises(ValueError):
         assert_valid(broken)
+
+
+@pytest.mark.parametrize("max_dim", range(7))
+def test_word_tables_match_payload_rules(max_dim):
+    # the payload-level rules the word-level builders replaced
+    S = from_rules(
+        max_dim,
+        [all_perms(n) for n in range(max_dim + 1)],
+        lambda n, w, i: face_perm(i, w),
+        lambda n, w, i: degeneracy_perm(i, w),
+    )
+    SC = from_rules(
+        max_dim,
+        [{quotient_circ(w) for w in all_perms(n)} for n in range(max_dim + 1)],
+        lambda n, c, i: sc_face(i, c),
+        lambda n, c, i: sc_degeneracy(i, c),
+    )
+    for built, oracle in ((build_S(max_dim), S), (build_SC(max_dim), SC)):
+        assert built.payloads == oracle.payloads
+        assert built.faces == oracle.faces
+        assert built.degeneracies == oracle.degeneracies
+    assert all(isinstance(c, CircularPermutation) for level in build_SC(max_dim).payloads for c in level)
+
+
+def _corrupted(X, edit):
+    """A copy of X whose tables edit(faces, degeneracies) changed in place."""
+    faces = [None] + [[list(row) for row in level] for level in X.faces[1:]]
+    degeneracies = [[list(row) for row in level] for level in X.degeneracies]
+    edit(faces, degeneracies)
+    return TruncatedSimplicialSet(
+        X.max_dim,
+        X.payloads,
+        [None] + [tuple(map(tuple, level)) for level in faces[1:]],
+        [tuple(map(tuple, level)) for level in degeneracies],
+    )
+
+
+def test_audit_reports_each_identity_family():
+    S = build_S(4)
+    word = S.id_of
+
+    def face_edit(faces, degeneracies):
+        faces[2][word(2, (0, 1, 2))][0] = word(1, (1, 0))
+
+    def degeneracy_edit(faces, degeneracies):
+        degeneracies[1][word(1, (1, 0))][1] = word(2, (2, 1, 0))
+
+    def top_rows_swapped(faces, degeneracies):
+        # each top row stays a valid face row, so only d_i s_j can notice
+        a, b = word(4, (0, 1, 2, 3, 4)), word(4, (4, 3, 2, 1, 0))
+        faces[4][a], faces[4][b] = faces[4][b], faces[4][a]
+
+    cases = [
+        (face_edit, "d0 d2 != d1 d0 at dim 3 id 0", 16),
+        (degeneracy_edit, "s0 s1 != s2 s0 at dim 1 id 1", 12),
+        (top_rows_swapped, "d0 s0 identity fails at dim 3 id 0", 20),
+    ]
+    for edit, first, count in cases:
+        bad = audit_identities(_corrupted(S, edit))
+        assert bad[0] == first
+        assert len(bad) == count
 
 
 def test_delta_counts_and_nondegenerates():
@@ -265,6 +327,31 @@ def test_simplicial_map_rejects_bad_table():
     bad[2] = tuple(wrong)
     with pytest.raises(ValueError):
         SimplicialMap(C, S, bad)
+
+
+def test_map_check_catches_a_wrong_face():
+    S = build_S(2)
+    table = [tuple(range(S.simplex_count(n))) for n in range(3)]
+    SimplicialMap(S, S, table)
+    row = list(table[2])
+    row[S.id_of(2, (0, 1, 2))] = S.id_of(2, (2, 1, 0))
+    with pytest.raises(ValueError, match=r"^map does not commute with face 0 at dim 2 id 0$"):
+        SimplicialMap(S, S, table[:2] + [tuple(row)])
+
+
+def test_map_check_catches_a_wrong_degeneracy():
+    # both edges of S have the single vertex as every face, so swapping them
+    # passes the face check and only the degeneracy check can fail
+    S = build_S(1)
+    with pytest.raises(ValueError, match=r"^map does not commute with degeneracy 0 at dim 0$"):
+        SimplicialMap(S, S, [(0,), (1, 0)])
+
+
+def test_quotient_map_is_built_once_per_depth():
+    q = quotient_map(4)
+    assert quotient_map(4) is q
+    fresh = SimplicialMap.from_payload_fn(build_S(4), build_SC(4), lambda n, w: quotient_circ(w))
+    assert q.table == fresh.table
 
 
 def test_from_rules_rejects_duplicates():
