@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .delta import monotone_ops, peel
+from .delta import monotone_ops
 from .perms import (
     Word,
     apply_operator_word,
@@ -32,6 +32,7 @@ from .simpset import (
     build_S,
     build_SC,
     build_delta,
+    evaluate_operator,
     from_rules,
     is_json_int,
     json_field,
@@ -40,7 +41,6 @@ from .simpset import (
     quotient_circ,
     quotient_map,
     reorient_upsilon,
-    sc_degeneracy,
     sc_face,
     sset_from_json,
     sset_to_json,
@@ -152,29 +152,27 @@ class Decoration:
         return self.assignment[n][k]
 
 
-def apply_operator_circ(xi_values, target_size: int, c: CircularPermutation) -> CircularPermutation:
-    """Contravariant operator action on rotation classes (same peeling as words)."""
-    faces, degeneracies = peel(xi_values, target_size - 1)
-    for i in faces:
-        c = sc_face(i, c)
-    for i in degeneracies:
-        c = sc_degeneracy(i, c)
-    return c
-
-
 def decoration_map(decor: Decoration, max_dim: int, completed=None) -> SimplicialMap:
-    """The simplicial map induced on the degeneracy completion of the base."""
+    """The simplicial map induced on the degeneracy completion of the base.
+
+    The completed simplex (eta, b) goes to eta applied to the class of b,
+    evaluated on the tables of SC.
+    """
     base = decor.base
     if completed is None:
         completed = complete_semisimplicial(base, max_dim)
     SC = build_SC(max_dim)
-
-    def fn(m, p):
-        eta, bp = p
-        k = eta[-1]
-        return apply_operator_circ(eta, k + 1, decor.value(k, base.id_of(k, bp)))
-
-    return SimplicialMap.from_payload_fn(completed, SC, fn)
+    classes = [
+        [SC.id_of(k, c) for c in level] for k, level in enumerate(decor.assignment[: max_dim + 1])
+    ]
+    table = []
+    for level in completed.payloads:
+        row = []
+        for eta, bp in level:
+            k = eta[-1]
+            row.append(evaluate_operator(SC, eta, k, classes[k][base.id_of(k, bp)])[1])
+        table.append(tuple(row))
+    return SimplicialMap(completed, SC, table)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +249,8 @@ def pullback_comparison(g: Word, max_dim: int | None = None) -> bool:
 
     The pullback of the quotient along the classifying map of the rotation
     class of g must reproduce E_of(g) verbatim: same payload lists, same
-    face and degeneracy tables.  Both constructions sort payloads, so table
-    equality is the whole comparison.
+    face and degeneracy tables.  Both constructions number simplices in
+    payload order, so table equality is the whole comparison.
     """
     n = len(g) - 1
     if max_dim is None:

@@ -11,8 +11,8 @@ from itertools import combinations_with_replacement
 
 
 @dataclass(frozen=True)
-class SetMap:
-    """An arbitrary map [source_size-1] -> [target_size-1], given by values."""
+class MonotoneOp:
+    """A weakly order-preserving map [source_size-1] -> [target_size-1], by values."""
 
     source_size: int
     target_size: int
@@ -25,44 +25,8 @@ class SetMap:
             raise ValueError("value word length does not match source")
         if any(v < 0 or v >= self.target_size for v in self.values):
             raise ValueError("value out of range")
-
-    def __call__(self, j: int) -> int:
-        return self.values[j]
-
-
-@dataclass(frozen=True)
-class MonotoneOp(SetMap):
-    """A weakly order-preserving map of ordinals."""
-
-    def __post_init__(self):
-        super().__post_init__()
         if any(a > b for a, b in zip(self.values, self.values[1:])):
             raise ValueError("values not monotone")
-
-
-def identity_op(n: int) -> MonotoneOp:
-    return MonotoneOp(n + 1, n + 1, tuple(range(n + 1)))
-
-
-def coface(n: int, i: int) -> MonotoneOp:
-    """The injection [n-1] -> [n] missing the value i."""
-    assert 0 <= i <= n
-    return MonotoneOp(n, n + 1, tuple(v for v in range(n + 1) if v != i))
-
-
-def codegeneracy(n: int, i: int) -> MonotoneOp:
-    """The surjection [n+1] -> [n] repeating the value i."""
-    assert 0 <= i <= n
-    return MonotoneOp(n + 2, n + 1, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
-
-
-def compose_ops(outer, inner):
-    """outer after inner.  Requires inner.target_size == outer.source_size."""
-    if inner.target_size != outer.source_size:
-        raise ValueError("composition size mismatch")
-    values = tuple(outer.values[v] for v in inner.values)
-    cls = MonotoneOp if isinstance(outer, MonotoneOp) and isinstance(inner, MonotoneOp) else SetMap
-    return cls(inner.source_size, outer.target_size, values)
 
 
 def monotone_ops(m: int, n: int) -> list[MonotoneOp]:
@@ -98,20 +62,3 @@ def peel(xi_values, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             raise ValueError("not a monotone operator into the simplex dimension")
     faces.extend(range(prev + 1, n + 1))
     return tuple(reversed(faces)), tuple(reversed(s_stack))
-
-
-def sort_factorization(phi: SetMap) -> tuple[MonotoneOp, tuple[int, ...]]:
-    """Factor phi = xi o g with xi monotone and g a bijection of positions.
-
-    g is the stable-sort permutation of phi's value word: positions are sent
-    to where a stable sort would put them, so positions carrying equal values
-    keep their relative order.  The pair (xi, g) is the unique one with that
-    fiberwise order-preserving property.
-    """
-    m = phi.source_size
-    order = sorted(range(m), key=lambda j: (phi.values[j], j))
-    g = [0] * m
-    for rank, j in enumerate(order):
-        g[j] = rank
-    xi = MonotoneOp(m, phi.target_size, tuple(sorted(phi.values)))
-    return xi, tuple(g)

@@ -7,7 +7,6 @@ cyclic rotation tau(n) generates the cyclic subgroup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations
 
 from .delta import peel
@@ -84,17 +83,6 @@ def degeneracy_perm(i: int, f: Word) -> Word:
     return tuple(shifted)
 
 
-def is_degenerate_at(f: Word, i: int) -> bool:
-    """True iff the value i+1 sits immediately after the value i."""
-    j = f.index(i)
-    return j + 1 < len(f) and f[j + 1] == i + 1
-
-
-def is_degenerate_perm(f: Word) -> bool:
-    """True iff f is degeneracy_perm(i, g) for some i and g."""
-    return any(is_degenerate_at(f, i) for i in range(degree(f)))
-
-
 def apply_operator_word(xi_values: tuple[int, ...], target_size: int, f: Word) -> Word:
     """Contravariant action of the monotone operator xi on the word f.
 
@@ -109,25 +97,3 @@ def apply_operator_word(xi_values: tuple[int, ...], target_size: int, f: Word) -
     for i in degeneracies:
         f = degeneracy_perm(i, f)
     return f
-
-
-@dataclass(frozen=True)
-class CyclicElement:
-    """A power of the rotation: the element tau(degree)^power."""
-
-    degree: int
-    power: int
-
-    def __post_init__(self):
-        if not 0 <= self.power <= self.degree:
-            raise ValueError("power out of range")
-
-    def as_word(self) -> Word:
-        return cyclic_word(self.degree, self.power)
-
-    @classmethod
-    def from_word(cls, f: Word) -> "CyclicElement":
-        k = cyclic_power(f)
-        if k is None:
-            raise ValueError(f"{f} is not a rotation")
-        return cls(degree(f), k)

@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
+from operator import add
 
 from .delta import monotone_ops, peel
 from .perms import (
@@ -57,18 +58,6 @@ def quotient_circ(f: Word) -> CircularPermutation:
 def sc_face(i: int, c: CircularPermutation) -> CircularPermutation:
     """Delete the bead i, close the value gap, re-rotate to 0-first."""
     return quotient_circ(face_perm(i, c.word))
-
-
-def sc_degeneracy(i: int, c: CircularPermutation) -> CircularPermutation:
-    """Insert a bead i+1 circularly right after the bead i."""
-    return quotient_circ(degeneracy_perm(i, c.word))
-
-
-def sc_is_degenerate(c: CircularPermutation) -> bool:
-    """True iff some bead i is followed circularly by the bead i+1."""
-    w = c.word
-    n = len(w)
-    return any(w[(w.index(i) + 1) % n] == i + 1 for i in range(n - 1))
 
 
 def _circular_words(n: int) -> list[Word]:
@@ -359,41 +348,76 @@ def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
     return from_rules(max_dim, payload_lists, face_fn, degen_fn if X.has_degeneracies else None)
 
 
+def _payload_order(level) -> list[int]:
+    """The ids of one level sorted by payload; linear time on a sorted level."""
+    return sorted(range(len(level)), key=level.__getitem__)
+
+
 def pullback(p: SimplicialMap, q: SimplicialMap):
     """The levelwise fiber product of p: X -> Z and q: Y -> Z.
 
     Returns the product object (payload pairs) and its two projections.
+    Pairs get ids in lexicographic order of their payloads: pair (a, b) is
+    start[a] + rank[b], where start[a] counts the pairs whose first payload
+    precedes a's and rank[b] is b's place, in payload order, in its fiber
+    over Z.  A face or degeneracy of (a, b) is the pair of the components'
+    faces or degeneracies, so each table entry is one such sum read off the
+    rows of X and Y.  The projections are the coordinate tables, and a pair
+    is determined by its two coordinates, so an entry of P's tables is right
+    exactly when both projections commute with it: their construction-time
+    checks certify P.
     """
     X, Y = p.source, q.source
-    if p.target is not q.target and p.target.payloads != q.target.payloads:
+    Z, W = p.target, q.target
+    if Z is not W and (Z.payloads, Z.faces, Z.degeneracies) != (W.payloads, W.faces, W.degeneracies):
         raise ValueError("maps must share a target")
     if X.max_dim != Y.max_dim:
         raise ValueError("sources must share a truncation level")
     max_dim = X.max_dim
-    payload_lists = []
+    starts, ranks, firsts, seconds = [], [], [], []
     for n in range(max_dim + 1):
-        by_image: dict[int, list[int]] = {}
-        for b in range(Y.simplex_count(n)):
-            by_image.setdefault(q.apply(n, b), []).append(b)
-        level = []
-        for a in range(X.simplex_count(n)):
-            for b in by_image.get(p.apply(n, a), ()):
-                level.append((X.payload(n, a), Y.payload(n, b)))
-        payload_lists.append(level)
+        image = q.table[n]
+        fibers: dict[int, list[int]] = {}
+        rank = [0] * Y.simplex_count(n)
+        for b in _payload_order(Y.payloads[n]):
+            fiber = fibers.setdefault(image[b], [])
+            rank[b] = len(fiber)
+            fiber.append(b)
+        image = p.table[n]
+        start = [0] * X.simplex_count(n)
+        first, second = [], []
+        for a in _payload_order(X.payloads[n]):
+            start[a] = len(second)
+            fiber = fibers.get(image[a], ())
+            first += [a] * len(fiber)
+            second += fiber
+        starts.append(start)
+        ranks.append(rank)
+        firsts.append(tuple(first))
+        seconds.append(tuple(second))
 
-    def face_fn(n, pay, i):
-        x, y = pay
-        return (X.face_payload(n, x, i), Y.face_payload(n, y, i))
+    def table(x_rows, y_rows, n, target):
+        start, rank = starts[target].__getitem__, ranks[target].__getitem__
+        # a sum above 256 is a fresh int object; reading it back through ids
+        # stores one shared object per id instead of one per table entry
+        ids = list(range(len(firsts[target]))).__getitem__
+        return tuple(
+            tuple(map(ids, map(add, map(start, x_rows[a]), map(rank, y_rows[b]))))
+            for a, b in zip(firsts[n], seconds[n])
+        )
 
-    def degen_fn(n, pay, i):
-        x, y = pay
-        return (X.degeneracy_payload(n, x, i), Y.degeneracy_payload(n, y, i))
-
-    both_degen = X.has_degeneracies and Y.has_degeneracies
-    P = from_rules(max_dim, payload_lists, face_fn, degen_fn if both_degen else None)
-    proj1 = SimplicialMap.from_payload_fn(P, X, lambda n, pay: pay[0])
-    proj2 = SimplicialMap.from_payload_fn(P, Y, lambda n, pay: pay[1])
-    return P, proj1, proj2
+    faces = [None] + [table(X.faces[n], Y.faces[n], n, n - 1) for n in range(1, max_dim + 1)]
+    degeneracies = None
+    if X.has_degeneracies and Y.has_degeneracies:
+        degeneracies = [
+            table(X.degeneracies[n], Y.degeneracies[n], n, n + 1) for n in range(max_dim)
+        ]
+    payloads = []
+    for n in range(max_dim + 1):
+        xs, ys = X.payloads[n], Y.payloads[n]
+        payloads.append(tuple((xs[a], ys[b]) for a, b in zip(firsts[n], seconds[n])))
+    P = TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
+    return P, SimplicialMap(P, X, firsts), SimplicialMap(P, Y, seconds)
 
 
 def evaluate_operator(X: TruncatedSimplicialSet, xi_values, n: int, k: int) -> tuple[int, int]:

@@ -1,0 +1,205 @@
+"""Reference implementations the tests check the library against.
+
+Each name here is either a slower, payload-level route to something the
+library computes on table rows, or an order-theoretic notion the library
+itself never needs.  None of them is used by csx.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from csx.delta import MonotoneOp, peel
+from csx.perms import Word, cyclic_power, cyclic_word, degeneracy_perm, degree
+from csx.simpset import (
+    CircularPermutation,
+    SimplicialMap,
+    build_SC,
+    from_rules,
+    quotient_circ,
+    sc_face,
+)
+
+# ---------------------------------------------------------------------------
+# arbitrary maps of ordinals and their factorizations
+
+
+@dataclass(frozen=True)
+class SetMap:
+    """An arbitrary map [source_size-1] -> [target_size-1], given by values."""
+
+    source_size: int
+    target_size: int
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.source_size < 1 or self.target_size < 1:
+            raise ValueError("ordinals must be nonempty")
+        if len(self.values) != self.source_size:
+            raise ValueError("value word length does not match source")
+        if any(v < 0 or v >= self.target_size for v in self.values):
+            raise ValueError("value out of range")
+
+    def __call__(self, j: int) -> int:
+        return self.values[j]
+
+
+def identity_op(n: int) -> MonotoneOp:
+    return MonotoneOp(n + 1, n + 1, tuple(range(n + 1)))
+
+
+def coface(n: int, i: int) -> MonotoneOp:
+    """The injection [n-1] -> [n] missing the value i."""
+    assert 0 <= i <= n
+    return MonotoneOp(n, n + 1, tuple(v for v in range(n + 1) if v != i))
+
+
+def codegeneracy(n: int, i: int) -> MonotoneOp:
+    """The surjection [n+1] -> [n] repeating the value i."""
+    assert 0 <= i <= n
+    return MonotoneOp(n + 2, n + 1, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
+
+
+def compose_ops(outer, inner):
+    """outer after inner.  Requires inner.target_size == outer.source_size."""
+    if inner.target_size != outer.source_size:
+        raise ValueError("composition size mismatch")
+    values = tuple(outer.values[v] for v in inner.values)
+    cls = MonotoneOp if isinstance(outer, MonotoneOp) and isinstance(inner, MonotoneOp) else SetMap
+    return cls(inner.source_size, outer.target_size, values)
+
+
+def sort_factorization(phi) -> tuple[MonotoneOp, tuple[int, ...]]:
+    """Factor phi = xi o g with xi monotone and g a bijection of positions.
+
+    g is the stable-sort permutation of phi's value word: positions are sent
+    to where a stable sort would put them, so positions carrying equal values
+    keep their relative order.  The pair (xi, g) is the unique one with that
+    fiberwise order-preserving property.
+    """
+    m = phi.source_size
+    order = sorted(range(m), key=lambda j: (phi.values[j], j))
+    g = [0] * m
+    for rank, j in enumerate(order):
+        g[j] = rank
+    xi = MonotoneOp(m, phi.target_size, tuple(sorted(phi.values)))
+    return xi, tuple(g)
+
+
+# ---------------------------------------------------------------------------
+# words and rotation classes
+
+
+def is_degenerate_at(f: Word, i: int) -> bool:
+    """True iff the value i+1 sits immediately after the value i."""
+    j = f.index(i)
+    return j + 1 < len(f) and f[j + 1] == i + 1
+
+
+def is_degenerate_perm(f: Word) -> bool:
+    """True iff f is degeneracy_perm(i, g) for some i and g."""
+    return any(is_degenerate_at(f, i) for i in range(degree(f)))
+
+
+@dataclass(frozen=True)
+class CyclicElement:
+    """A power of the rotation: the element tau(degree)^power."""
+
+    degree: int
+    power: int
+
+    def __post_init__(self):
+        if not 0 <= self.power <= self.degree:
+            raise ValueError("power out of range")
+
+    def as_word(self) -> Word:
+        return cyclic_word(self.degree, self.power)
+
+    @classmethod
+    def from_word(cls, f: Word) -> "CyclicElement":
+        k = cyclic_power(f)
+        if k is None:
+            raise ValueError(f"{f} is not a rotation")
+        return cls(degree(f), k)
+
+
+def sc_degeneracy(i: int, c: CircularPermutation) -> CircularPermutation:
+    """Insert a bead i+1 circularly right after the bead i."""
+    return quotient_circ(degeneracy_perm(i, c.word))
+
+
+def sc_is_degenerate(c: CircularPermutation) -> bool:
+    """True iff some bead i is followed circularly by the bead i+1."""
+    w = c.word
+    n = len(w)
+    return any(w[(w.index(i) + 1) % n] == i + 1 for i in range(n - 1))
+
+
+def apply_operator_circ(xi_values, target_size: int, c: CircularPermutation) -> CircularPermutation:
+    """Contravariant operator action on rotation classes (same peeling as words)."""
+    faces, degeneracies = peel(xi_values, target_size - 1)
+    for i in faces:
+        c = sc_face(i, c)
+    for i in degeneracies:
+        c = sc_degeneracy(i, c)
+    return c
+
+
+def decoration_map_by_payload(decor, completed) -> SimplicialMap:
+    """The decoration map, each completed simplex (eta, b) sent to eta acting on b's class."""
+    base = decor.base
+
+    def fn(m, p):
+        eta, bp = p
+        k = eta[-1]
+        return apply_operator_circ(eta, k + 1, decor.value(k, base.id_of(k, bp)))
+
+    return SimplicialMap.from_payload_fn(completed, build_SC(completed.max_dim), fn)
+
+
+# ---------------------------------------------------------------------------
+# fiber products on payloads
+
+
+def pullback_by_payload(p: SimplicialMap, q: SimplicialMap):
+    """The levelwise fiber product, tabulated by from_rules on payload pairs.
+
+    Each face or degeneracy of a pair is looked up through the payloads of
+    its components; from_rules sorts the pairs and numbers them.
+    """
+    X, Y = p.source, q.source
+    if p.target is not q.target and p.target.payloads != q.target.payloads:
+        raise ValueError("maps must share a target")
+    if X.max_dim != Y.max_dim:
+        raise ValueError("sources must share a truncation level")
+    max_dim = X.max_dim
+    payload_lists = []
+    for n in range(max_dim + 1):
+        by_image: dict[int, list[int]] = {}
+        for b in range(Y.simplex_count(n)):
+            by_image.setdefault(q.apply(n, b), []).append(b)
+        level = []
+        for a in range(X.simplex_count(n)):
+            for b in by_image.get(p.apply(n, a), ()):
+                level.append((X.payload(n, a), Y.payload(n, b)))
+        payload_lists.append(level)
+
+    def face_fn(n, pay, i):
+        x, y = pay
+        return (X.face_payload(n, x, i), Y.face_payload(n, y, i))
+
+    def degen_fn(n, pay, i):
+        x, y = pay
+        return (X.degeneracy_payload(n, x, i), Y.degeneracy_payload(n, y, i))
+
+    both_degen = X.has_degeneracies and Y.has_degeneracies
+    P = from_rules(max_dim, payload_lists, face_fn, degen_fn if both_degen else None)
+    proj1 = SimplicialMap.from_payload_fn(P, X, lambda n, pay: pay[0])
+    proj2 = SimplicialMap.from_payload_fn(P, Y, lambda n, pay: pay[1])
+    return P, proj1, proj2
+
+
+def pullback_tables(result) -> tuple:
+    """Everything a fiber product consists of: payloads, tables, projections."""
+    P, proj1, proj2 = result
+    return P.payloads, P.faces, P.degeneracies, proj1.table, proj2.table

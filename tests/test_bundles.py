@@ -11,7 +11,6 @@ from csx.bundles import (
     E_of,
     Obstruction,
     TwoCochain,
-    apply_operator_circ,
     boundary_delta,
     chern_cochain,
     complete_semisimplicial,
@@ -36,10 +35,18 @@ from csx.simpset import (
     build_SC,
     evaluate_operator,
     nondegenerate_list,
+    pullback,
     quotient_circ,
+    quotient_map,
     sc_face,
 )
 from csx.delta import monotone_ops
+from oracles import (
+    apply_operator_circ,
+    decoration_map_by_payload,
+    pullback_by_payload,
+    pullback_tables,
+)
 
 
 def counts(X):
@@ -265,6 +272,25 @@ def test_decoration_map_restricts_to_assignment():
         for b in range(base.simplex_count(n)):
             k = comp.id_of(n, (ident, base.payload(n, b)))
             assert dec.target.payload(n, dec.apply(n, k)) == decor.value(n, b)
+
+
+@pytest.mark.parametrize("bits", list(product((0, 1), repeat=4)))
+def test_total_space_tables_match_payload_rules(bits):
+    decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
+    completed = complete_semisimplicial(decor.base, 5)
+    dec = decoration_map(decor, 5, completed)
+    assert dec.table == decoration_map_by_payload(decor, completed).table
+    q = quotient_map(5)
+    assert pullback_tables(pullback(dec, q)) == pullback_tables(pullback_by_payload(dec, q))
+
+
+@pytest.mark.parametrize("bits", [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 1)])
+def test_deep_total_space_tables_match_payload_rules(bits):
+    # sphere degrees 0, 1 and 2
+    decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
+    dec = decoration_map(decor, 6)
+    q = quotient_map(6)
+    assert pullback_tables(pullback(dec, q)) == pullback_tables(pullback_by_payload(dec, q))
 
 
 def test_decoration_json_round_trip():

@@ -37,6 +37,9 @@ COMMANDS = {
     ],
     # every face and degeneracy table of a pullback through the quotient map
     "bundle_degree1.json": ["bundle", "--base", "boundary3", "--cochain", "1:1"],
+    # the degree-2 total space (RP^3, with torsion) and a bundle over a circle
+    "bundle_degree2.json": ["bundle", "--base", "boundary3", "--cochain", "1:1", "3:1"],
+    "bundle_boundary2.json": ["bundle", "--base", "boundary2"],
 }
 
 

@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csx.delta import SetMap, codegeneracy, coface, compose_ops, monotone_ops, sort_factorization
+from csx.delta import monotone_ops
 from csx.perms import (
-    CyclicElement,
     all_perms,
     apply_operator_word,
     cyclic_power,
@@ -18,11 +17,19 @@ from csx.perms import (
     face_perm,
     identity_perm,
     inverse,
-    is_degenerate_perm,
     is_perm_word,
     multiply,
     pulled_index,
     tau,
+)
+from oracles import (
+    CyclicElement,
+    SetMap,
+    codegeneracy,
+    coface,
+    compose_ops,
+    is_degenerate_perm,
+    sort_factorization,
 )
 
 perm_words = st.integers(min_value=0, max_value=5).flatmap(

@@ -1,6 +1,7 @@
 """Truncated simplicial sets: builders, audits, maps, and serialization."""
 
 import json
+import random
 from math import comb, factorial
 
 import pytest
@@ -26,14 +27,13 @@ from csx.simpset import (
     quotient_circ,
     quotient_map,
     reorient_upsilon,
-    sc_degeneracy,
     sc_face,
-    sc_is_degenerate,
     sset_from_json,
     sset_to_json,
     twisted_product,
     yoneda,
 )
+from oracles import pullback_by_payload, pullback_tables, sc_degeneracy, sc_is_degenerate
 
 # relabeling-free fixed points under rotation: nondegenerate class counts
 DERANGEMENTS = (1, 0, 1, 2, 9, 44, 265, 1854)
@@ -244,6 +244,71 @@ def test_pullback_of_quotient_with_itself():
         for k in range(P.simplex_count(n)):
             a, b = P.payload(n, k)
             assert quotient_circ(a) == quotient_circ(b)
+
+
+def test_pullback_matches_payload_rules_over_yoneda_maps():
+    # the classifying map of each rotation class, pulled back along the quotient
+    for n in range(4):
+        SC = build_SC(n + 1)
+        q = quotient_map(n + 1)
+        for g in all_perms(n):
+            y = yoneda(SC, n, SC.id_of(n, quotient_circ(g)))
+            assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_payload(y, q))
+
+
+def _shuffled(X, seed):
+    """X rebuilt by sset_from_json with each dimension's ids shuffled.
+
+    Returns the copy and, per dimension, the old id of each new id.
+    """
+    rng = random.Random(seed)
+    orders = []
+    for n in range(X.max_dim + 1):
+        order = list(range(X.simplex_count(n)))
+        rng.shuffle(order)
+        orders.append(order)
+    new_id = [{old: new for new, old in enumerate(order)} for order in orders]
+    dims = []
+    for n, entry in enumerate(sset_to_json(X)["dims"]):
+        order = orders[n]
+        level = {
+            "payloads": [entry["payloads"][k] for k in order],
+            "faces": [[new_id[n - 1][f] for f in entry["faces"][k]] for k in order],
+        }
+        if "degeneracies" in entry:
+            rows = entry["degeneracies"]
+            level["degeneracies"] = [[new_id[n + 1][s] for s in rows[k]] for k in order]
+        dims.append(level)
+    return sset_from_json({"max_dim": X.max_dim, "dims": dims}), orders
+
+
+def test_pullback_matches_payload_rules_on_unsorted_ids():
+    q = quotient_map(4)
+    S, orders = _shuffled(q.source, seed=5)
+    assert any(list(level) != sorted(level) for level in S.payloads)
+    table = [tuple(q.table[n][k] for k in order) for n, order in enumerate(orders)]
+    shuffled = SimplicialMap(S, q.target, table)
+    for p, r in ((shuffled, shuffled), (shuffled, q), (q, shuffled)):
+        assert pullback_tables(pullback(p, r)) == pullback_tables(pullback_by_payload(p, r))
+
+
+def test_pullback_rejects_mismatched_maps():
+    q4, q5 = quotient_map(4), quotient_map(5)
+    with pytest.raises(ValueError, match="maps must share a target"):
+        pullback(q4, q5)
+    shallow = yoneda(build_SC(5), 2, 0, max_dim=4)
+    with pytest.raises(ValueError, match="sources must share a truncation level"):
+        pullback(shallow, q5)
+    # an equal copy of the target is shared; the same payloads on other tables are not
+    SC = q4.target
+    copy = TruncatedSimplicialSet(SC.max_dim, SC.payloads, SC.faces, SC.degeneracies)
+    moved = SimplicialMap(q4.source, copy, q4.table)
+    assert pullback_tables(pullback(q4, moved)) == pullback_tables(pullback(q4, q4))
+    S = build_S(3)
+    flipped = reorient_upsilon(S, SimplicialMap.from_payload_fn(S, S, lambda n, w: w))
+    identity = [tuple(range(S.simplex_count(n))) for n in range(4)]
+    with pytest.raises(ValueError, match="maps must share a target"):
+        pullback(SimplicialMap(S, S, identity), SimplicialMap(flipped, flipped, identity))
 
 
 def test_evaluate_operator_against_composition():
