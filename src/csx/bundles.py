@@ -17,8 +17,6 @@ from .perms import (
     Word,
     apply_operator_word,
     cyclic_word,
-    degeneracy_perm,
-    face_perm,
     inverse,
     is_perm_word,
     multiply,
@@ -33,6 +31,7 @@ from .simpset import (
     build_SC,
     build_delta,
     evaluate_operator,
+    from_id_pairs,
     from_rules,
     is_json_int,
     json_field,
@@ -181,12 +180,17 @@ def decoration_map(decor: Decoration, max_dim: int, completed=None) -> Simplicia
 
 @dataclass
 class BundleTotalSpace:
-    """A total space with its projection to the base and classifying map."""
+    """A total space with its projection to the base and classifying map.
+
+    pulled_along is the map from the base to SC that the quotient was pulled
+    back along; None for E_of, which is written down directly.
+    """
 
     total: TruncatedSimplicialSet
     base: TruncatedSimplicialSet
     projection: SimplicialMap
     classifying: SimplicialMap
+    pulled_along: SimplicialMap | None = None
 
 
 def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpace:
@@ -203,7 +207,7 @@ def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpa
     dec = decoration_map(decor, max_dim, completed)
     q = quotient_map(max_dim)
     total, proj, classifying = pullback(dec, q)
-    return BundleTotalSpace(total, completed, proj, classifying)
+    return BundleTotalSpace(total, completed, proj, classifying, dec)
 
 
 def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
@@ -211,8 +215,10 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
 
     Dimension m holds the pairs (xi, act(xi)(g) . rot) over monotone
     xi: [m] -> [n] and rotations rot; faces and degeneracies act with the
-    same index on both coordinates.  max_dim should be at least n + 1 to
-    include the top cells of the bundle.
+    same index on both coordinates.  The word act(xi)(g) is computed once
+    per xi; the tables are built on the id pairs of build_delta and build_S,
+    and the projection and classifying maps are their coordinates.  max_dim
+    should be at least n + 1 to include the top cells of the bundle.
     """
     n = len(g) - 1
     if not is_perm_word(g):
@@ -221,27 +227,15 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
         max_dim = n + 1
     D = build_delta(n, max_dim)
     S = build_S(max_dim)
-    payload_lists = []
+    pair_lists = []
     for m in range(max_dim + 1):
         level = []
-        for xi in monotone_ops(m, n):
-            moved = apply_operator_word(xi.values, n + 1, g)
-            for k in range(m + 1):
-                level.append((xi.values, multiply(moved, cyclic_word(m, k))))
-        payload_lists.append(level)
-
-    def face_fn(m, p, i):
-        xi, w = p
-        return (xi[:i] + xi[i + 1 :], face_perm(i, w))
-
-    def degen_fn(m, p, i):
-        xi, w = p
-        return (xi[: i + 1] + xi[i:], degeneracy_perm(i, w))
-
-    total = from_rules(max_dim, payload_lists, face_fn, degen_fn)
-    proj = SimplicialMap.from_payload_fn(total, D, lambda m, p: p[0])
-    classifying = SimplicialMap.from_payload_fn(total, S, lambda m, p: p[1])
-    return BundleTotalSpace(total, D, proj, classifying)
+        for j, xi in enumerate(D.payloads[m]):
+            moved = apply_operator_word(xi, n + 1, g)
+            level += [(j, S.id_of(m, multiply(moved, cyclic_word(m, k)))) for k in range(m + 1)]
+        pair_lists.append(level)
+    total, on_D, on_S = from_id_pairs(D, S, pair_lists)
+    return BundleTotalSpace(total, D, SimplicialMap(total, D, on_D), SimplicialMap(total, S, on_S))
 
 
 def pullback_comparison(g: Word, max_dim: int | None = None) -> bool:
@@ -273,20 +267,23 @@ def upsilon_comparison(g: Word, max_dim: int | None = None) -> bool:
     The twisted product of the rotation group with the n-simplex carries the
     decoration (h, xi) -> h . act(xi)(g); reorienting along it must give
     E_of(inverse(g)) under the pairing that inverts the decorating word and
-    pushes the base coordinate forward along g.  Returns False on any
-    mismatch.
+    pushes the base coordinate forward along g.  The word act(xi)(g) is
+    computed once per operator xi and shared by the simplices (h, xi).
+    Returns False on any mismatch.
     """
     n = len(g) - 1
     if max_dim is None:
         max_dim = n + 1
     g_inv = inverse(g)
     E = E_of(g_inv, max_dim).total
-    X = twisted_product(build_C(max_dim), build_delta(n, max_dim))
+    D = build_delta(n, max_dim)
+    X = twisted_product(build_C(max_dim), D)
     S = build_S(max_dim)
+    moved = {xi: apply_operator_word(xi, n + 1, g) for level in D.payloads for xi in level}
 
     def decor_word(p):
         h, xi = p
-        return multiply(h, apply_operator_word(xi, n + 1, g))
+        return multiply(h, moved[xi])
 
     a = SimplicialMap.from_payload_fn(X, S, lambda m, p: decor_word(p))
     Y = reorient_upsilon(X, a)

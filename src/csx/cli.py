@@ -19,6 +19,7 @@ import os
 import random
 import sys
 from dataclasses import dataclass
+from itertools import product
 from pathlib import Path
 
 from .bundles import (
@@ -27,7 +28,6 @@ from .bundles import (
     chern_cochain,
     decorate_from_cochain,
     decoration_from_json,
-    decoration_map,
     pullback_comparison,
     solid_delta,
     sphere_cochain_degree,
@@ -40,9 +40,9 @@ from .perms import (
     all_perms,
     degeneracy_perm,
     face_perm,
+    inverse,
     is_perm_word,
     multiply,
-    pulled_index,
 )
 from .simpset import (
     audit_identities,
@@ -216,15 +216,24 @@ def _check_identities(cfg: RunConfig, target: str, args) -> dict:
 
 
 def _check_crossed(cfg: RunConfig) -> list[dict]:
+    # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
+    # 4 every pair of words is checked, reading op(i, w) from rows tabulated
+    # once per word; above, seeded samples compute their rows per case.
     rng = random.Random(cfg.seed)
     out = []
     for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
         cases = 0
         counterexample = None
         for n in range(1, cfg.max_dim + 1):
+
+            def row(w):
+                return [op(i, w) for i in range(n + 1)]
+
+            read = row
             if n <= 4:
                 words = all_perms(n)
-                pairs = [(f, h) for f in words for h in words]
+                pairs = product(words, words)
+                read = {w: row(w) for w in words}.__getitem__
             else:
                 pairs = [
                     (
@@ -234,12 +243,10 @@ def _check_crossed(cfg: RunConfig) -> list[dict]:
                     for _ in range(2000)
                 ]
             for f, h in pairs:
-                prod = multiply(h, f)
-                for i in range(n + 1):
+                got, op_h, op_f = read(multiply(h, f)), read(h), read(f)
+                for i, j in enumerate(inverse(h)):
                     cases += 1
-                    got = op(i, prod)
-                    want = multiply(op(i, h), op(pulled_index(h, i), f))
-                    if got != want and counterexample is None:
+                    if got[i] != multiply(op_h[i], op_f[j]) and counterexample is None:
                         counterexample = f"n={n} h={h} f={f} i={i}"
             if counterexample:
                 break
@@ -326,7 +333,7 @@ def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
     # the defining square: classifying composed with the quotient must equal
     # the decoration map composed with the projection
     q = quotient_map(X.max_dim)
-    dec = decoration_map(decor, X.max_dim, bundle.base)
+    dec = bundle.pulled_along
     square_ok = all(
         q.apply(n, bundle.classifying.apply(n, k)) == dec.apply(n, bundle.projection.apply(n, k))
         for n in range(X.max_dim + 1)

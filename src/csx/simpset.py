@@ -20,8 +20,8 @@ from .perms import (
     cyclic_word,
     degeneracy_perm,
     face_perm,
+    inverse,
     is_perm_word,
-    pulled_index,
 )
 
 
@@ -238,6 +238,24 @@ class SimplicialMap:
     def apply(self, n: int, k: int) -> int:
         return self.table[n][k]
 
+    @cached_property
+    def fibers(self) -> list[tuple[dict[int, list[int]], list[int]]]:
+        """Per dimension, the source ids over each target id and each id's place in its fiber.
+
+        Fibers list their ids in payload order.  Computed once per map, so a
+        map shared by many pullbacks is grouped once.
+        """
+        out = []
+        for n, image in enumerate(self.table):
+            fibers: dict[int, list[int]] = {}
+            rank = [0] * len(image)
+            for b in _payload_order(self.source.payloads[n]):
+                fiber = fibers.setdefault(image[b], [])
+                rank[b] = len(fiber)
+                fiber.append(b)
+            out.append((fibers, rank))
+        return out
+
     @classmethod
     def from_payload_fn(cls, source, target, fn):
         table = [
@@ -318,34 +336,75 @@ def quotient_map(max_dim: int) -> SimplicialMap:
     return SimplicialMap.from_payload_fn(build_S(max_dim), build_SC(max_dim), lambda n, w: quotient_circ(w))
 
 
+def _in_payload_order(X: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
+    """X itself when its ids follow payload order, else a renumbered copy."""
+    orders = [_payload_order(level) for level in X.payloads]
+    if all(order == list(range(len(order))) for order in orders):
+        return X
+    ranks = [inverse(order) for order in orders]
+
+    def renumbered(rows, n, target):
+        rank = ranks[target]
+        return tuple(tuple(rank[k] for k in rows[n][a]) for a in orders[n])
+
+    faces = [None] + [renumbered(X.faces, n, n - 1) for n in range(1, X.max_dim + 1)]
+    degeneracies = None
+    if X.has_degeneracies:
+        degeneracies = [renumbered(X.degeneracies, n, n + 1) for n in range(X.max_dim)]
+    payloads = [tuple(map(level.__getitem__, order)) for level, order in zip(X.payloads, orders)]
+    return TruncatedSimplicialSet(X.max_dim, payloads, faces, degeneracies)
+
+
+def from_id_pairs(A, B, pair_lists, pulled=None):
+    """Tabulate pairs (a, b) of ids of A and B through from_rules.
+
+    pair_lists[n] holds the pairs of dimension n.  Face or degeneracy i of
+    (a, b) is (that of a at i, that of b at pulled[n][a][i]), or at i when
+    pulled is None.  A and B must number their ids in payload order, so that
+    sorting the id pairs sorts the payload pairs; each id pair is then
+    replaced by its payload pair, keeping its id.  Returns the object and
+    the tables of its two coordinates, per dimension.
+    """
+
+    def rule(a_rows, b_rows):
+        if pulled is None:
+            return lambda n, p, i: (a_rows[n][p[0]][i], b_rows[n][p[1]][i])
+        return lambda n, p, i: (a_rows[n][p[0]][i], b_rows[n][p[1]][pulled[n][p[0]][i]])
+
+    both_degen = A.has_degeneracies and B.has_degeneracies
+    W = from_rules(
+        A.max_dim,
+        pair_lists,
+        rule(A.faces, B.faces),
+        rule(A.degeneracies, B.degeneracies) if both_degen else None,
+    )
+    payloads = [
+        tuple((xs[a], ys[b]) for a, b in level)
+        for xs, ys, level in zip(A.payloads, B.payloads, W.payloads)
+    ]
+    firsts = [tuple(a for a, _ in level) for level in W.payloads]
+    seconds = [tuple(b for _, b in level) for level in W.payloads]
+    return TruncatedSimplicialSet(W.max_dim, payloads, W.faces, W.degeneracies), firsts, seconds
+
+
 def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
     """Pairs (h, x) with the group-twisted structure maps.
 
     G must carry permutation-word payloads (build_S or build_C).  The i-th
     face acts as face i on the word and as face pulled_index(h, i) on x;
-    degeneracies act the same way.
+    degeneracies act the same way.  The tables are built on id pairs, with
+    the inverse of each word of G tabulated once; ids follow the payload
+    order of the pairs even when those of X do not follow X's.
     """
     if G.max_dim != X.max_dim:
         raise ValueError("factors must share a truncation level")
-    max_dim = G.max_dim
-    payload_lists = [
-        [
-            (G.payload(n, a), X.payload(n, b))
-            for a in range(G.simplex_count(n))
-            for b in range(X.simplex_count(n))
-        ]
-        for n in range(max_dim + 1)
+    G, X = _in_payload_order(G), _in_payload_order(X)
+    pair_lists = [
+        [(a, b) for a in range(G.simplex_count(n)) for b in range(X.simplex_count(n))]
+        for n in range(G.max_dim + 1)
     ]
-
-    def face_fn(n, p, i):
-        h, x = p
-        return (face_perm(i, h), X.face_payload(n, x, pulled_index(h, i)))
-
-    def degen_fn(n, p, i):
-        h, x = p
-        return (degeneracy_perm(i, h), X.degeneracy_payload(n, x, pulled_index(h, i)))
-
-    return from_rules(max_dim, payload_lists, face_fn, degen_fn if X.has_degeneracies else None)
+    pulled = [list(map(inverse, level)) for level in G.payloads]
+    return from_id_pairs(G, X, pair_lists, pulled)[0]
 
 
 def _payload_order(level) -> list[int]:
@@ -376,13 +435,7 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     max_dim = X.max_dim
     starts, ranks, firsts, seconds = [], [], [], []
     for n in range(max_dim + 1):
-        image = q.table[n]
-        fibers: dict[int, list[int]] = {}
-        rank = [0] * Y.simplex_count(n)
-        for b in _payload_order(Y.payloads[n]):
-            fiber = fibers.setdefault(image[b], [])
-            rank[b] = len(fiber)
-            fiber.append(b)
+        fibers, rank = q.fibers[n]
         image = p.table[n]
         start = [0] * X.simplex_count(n)
         first, second = [], []

@@ -9,12 +9,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from csx.delta import MonotoneOp, peel
-from csx.perms import Word, cyclic_power, cyclic_word, degeneracy_perm, degree
+from csx.bundles import BundleTotalSpace
+from csx.delta import MonotoneOp, monotone_ops, peel
+from csx.perms import (
+    Word,
+    apply_operator_word,
+    cyclic_power,
+    cyclic_word,
+    degeneracy_perm,
+    degree,
+    face_perm,
+    is_perm_word,
+    multiply,
+    pulled_index,
+)
 from csx.simpset import (
     CircularPermutation,
     SimplicialMap,
+    TruncatedSimplicialSet,
+    build_S,
     build_SC,
+    build_delta,
     from_rules,
     quotient_circ,
     sc_face,
@@ -203,3 +218,81 @@ def pullback_tables(result) -> tuple:
     """Everything a fiber product consists of: payloads, tables, projections."""
     P, proj1, proj2 = result
     return P.payloads, P.faces, P.degeneracies, proj1.table, proj2.table
+
+
+def bundle_tables(bundle) -> tuple:
+    """Everything a bundle total space consists of: payloads, tables, both maps."""
+    E = bundle.total
+    return E.payloads, E.faces, E.degeneracies, bundle.projection.table, bundle.classifying.table
+
+
+# ---------------------------------------------------------------------------
+# products on payloads
+
+
+def twisted_product_by_payload(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
+    """Pairs (h, x) with the group-twisted structure maps.
+
+    G must carry permutation-word payloads (build_S or build_C).  The i-th
+    face acts as face i on the word and as face pulled_index(h, i) on x;
+    degeneracies act the same way.
+    """
+    if G.max_dim != X.max_dim:
+        raise ValueError("factors must share a truncation level")
+    max_dim = G.max_dim
+    payload_lists = [
+        [
+            (G.payload(n, a), X.payload(n, b))
+            for a in range(G.simplex_count(n))
+            for b in range(X.simplex_count(n))
+        ]
+        for n in range(max_dim + 1)
+    ]
+
+    def face_fn(n, p, i):
+        h, x = p
+        return (face_perm(i, h), X.face_payload(n, x, pulled_index(h, i)))
+
+    def degen_fn(n, p, i):
+        h, x = p
+        return (degeneracy_perm(i, h), X.degeneracy_payload(n, x, pulled_index(h, i)))
+
+    return from_rules(max_dim, payload_lists, face_fn, degen_fn if X.has_degeneracies else None)
+
+
+def E_of_by_payload(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
+    """The minimal circle bundle over the n-simplex classified by the word g.
+
+    Dimension m holds the pairs (xi, act(xi)(g) . rot) over monotone
+    xi: [m] -> [n] and rotations rot; faces and degeneracies act with the
+    same index on both coordinates.  max_dim should be at least n + 1 to
+    include the top cells of the bundle.
+    """
+    n = len(g) - 1
+    if not is_perm_word(g):
+        raise ValueError(f"not a permutation word: {g}")
+    if max_dim is None:
+        max_dim = n + 1
+    D = build_delta(n, max_dim)
+    S = build_S(max_dim)
+    payload_lists = []
+    for m in range(max_dim + 1):
+        level = []
+        for xi in monotone_ops(m, n):
+            moved = apply_operator_word(xi.values, n + 1, g)
+            for k in range(m + 1):
+                level.append((xi.values, multiply(moved, cyclic_word(m, k))))
+        payload_lists.append(level)
+
+    def face_fn(m, p, i):
+        xi, w = p
+        return (xi[:i] + xi[i + 1 :], face_perm(i, w))
+
+    def degen_fn(m, p, i):
+        xi, w = p
+        return (xi[: i + 1] + xi[i:], degeneracy_perm(i, w))
+
+    total = from_rules(max_dim, payload_lists, face_fn, degen_fn)
+    proj = SimplicialMap.from_payload_fn(total, D, lambda m, p: p[0])
+    classifying = SimplicialMap.from_payload_fn(total, S, lambda m, p: p[1])
+    return BundleTotalSpace(total, D, proj, classifying)

@@ -42,7 +42,9 @@ from csx.simpset import (
 )
 from csx.delta import monotone_ops
 from oracles import (
+    E_of_by_payload,
     apply_operator_circ,
+    bundle_tables,
     decoration_map_by_payload,
     pullback_by_payload,
     pullback_tables,
@@ -168,6 +170,13 @@ def test_pullback_route_matches_direct_construction():
     for n in range(3):
         for g in all_perms(n):
             assert pullback_comparison(g)
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_e_of_tables_match_payload_rules(n):
+    for g in all_perms(n):
+        for max_dim in (n + 1, n + 2):
+            assert bundle_tables(E_of(g, max_dim)) == bundle_tables(E_of_by_payload(g, max_dim))
 
 
 def test_reorientation_comparison():

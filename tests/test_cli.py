@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from csx import cli
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json
 from csx.cli import RunConfig, effective_cap, main
-from csx.simpset import from_rules
+from csx.simpset import TruncatedSimplicialSet, from_rules
 
 
 def hopf_decoration() -> dict:
@@ -262,6 +262,81 @@ def test_damaged_decoration_is_a_result_or_an_input_error(edits):
         else:
             owner[key] = copy.deepcopy(edit)
     assert _exit_code_for_decoration(obj) in (0, 2)
+
+
+def _checks_by_name(rep) -> dict:
+    return {c["name"]: c for c in rep["checks"]}
+
+
+def test_check_crossed_catches_a_forged_degeneracy_at_degree_3(capsys, monkeypatch):
+    real = cli.degeneracy_perm
+
+    def forged(i, f):
+        out = real(i, f)
+        return out[::-1] if f == (0, 2, 1, 3) and i == 0 else out
+
+    monkeypatch.setattr(cli, "degeneracy_perm", forged)
+    code, rep = run_json(capsys, "check", "crossed", "--max-dim", "6")
+    checks = _checks_by_name(rep)
+    assert code == 1 and not rep["pass"]
+    assert checks["crossed:face"]["pass"]
+    assert checks["crossed:degeneracy"]["counterexample"].startswith("n=3 ")
+
+
+def test_check_crossed_catches_a_forged_face_at_degree_5(capsys, monkeypatch):
+    real = cli.face_perm
+
+    def forged(i, f):
+        out = real(i, f)
+        return out[::-1] if len(f) == 6 else out
+
+    monkeypatch.setattr(cli, "face_perm", forged)
+    code, rep = run_json(capsys, "check", "crossed", "--max-dim", "6")
+    checks = _checks_by_name(rep)
+    assert code == 1 and not rep["pass"]
+    assert checks["crossed:degeneracy"]["pass"]
+    assert checks["crossed:face"]["counterexample"].startswith("n=5 ")
+
+
+def test_check_lemma_catches_a_swapped_face_entry_in_E(capsys, monkeypatch):
+    from csx import bundles
+
+    real = bundles.E_of
+
+    def forged(g, max_dim=None):
+        bundle = real(g, max_dim)
+        if g == (2, 0, 1):
+            E = bundle.total
+            top = [list(row) for row in E.faces[E.max_dim]]
+            row = next(row for row in top if row[0] != row[1])
+            row[0], row[1] = row[1], row[0]
+            faces = E.faces[:-1] + [tuple(map(tuple, top))]
+            bundle.total = TruncatedSimplicialSet(E.max_dim, E.payloads, faces, E.degeneracies)
+        return bundle
+
+    monkeypatch.setattr(bundles, "E_of", forged)
+    code, rep = run_json(capsys, "check", "lemma", "--max-dim", "6")
+    assert code == 1
+    assert _checks_by_name(rep)["lemma:pullback"]["counterexample"] == "g=(2, 0, 1)"
+
+
+def test_bundle_builds_its_decoration_map_once(capsys, monkeypatch):
+    from csx import bundles
+
+    real = bundles.decoration_map
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    # every module that bound the name, so a call through any binding counts
+    for mod in (bundles, cli):
+        if getattr(mod, "decoration_map", None) is real:
+            monkeypatch.setattr(mod, "decoration_map", counting)
+    code, rep = run_json(capsys, "bundle", "--base", "boundary3", "--cochain", "1:1")
+    assert code == 0 and rep["pullback_square"] == "commutes"
+    assert len(calls) == 1
 
 
 def test_exit_code_for_cap(capsys):

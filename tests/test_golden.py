@@ -32,6 +32,8 @@ COMMANDS = {
     "enumerate_twisted_2.json": ["enumerate", "twisted", "--n", "2"],
     "enumerate_E_201_3.json": ["enumerate", "E", "--g", "2,0,1", "--max-dim", "3"],
     "check_all_4.json": ["check", "all", "--max-dim", "4"],
+    # the benchmark's audit: exhaustive crossed sweep through degree 4, sampled above
+    "check_all_6_seed7.json": ["check", "all", "--max-dim", "6", "--seed", "7"],
     "check_identities_twisted_3.json": [
         "check", "identities", "--target", "twisted", "--n", "3", "--max-dim", "4",
     ],

@@ -33,7 +33,13 @@ from csx.simpset import (
     twisted_product,
     yoneda,
 )
-from oracles import pullback_by_payload, pullback_tables, sc_degeneracy, sc_is_degenerate
+from oracles import (
+    pullback_by_payload,
+    pullback_tables,
+    sc_degeneracy,
+    sc_is_degenerate,
+    twisted_product_by_payload,
+)
 
 # relabeling-free fixed points under rotation: nondegenerate class counts
 DERANGEMENTS = (1, 0, 1, 2, 9, 44, 265, 1854)
@@ -290,6 +296,26 @@ def test_pullback_matches_payload_rules_on_unsorted_ids():
     shuffled = SimplicialMap(S, q.target, table)
     for p, r in ((shuffled, shuffled), (shuffled, q), (q, shuffled)):
         assert pullback_tables(pullback(p, r)) == pullback_tables(pullback_by_payload(p, r))
+
+
+def _tables(X) -> tuple:
+    return X.payloads, X.faces, X.degeneracies
+
+
+@pytest.mark.parametrize(
+    "G, X",
+    [(build_C(n + 1), build_delta(n, n + 1)) for n in range(4)] + [(build_S(3), build_delta(2, 3))],
+    ids=["CxD0", "CxD1", "CxD2", "CxD3", "SxD2"],
+)
+def test_twisted_product_matches_payload_rules(G, X):
+    assert _tables(twisted_product(G, X)) == _tables(twisted_product_by_payload(G, X))
+
+
+def test_twisted_product_matches_payload_rules_on_unsorted_ids():
+    X, _ = _shuffled(build_delta(2, 3), seed=11)
+    assert any(list(level) != sorted(level) for level in X.payloads)
+    G = build_C(3)
+    assert _tables(twisted_product(G, X)) == _tables(twisted_product_by_payload(G, X))
 
 
 def test_pullback_rejects_mismatched_maps():
