@@ -10,9 +10,9 @@ independent check on the pullback route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, combinations_with_replacement
+from operator import itemgetter
 
-from .delta import monotone_ops
 from .perms import (
     Word,
     apply_operator_word,
@@ -33,6 +33,7 @@ from .simpset import (
     evaluate_operator,
     from_id_pairs,
     from_rules,
+    in_payload_order,
     is_json_int,
     json_field,
     payload_str,
@@ -84,35 +85,59 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
 
     Simplices in dimension m are pairs (eta, b) of a monotone surjection
     eta: [m] ->> [k] and a base simplex b of dimension k; (identity, b)
-    recovers the original simplices, everything else is degenerate.
+    recovers the original simplices, everything else is degenerate.  Ids
+    follow the lexicographic order of the pairs: one block of ids per eta,
+    with b in the base's payload order inside it.  Degeneracy i of (eta, b)
+    repeats eta[i]; face i drops it, and when that loses the value v = eta[i]
+    the surjection is squeezed and b replaced by its face v.  So every table
+    column of a block is a block of the adjacent dimension, read through a
+    face column of the base in the second case.
     """
     if base.has_degeneracies:
         raise ValueError("expected a face-only base")
-    payload_lists = []
+    base = in_payload_order(base)
+    counts = [base.simplex_count(k) for k in range(base.max_dim + 1)]
+    etas, starts, ids = [], [], []
     for m in range(max_dim + 1):
-        level = []
-        for k in range(min(m, base.max_dim) + 1):
-            etas = [op.values for op in monotone_ops(m, k) if len(set(op.values)) == k + 1]
-            for eta in etas:
-                for b in range(base.simplex_count(k)):
-                    level.append((eta, base.payload(k, b)))
-        payload_lists.append(level)
+        level = [
+            eta
+            for eta in combinations_with_replacement(range(min(m, base.max_dim) + 1), m + 1)
+            if eta[0] == 0 and all(b - a <= 1 for a, b in zip(eta, eta[1:]))
+        ]
+        start, total = {}, 0
+        for eta in level:
+            start[eta] = total
+            total += counts[eta[-1]]
+        etas.append(level)
+        starts.append(start)
+        ids.append(list(range(total)))
 
-    def face_fn(m, p, i):
-        eta, bp = p
-        k = eta[-1]
-        vals = eta[:i] + eta[i + 1 :]
-        if len(set(vals)) == k + 1:
-            return (vals, bp)
-        v = eta[i]  # the unique value lost by dropping position i
-        squeezed = tuple(w - 1 if w > v else w for w in vals)
-        return (squeezed, base.face_payload(k, bp, v))
+    def block(m, eta):
+        first = starts[m][eta]
+        return ids[m][first : first + counts[eta[-1]]]
 
-    def degen_fn(m, p, i):
-        eta, bp = p
-        return (eta[: i + 1] + eta[i:], bp)
+    def face_column(m, eta, i):
+        rest = eta[:i] + eta[i + 1 :]
+        v = eta[i]
+        if v in rest:
+            return block(m - 1, rest)
+        squeezed = tuple(w - (w > v) for w in rest)
+        return map(block(m - 1, squeezed).__getitem__, map(itemgetter(v), base.faces[eta[-1]]))
 
-    return from_rules(max_dim, payload_lists, face_fn, degen_fn)
+    def degeneracy_column(m, eta, i):
+        return block(m + 1, eta[: i + 1] + eta[i:])
+
+    def table(m, column):
+        return tuple(
+            chain.from_iterable(zip(*(column(m, eta, i) for i in range(m + 1))) for eta in etas[m])
+        )
+
+    faces = [None] + [table(m, face_column) for m in range(1, max_dim + 1)]
+    degeneracies = [table(m, degeneracy_column) for m in range(max_dim)]
+    payloads = [
+        tuple((eta, bp) for eta in level for bp in base.payloads[eta[-1]]) for level in etas
+    ]
+    return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
 
 
 # ---------------------------------------------------------------------------

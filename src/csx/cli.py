@@ -108,13 +108,19 @@ def _parse_word(text: str) -> tuple[int, ...]:
 
 def _parse_cochain_items(items, count: int) -> TwoCochain:
     values = [0] * count
+    given = set()
     for item in items or ():
         head, sep, tail = item.partition(":")
         if not sep:
             raise ValueError(f"bad cochain item {item!r}; expected id:value")
         k, v = int(head), int(tail)
+        if not count:
+            raise ValueError(f"cochain item {item!r}: the base has no 2-simplices")
         if not 0 <= k < count:
             raise ValueError(f"cochain id {k} out of range 0..{count - 1}")
+        if k in given:
+            raise ValueError(f"cochain id {k} given twice")
+        given.add(k)
         values[k] = v
     return TwoCochain(tuple(values))
 

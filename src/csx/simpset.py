@@ -11,6 +11,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
+from math import factorial
 from operator import add
 
 from .delta import monotone_ops, peel
@@ -272,6 +273,8 @@ class SimplicialMap:
 @lru_cache(maxsize=64)
 def build_delta(n: int, max_dim: int) -> TruncatedSimplicialSet:
     """The standard n-simplex: dimension m holds the monotone maps [m] -> [n]."""
+    if n < 0:
+        raise ValueError(f"simplex dimension n must be nonnegative, got {n}")
     payload_lists = [[op.values for op in monotone_ops(m, n)] for m in range(max_dim + 1)]
 
     def face_fn(m, vals, i):
@@ -283,60 +286,138 @@ def build_delta(n: int, max_dim: int) -> TruncatedSimplicialSet:
     return from_rules(max_dim, payload_lists, face_fn, degen_fn)
 
 
-# Table rules on plain words.  On a 0-first word a degeneracy keeps the 0 in
-# front, and so does deleting any bead but the 0 itself; only face 0 rotates.
+# Ids of words are lexicographic ranks.  A word of degree n is its first
+# letter a followed by a tail whose standardization (values above a lowered
+# by one) is a word of degree n - 1 with rank u; the word's id is a * n! + u.
+# An operator at index i == a acts on the first letter alone; any other one
+# moves the first letter by at most one and acts on the standardized tail at
+# the index i - [i > a].  So each column of a level is a run of blocks, each
+# block a slice of the ids of the adjacent dimension, read through a column
+# of the level below.  Reading entries back from id lists keeps one int
+# object per id instead of one per table entry.
 
 
-def _word_face(n: int, w: Word, i: int) -> Word:
-    return face_perm(i, w)
+def _next_columns(lower, n: int, blocks, shift: int, diagonal) -> list[list[int]]:
+    """Columns 0..n of a level of S from the n columns of the level below.
+
+    blocks[b] are the target ids whose first letter is b; the first letter a
+    of a word becomes a + shift * [i < a] under the operator at i != a, and
+    diagonal(a) is the column block the operator at i == a gives.
+    """
+    cols = []
+    for i in range(n + 1):
+        col = []
+        for a in range(n + 1):
+            if i == a:
+                col += diagonal(a)
+            else:
+                col += map(blocks[a + shift * (i < a)].__getitem__, lower[i - (i > a)])
+        cols.append(col)
+    return cols
 
 
-def _word_degeneracy(n: int, w: Word, i: int) -> Word:
-    return degeneracy_perm(i, w)
+def _split(ids: list[int], parts: int) -> list[list[int]]:
+    size = len(ids) // parts
+    return [ids[b * size : (b + 1) * size] for b in range(parts)]
 
 
-def _zero_first_face(n: int, w: Word, i: int) -> Word:
-    f = face_perm(i, w)
-    return f if i else _zero_first(f)
+def _face_columns(ids, top: int):
+    """The face columns of S(1), ..., S(top); ids[n] lists the ids of S(n).
+
+    Face i == a of (a, u) is u; any other is
+    (a - [i < a]) * (n - 1)! + (face i - [i > a] of u).
+    """
+    cols = [[0, 0], [0, 0]]  # both words of degree 1 have the degree-0 word as faces
+    for n in range(1, top + 1):
+        if n > 1:
+            below = ids[n - 1]
+            cols = _next_columns(cols, n, _split(below, n), -1, lambda a: below)
+        yield cols
+
+
+def _degeneracy_columns(ids, top: int):
+    """The degeneracy columns of S(0), ..., S(top); ids[n] lists the ids of S(n).
+
+    Degeneracy i == a of (a, u) is a * (n + 1)! + (a * n! + u); any other is
+    (a + [i < a]) * (n + 1)! + (degeneracy i - [i > a] of u).
+    """
+    cols = [[0]]
+    for n in range(top + 1):
+        if n:
+            blocks, step = _split(ids[n + 1], n + 2), factorial(n)
+            cols = _next_columns(cols, n, blocks, 1, lambda a: blocks[a][a * step : (a + 1) * step])
+        yield cols
 
 
 @lru_cache(maxsize=32)
 def build_S(max_dim: int) -> TruncatedSimplicialSet:
-    """All permutation words, with the crossed face/degeneracy operators."""
-    payload_lists = [all_perms(n) for n in range(max_dim + 1)]
-    return from_rules(max_dim, payload_lists, _word_face, _word_degeneracy)
+    """All permutation words, with the crossed face/degeneracy operators.
+
+    Each level's tables are computed from the columns of the level below.
+    """
+    ids = [list(range(factorial(n + 1))) for n in range(max_dim + 1)]
+    faces = [None] + [tuple(zip(*cols)) for cols in _face_columns(ids, max_dim)]
+    degeneracies = [tuple(zip(*cols)) for cols in _degeneracy_columns(ids, max_dim - 1)]
+    payloads = [tuple(all_perms(n)) for n in range(max_dim + 1)]
+    return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
 
 
 @lru_cache(maxsize=32)
 def build_C(max_dim: int) -> TruncatedSimplicialSet:
     """The rotation subgroup: dimension n holds the n+1 powers of tau(n)."""
     payload_lists = [[cyclic_word(n, k) for k in range(n + 1)] for n in range(max_dim + 1)]
-    return from_rules(max_dim, payload_lists, _word_face, _word_degeneracy)
+    return from_rules(
+        max_dim, payload_lists, lambda n, w, i: face_perm(i, w), lambda n, w, i: degeneracy_perm(i, w)
+    )
 
 
 @lru_cache(maxsize=32)
 def build_SC(max_dim: int) -> TruncatedSimplicialSet:
     """Rotation classes of permutation words; the quotient of build_S.
 
-    The tables are built on the 0-first words; each word is wrapped as a
-    CircularPermutation once, keeping its lexicographic id.
+    Class k of degree n is the 0-first word (0,) + t, where t - 1 is word k
+    of S(n - 1).  Face and degeneracy i >= 1 keep the 0 in front and act on
+    t as face and degeneracy i - 1 of S(n - 1), computed from the columns of
+    the level below; degeneracy 0 inserts 1 after the 0, which keeps the id.
+    Only face 0 deletes the 0 and rotates the word back to 0-first, once per
+    word.  Each word is then wrapped as a CircularPermutation.
     """
-    payload_lists = [_circular_words(n) for n in range(max_dim + 1)]
-    W = from_rules(max_dim, payload_lists, _zero_first_face, _word_degeneracy)
-    payloads = [tuple(map(CircularPermutation, level)) for level in W.payloads]
-    return TruncatedSimplicialSet(max_dim, payloads, W.faces, W.degeneracies)
+    words = [_circular_words(n) for n in range(max_dim + 1)]
+    ids = [list(range(len(level))) for level in words]
+
+    def zero_face(n):
+        index = dict(zip(words[n - 1], ids[n - 1]))
+        return [index[_zero_first(face_perm(0, w))] for w in words[n]]
+
+    faces, degeneracies = [None], []
+    if max_dim:
+        # (0, 1) has (0,) as face 1, and (0,) has (0, 1) as degeneracy 0
+        faces.append(tuple(zip(zero_face(1), [0])))
+        degeneracies.append(((0,),))
+    s_faces = _face_columns(ids[1:], max_dim - 1)
+    faces += (tuple(zip(zero_face(n), *cols)) for n, cols in enumerate(s_faces, start=2))
+    s_degeneracies = _degeneracy_columns(ids[1:], max_dim - 2)
+    degeneracies += (tuple(zip(ids[n], *cols)) for n, cols in enumerate(s_degeneracies, start=1))
+    payloads = [tuple(map(CircularPermutation, level)) for level in words]
+    return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
 
 
 @lru_cache(maxsize=32)
 def quotient_map(max_dim: int) -> SimplicialMap:
     """The projection sending a word to its rotation class.
 
-    Built and checked once per depth; every caller shares the one map.
+    Each word is rotated to start at 0 and looked up among the plain words
+    of SC.  Built and checked once per depth; every caller shares the one map.
     """
-    return SimplicialMap.from_payload_fn(build_S(max_dim), build_SC(max_dim), lambda n, w: quotient_circ(w))
+    S, SC = build_S(max_dim), build_SC(max_dim)
+    table = []
+    for words, classes in zip(S.payloads, SC.payloads):
+        index = {c.word: k for k, c in enumerate(classes)}
+        table.append(tuple(map(index.__getitem__, map(_zero_first, words))))
+    return SimplicialMap(S, SC, table)
 
 
-def _in_payload_order(X: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
+def in_payload_order(X: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
     """X itself when its ids follow payload order, else a renumbered copy."""
     orders = [_payload_order(level) for level in X.payloads]
     if all(order == list(range(len(order))) for order in orders):
@@ -398,7 +479,7 @@ def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
     """
     if G.max_dim != X.max_dim:
         raise ValueError("factors must share a truncation level")
-    G, X = _in_payload_order(G), _in_payload_order(X)
+    G, X = in_payload_order(G), in_payload_order(X)
     pair_lists = [
         [(a, b) for a in range(G.simplex_count(n)) for b in range(X.simplex_count(n))]
         for n in range(G.max_dim + 1)

@@ -1,12 +1,14 @@
 """Reference implementations the tests check the library against.
 
 Each name here is either a slower, payload-level route to something the
-library computes on table rows, or an order-theoretic notion the library
-itself never needs.  None of them is used by csx.
+library computes on table rows, an order-theoretic notion the library
+itself never needs, or a renumbering that gives the routes ids out of
+payload order to agree on.  None of them is used by csx.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from csx.bundles import BundleTotalSpace
@@ -33,6 +35,8 @@ from csx.simpset import (
     from_rules,
     quotient_circ,
     sc_face,
+    sset_from_json,
+    sset_to_json,
 )
 
 # ---------------------------------------------------------------------------
@@ -173,6 +177,46 @@ def decoration_map_by_payload(decor, completed) -> SimplicialMap:
 
 
 # ---------------------------------------------------------------------------
+# degeneracy completion on payloads
+
+
+def complete_semisimplicial_by_payload(base: TruncatedSimplicialSet, max_dim: int) -> TruncatedSimplicialSet:
+    """Adjoin the formal degeneracies of a face-only object.
+
+    Simplices in dimension m are pairs (eta, b) of a monotone surjection
+    eta: [m] ->> [k] and a base simplex b of dimension k; (identity, b)
+    recovers the original simplices, everything else is degenerate.
+    """
+    if base.has_degeneracies:
+        raise ValueError("expected a face-only base")
+    payload_lists = []
+    for m in range(max_dim + 1):
+        level = []
+        for k in range(min(m, base.max_dim) + 1):
+            etas = [op.values for op in monotone_ops(m, k) if len(set(op.values)) == k + 1]
+            for eta in etas:
+                for b in range(base.simplex_count(k)):
+                    level.append((eta, base.payload(k, b)))
+        payload_lists.append(level)
+
+    def face_fn(m, p, i):
+        eta, bp = p
+        k = eta[-1]
+        vals = eta[:i] + eta[i + 1 :]
+        if len(set(vals)) == k + 1:
+            return (vals, bp)
+        v = eta[i]  # the unique value lost by dropping position i
+        squeezed = tuple(w - 1 if w > v else w for w in vals)
+        return (squeezed, base.face_payload(k, bp, v))
+
+    def degen_fn(m, p, i):
+        eta, bp = p
+        return (eta[: i + 1] + eta[i:], bp)
+
+    return from_rules(max_dim, payload_lists, face_fn, degen_fn)
+
+
+# ---------------------------------------------------------------------------
 # fiber products on payloads
 
 
@@ -212,6 +256,11 @@ def pullback_by_payload(p: SimplicialMap, q: SimplicialMap):
     proj1 = SimplicialMap.from_payload_fn(P, X, lambda n, pay: pay[0])
     proj2 = SimplicialMap.from_payload_fn(P, Y, lambda n, pay: pay[1])
     return P, proj1, proj2
+
+
+def sset_tables(X) -> tuple:
+    """Everything a simplicial set consists of: payloads and both tables."""
+    return X.payloads, X.faces, X.degeneracies
 
 
 def pullback_tables(result) -> tuple:
@@ -296,3 +345,33 @@ def E_of_by_payload(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     proj = SimplicialMap.from_payload_fn(total, D, lambda m, p: p[0])
     classifying = SimplicialMap.from_payload_fn(total, S, lambda m, p: p[1])
     return BundleTotalSpace(total, D, proj, classifying)
+
+
+# ---------------------------------------------------------------------------
+# renumbering
+
+
+def shuffled_ids(X, seed):
+    """X rebuilt by sset_from_json with each dimension's ids shuffled.
+
+    Returns the copy and, per dimension, the old id of each new id.
+    """
+    rng = random.Random(seed)
+    orders = []
+    for n in range(X.max_dim + 1):
+        order = list(range(X.simplex_count(n)))
+        rng.shuffle(order)
+        orders.append(order)
+    new_id = [{old: new for new, old in enumerate(order)} for order in orders]
+    dims = []
+    for n, entry in enumerate(sset_to_json(X)["dims"]):
+        order = orders[n]
+        level = {
+            "payloads": [entry["payloads"][k] for k in order],
+            "faces": [[new_id[n - 1][f] for f in entry["faces"][k]] for k in order],
+        }
+        if "degeneracies" in entry:
+            rows = entry["degeneracies"]
+            level["degeneracies"] = [[new_id[n + 1][s] for s in rows[k]] for k in order]
+        dims.append(level)
+    return sset_from_json({"max_dim": X.max_dim, "dims": dims}), orders

@@ -45,9 +45,12 @@ from oracles import (
     E_of_by_payload,
     apply_operator_circ,
     bundle_tables,
+    complete_semisimplicial_by_payload,
     decoration_map_by_payload,
     pullback_by_payload,
     pullback_tables,
+    shuffled_ids,
+    sset_tables,
 )
 
 
@@ -82,6 +85,28 @@ def test_completion_of_point_is_trivial():
     comp = complete_semisimplicial(solid_delta(0), 3)
     assert counts(comp) == [1, 1, 1, 1]
     assert nondeg_counts(comp) == [1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("max_dim", range(7))
+@pytest.mark.parametrize(
+    "make_base",
+    [lambda: boundary_delta(2), lambda: boundary_delta(3), lambda: solid_delta(3)],
+    ids=["boundary2", "boundary3", "delta3"],
+)
+def test_completion_matches_payload_rules(make_base, max_dim):
+    base = make_base()
+    assert sset_tables(complete_semisimplicial(base, max_dim)) == sset_tables(
+        complete_semisimplicial_by_payload(base, max_dim)
+    )
+
+
+@pytest.mark.parametrize("max_dim", range(7))
+def test_completion_matches_payload_rules_on_unsorted_ids(max_dim):
+    base, _ = shuffled_ids(solid_delta(3), seed=7)
+    assert any(list(level) != sorted(level) for level in base.payloads)
+    completed = complete_semisimplicial(base, max_dim)
+    assert sset_tables(completed) == sset_tables(complete_semisimplicial_by_payload(base, max_dim))
+    assert audit_identities(completed) == []
 
 
 def test_completion_rejects_degeneracy_bases():

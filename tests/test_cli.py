@@ -151,6 +151,39 @@ def test_exit_codes_for_bad_input(capsys):
     assert main(["homology", "bundle", "--base", "boundary3", "--cochain", "oops"]) == 2
 
 
+@pytest.mark.parametrize(
+    "base, items, message",
+    [
+        ("boundary3", ["1:1", "1:0"], "cochain id 1 given twice"),
+        ("point", ["0:1"], "cochain item '0:1': the base has no 2-simplices"),
+    ],
+)
+@pytest.mark.parametrize("command", ["bundle", "homology"])
+def test_bad_cochain_items_are_input_errors(capsys, command, base, items, message):
+    argv = [command] + (["bundle"] if command == "homology" else [])
+    assert main(argv + ["--base", base, "--cochain", *items]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "delta", "--n", "-1"],
+        ["enumerate", "twisted", "--n", "-1"],
+        ["check", "identities", "--target", "delta", "--n", "-2"],
+        ["check", "identities", "--target", "twisted", "--n", "-2"],
+        ["homology", "delta", "--n", "-1"],
+    ],
+)
+def test_negative_simplex_dimension_is_an_input_error(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: simplex dimension n must be nonnegative")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("case", ["string max_dim", "list payload", "int value", "top-level list"])
 def test_malformed_decoration_file_is_an_input_error(capsys, tmp_path, case):
     obj = hopf_decoration()

@@ -1,7 +1,6 @@
 """Truncated simplicial sets: builders, audits, maps, and serialization."""
 
 import json
-import random
 from math import comb, factorial
 
 import pytest
@@ -38,6 +37,8 @@ from oracles import (
     pullback_tables,
     sc_degeneracy,
     sc_is_degenerate,
+    shuffled_ids,
+    sset_tables,
     twisted_product_by_payload,
 )
 
@@ -112,9 +113,9 @@ def test_audit_catches_corruption():
         assert_valid(broken)
 
 
-@pytest.mark.parametrize("max_dim", range(7))
+@pytest.mark.parametrize("max_dim", range(8))
 def test_word_tables_match_payload_rules(max_dim):
-    # the payload-level rules the word-level builders replaced
+    # the payload-level rules the rank builders replaced
     S = from_rules(
         max_dim,
         [all_perms(n) for n in range(max_dim + 1)],
@@ -202,6 +203,13 @@ def test_quotient_fibers():
         assert all(v == n + 1 for v in sizes.values())
 
 
+@pytest.mark.parametrize("max_dim", range(7))
+def test_quotient_map_matches_payload_route(max_dim):
+    S, SC = build_S(max_dim), build_SC(max_dim)
+    oracle = SimplicialMap.from_payload_fn(S, SC, lambda n, w: quotient_circ(w))
+    assert list(quotient_map(max_dim).table) == oracle.table
+
+
 def test_twisted_product_counts_and_audit():
     X = twisted_product(build_C(3), build_delta(2, 3))
     for m in range(4):
@@ -262,44 +270,14 @@ def test_pullback_matches_payload_rules_over_yoneda_maps():
             assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_payload(y, q))
 
 
-def _shuffled(X, seed):
-    """X rebuilt by sset_from_json with each dimension's ids shuffled.
-
-    Returns the copy and, per dimension, the old id of each new id.
-    """
-    rng = random.Random(seed)
-    orders = []
-    for n in range(X.max_dim + 1):
-        order = list(range(X.simplex_count(n)))
-        rng.shuffle(order)
-        orders.append(order)
-    new_id = [{old: new for new, old in enumerate(order)} for order in orders]
-    dims = []
-    for n, entry in enumerate(sset_to_json(X)["dims"]):
-        order = orders[n]
-        level = {
-            "payloads": [entry["payloads"][k] for k in order],
-            "faces": [[new_id[n - 1][f] for f in entry["faces"][k]] for k in order],
-        }
-        if "degeneracies" in entry:
-            rows = entry["degeneracies"]
-            level["degeneracies"] = [[new_id[n + 1][s] for s in rows[k]] for k in order]
-        dims.append(level)
-    return sset_from_json({"max_dim": X.max_dim, "dims": dims}), orders
-
-
 def test_pullback_matches_payload_rules_on_unsorted_ids():
     q = quotient_map(4)
-    S, orders = _shuffled(q.source, seed=5)
+    S, orders = shuffled_ids(q.source, seed=5)
     assert any(list(level) != sorted(level) for level in S.payloads)
     table = [tuple(q.table[n][k] for k in order) for n, order in enumerate(orders)]
     shuffled = SimplicialMap(S, q.target, table)
     for p, r in ((shuffled, shuffled), (shuffled, q), (q, shuffled)):
         assert pullback_tables(pullback(p, r)) == pullback_tables(pullback_by_payload(p, r))
-
-
-def _tables(X) -> tuple:
-    return X.payloads, X.faces, X.degeneracies
 
 
 @pytest.mark.parametrize(
@@ -308,14 +286,14 @@ def _tables(X) -> tuple:
     ids=["CxD0", "CxD1", "CxD2", "CxD3", "SxD2"],
 )
 def test_twisted_product_matches_payload_rules(G, X):
-    assert _tables(twisted_product(G, X)) == _tables(twisted_product_by_payload(G, X))
+    assert sset_tables(twisted_product(G, X)) == sset_tables(twisted_product_by_payload(G, X))
 
 
 def test_twisted_product_matches_payload_rules_on_unsorted_ids():
-    X, _ = _shuffled(build_delta(2, 3), seed=11)
+    X, _ = shuffled_ids(build_delta(2, 3), seed=11)
     assert any(list(level) != sorted(level) for level in X.payloads)
     G = build_C(3)
-    assert _tables(twisted_product(G, X)) == _tables(twisted_product_by_payload(G, X))
+    assert sset_tables(twisted_product(G, X)) == sset_tables(twisted_product_by_payload(G, X))
 
 
 def test_pullback_rejects_mismatched_maps():
