@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, combinations, combinations_with_replacement
-from operator import itemgetter
 
 from .perms import (
     Word,
@@ -122,7 +121,7 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
         if v in rest:
             return block(m - 1, rest)
         squeezed = tuple(w - (w > v) for w in rest)
-        return map(block(m - 1, squeezed).__getitem__, map(itemgetter(v), base.faces[eta[-1]]))
+        return map(block(m - 1, squeezed).__getitem__, base.face_columns[eta[-1]][v])
 
     def degeneracy_column(m, eta, i):
         return block(m + 1, eta[: i + 1] + eta[i:])

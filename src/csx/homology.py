@@ -9,6 +9,7 @@ loudly if any intermediate entry would leave the signed 64-bit range.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 
 from .simpset import TruncatedSimplicialSet, assert_valid, nondegenerate_list
 
@@ -264,20 +265,55 @@ def smith_normal_form(matrix, transforms=False, policy="bigint") -> SmithForm:
     return SmithForm((sm.rows, sm.cols), (1,) * units + tail.factors, remainder=remainder, remainder_form=tail)
 
 
+def _is_square(rows, size: int) -> bool:
+    return len(rows) == size and all(len(row) == size for row in rows)
+
+
+def _combine(terms, width: int) -> list[int]:
+    """The sum of c * row over the (c, row) terms, skipping zero coefficients."""
+    total = [0] * width
+    for c, row in terms:
+        if c:
+            total = list(map(add, total, map(c.__mul__, row)))
+    return total
+
+
 def verify_transforms(matrix, sf: SmithForm) -> bool:
-    """Exact check that left * M * right is the diagonal of invariant factors."""
+    """Exact check that sf certifies the Smith form of matrix.
+
+    sf must have the matrix's shape R x C, an R x R left and a C x C right
+    transform, and positive factors, each dividing the next; then left * M *
+    right must be the diagonal of the factors.  M * right is built row by
+    row as integer combinations of the rows of right, one per nonzero entry
+    of M, and left * (M * right) likewise.
+    """
     if sf.left is None or sf.right is None:
         return False
-    M = matrix.to_dense() if isinstance(matrix, SparseMatrix) else matrix
-    R, C = sf.shape
-    MV = [[sum(M[i][k] * sf.right[k][j] for k in range(C)) for j in range(C)] for i in range(R)]
-    for i in range(R):
-        Urow = sf.left[i]
-        for j in range(C):
-            v = sum(Urow[k] * MV[k][j] for k in range(R))
-            want = sf.factors[i] if i == j and i < len(sf.factors) else 0
-            if v != want:
-                return False
+    if isinstance(matrix, SparseMatrix):
+        R, C = matrix.rows, matrix.cols
+        nonzeros = [[] for _ in range(R)]
+        for (r, c), v in matrix.entries.items():
+            nonzeros[r].append((v, c))
+    else:
+        R, C = len(matrix), len(matrix[0]) if matrix else 0
+        if any(len(row) != C for row in matrix):
+            return False
+        nonzeros = [[(v, c) for c, v in enumerate(row) if v] for row in matrix]
+    factors = sf.factors
+    if tuple(sf.shape) != (R, C) or len(factors) > min(R, C):
+        return False
+    if not (_is_square(sf.left, R) and _is_square(sf.right, C)):
+        return False
+    if any(f <= 0 for f in factors) or any(b % a for a, b in zip(factors, factors[1:])):
+        return False
+    V = sf.right
+    MV = [_combine([(v, V[c]) for v, c in row], C) for row in nonzeros]
+    for i, Urow in enumerate(sf.left):
+        want = [0] * C
+        if i < len(factors):
+            want[i] = factors[i]
+        if _combine(zip(Urow, MV), C) != want:
+            return False
     return True
 
 

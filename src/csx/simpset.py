@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
 from math import factorial
-from operator import add
+from operator import add, itemgetter
 
 from .delta import monotone_ops, peel
 from .perms import (
@@ -89,6 +89,18 @@ class TruncatedSimplicialSet:
     def _index(self) -> list[dict]:
         return [{p: k for k, p in enumerate(level)} for level in self.payloads]
 
+    @cached_property
+    def face_columns(self) -> list:
+        """faces[n] transposed: face_columns[n][i][k] is faces[n][k][i]."""
+        return [None] + [_columns(self.faces[n], n + 1) for n in range(1, self.max_dim + 1)]
+
+    @cached_property
+    def degeneracy_columns(self) -> list | None:
+        """degeneracies[n] transposed, or None for face-only objects."""
+        if self.degeneracies is None:
+            return None
+        return [_columns(self.degeneracies[n], n + 1) for n in range(self.max_dim)]
+
     @property
     def has_degeneracies(self) -> bool:
         return self.degeneracies is not None
@@ -156,43 +168,82 @@ def nondegenerate_list(X: TruncatedSimplicialSet, n: int) -> list[int]:
     return [k for k in range(X.simplex_count(n)) if k not in hit]
 
 
+def _getter(ids):
+    """A function reading values[i] for each i in ids into a tuple, at C speed.
+
+    itemgetter returns a bare value for one index and cannot be built with none.
+    """
+    if len(ids) > 1:
+        return itemgetter(*ids)
+    if ids:
+        (i,) = ids
+        return lambda values: (values[i],)
+    return lambda values: ()
+
+
+def _columns(rows, width: int) -> list[tuple]:
+    """The width columns of a table; a table with no rows has width empty columns."""
+    return list(zip(*rows)) if rows else [()] * width
+
+
+def _mismatches(got: tuple, want: tuple) -> list[int]:
+    """The positions at which two equally long tuples differ.
+
+    Tuples of different lengths raise, so a map table shorter or longer than
+    its source level cannot pass.
+    """
+    if got == want:
+        return []
+    return [k for k, (a, b) in enumerate(zip(got, want, strict=True)) if a != b]
+
+
 def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
-    """All violations of the simplicial identities inside the truncation."""
-    bad = []
-    faces, degeneracies = X.faces, X.degeneracies
+    """All violations of the simplicial identities inside the truncation.
+
+    Each identity at an index pair is checked on a whole level at once:
+    both sides are columns of ids, read through the columns of the adjacent
+    levels.  Violations are reported by family, then by dimension, id and
+    index pair.  The columns are not kept on X: the audit is the last
+    reader of most objects it runs on, so they would only hold memory.
+    """
+    faces = [None] + [_columns(X.faces[n], n + 1) for n in range(1, X.max_dim + 1)]
+    at_face = [None] + [list(map(_getter, level)) for level in faces[1:]]
+    face_bad = []
     for n in range(2, X.max_dim + 1):
-        lower = faces[n - 1]
-        for k, row in enumerate(faces[n]):
-            for j in range(1, n + 1):
-                dj = lower[row[j]]
-                for i in range(j):
-                    if dj[i] != lower[row[i]][j - 1]:
-                        bad.append(f"d{i} d{j} != d{j-1} d{i} at dim {n} id {k}")
+        lower, at = faces[n - 1], at_face[n]
+        for j in range(1, n + 1):
+            for i in range(j):
+                for k in _mismatches(at[j](lower[i]), at[i](lower[j - 1])):
+                    face_bad.append((n, k, j, i))
+    bad = [f"d{i} d{j} != d{j-1} d{i} at dim {n} id {k}" for n, k, j, i in sorted(face_bad)]
     if not X.has_degeneracies:
         return bad
+    degeneracies = [_columns(X.degeneracies[n], n + 1) for n in range(X.max_dim)]
+    at_degeneracy = [list(map(_getter, level)) for level in degeneracies]
+    degeneracy_bad = []
     for n in range(X.max_dim - 1):
-        upper = degeneracies[n + 1]
-        for k, row in enumerate(degeneracies[n]):
-            for i in range(n + 1):
-                si = upper[row[i]]
-                for j in range(i, n + 1):
-                    if upper[row[j]][i] != si[j + 1]:
-                        bad.append(f"s{i} s{j} != s{j+1} s{i} at dim {n} id {k}")
+        upper, at = degeneracies[n + 1], at_degeneracy[n]
+        for i in range(n + 1):
+            for j in range(i, n + 1):
+                for k in _mismatches(at[j](upper[i]), at[i](upper[j + 1])):
+                    degeneracy_bad.append((n, k, i, j))
+    bad += [f"s{i} s{j} != s{j+1} s{i} at dim {n} id {k}" for n, k, i, j in sorted(degeneracy_bad)]
+    mixed_bad = []
     for n in range(X.max_dim):
         # at n == 0 the only index pairs are i == j and i == j + 1
-        below = degeneracies[n - 1] if n else None
-        face_rows, upper = faces[n], faces[n + 1]
-        for k, row in enumerate(degeneracies[n]):
-            for j, sj in enumerate(row):
-                for i, got in enumerate(upper[sj]):
-                    if i == j or i == j + 1:
-                        want = k
-                    elif i < j:
-                        want = below[face_rows[k][i]][j - 1]
-                    else:
-                        want = below[face_rows[k][i - 1]][j]
-                    if got != want:
-                        bad.append(f"d{i} s{j} identity fails at dim {n} id {k}")
+        ids = tuple(range(X.simplex_count(n)))
+        upper, at = faces[n + 1], at_degeneracy[n]
+        for j in range(n + 1):
+            for i in range(n + 2):
+                if i == j or i == j + 1:
+                    want = ids
+                elif i < j:
+                    want = at_face[n][i](degeneracies[n - 1][j - 1])
+                else:
+                    want = at_face[n][i - 1](degeneracies[n - 1][j])
+                for k in _mismatches(at[j](upper[i]), want):
+                    mixed_bad.append((n, k, j, i))
+    bad += [f"d{i} s{j} identity fails at dim {n} id {k}" for n, k, j, i in sorted(mixed_bad)]
     return bad
 
 
@@ -221,20 +272,17 @@ class SimplicialMap:
             raise ValueError("target truncation too shallow")
         table = self.table
         for n in range(1, X.max_dim + 1):
-            below, image, target_rows = table[n - 1], table[n], Y.faces[n]
-            for k, row in enumerate(X.faces[n]):
-                want = target_rows[image[k]]
-                for i, f in enumerate(row):
-                    if below[f] != want[i]:
-                        raise ValueError(f"map does not commute with face {i} at dim {n} id {k}")
+            bad = _first_mismatch(X.face_columns[n], Y.face_columns[n], table[n - 1], table[n])
+            if bad is not None:
+                k, i = bad
+                raise ValueError(f"map does not commute with face {i} at dim {n} id {k}")
         if X.has_degeneracies and Y.has_degeneracies:
             for n in range(X.max_dim):
-                above, image, target_rows = table[n + 1], table[n], Y.degeneracies[n]
-                for k, row in enumerate(X.degeneracies[n]):
-                    want = target_rows[image[k]]
-                    for i, s in enumerate(row):
-                        if above[s] != want[i]:
-                            raise ValueError(f"map does not commute with degeneracy {i} at dim {n}")
+                bad = _first_mismatch(
+                    X.degeneracy_columns[n], Y.degeneracy_columns[n], table[n + 1], table[n]
+                )
+                if bad is not None:
+                    raise ValueError(f"map does not commute with degeneracy {bad[1]} at dim {n}")
 
     def apply(self, n: int, k: int) -> int:
         return self.table[n][k]
@@ -264,6 +312,21 @@ class SimplicialMap:
             for n in range(source.max_dim + 1)
         ]
         return cls(source, target, table)
+
+
+def _first_mismatch(source_cols, target_cols, through, image):
+    """The least (k, i) with through[source_cols[i][k]] != target_cols[i][image[k]], or None.
+
+    Column i of the source, read through the map one level over, is compared
+    with column i of the target, read at the image of each source id.
+    """
+    at_image = _getter(image)
+    bad = [
+        (ks[0], i)
+        for i, (col, target_col) in enumerate(zip(source_cols, target_cols))
+        if (ks := _mismatches(_getter(col)(through), at_image(target_col)))
+    ]
+    return min(bad, default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +564,11 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     start[a] + rank[b], where start[a] counts the pairs whose first payload
     precedes a's and rank[b] is b's place, in payload order, in its fiber
     over Z.  A face or degeneracy of (a, b) is the pair of the components'
-    faces or degeneracies, so each table entry is one such sum read off the
-    rows of X and Y.  The projections are the coordinate tables, and a pair
-    is determined by its two coordinates, so an entry of P's tables is right
-    exactly when both projections commute with it: their construction-time
-    checks certify P.
+    faces or degeneracies, so each table column is a column of such sums,
+    read off the columns of X and Y at the pairs' coordinates.  The
+    projections are the coordinate tables, and a pair is determined by its
+    two coordinates, so an entry of P's tables is right exactly when both
+    projections commute with it: their construction-time checks certify P.
     """
     X, Y = p.source, q.source
     Z, W = p.target, q.target
@@ -530,21 +593,26 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
         firsts.append(tuple(first))
         seconds.append(tuple(second))
 
-    def table(x_rows, y_rows, n, target):
-        start, rank = starts[target].__getitem__, ranks[target].__getitem__
+    def table(x_cols, y_cols, n, target):
+        at_first, at_second = _getter(firsts[n]), _getter(seconds[n])
+        start, rank = starts[target], ranks[target]
         # a sum above 256 is a fresh int object; reading it back through ids
         # stores one shared object per id instead of one per table entry
-        ids = list(range(len(firsts[target]))).__getitem__
-        return tuple(
-            tuple(map(ids, map(add, map(start, x_rows[a]), map(rank, y_rows[b]))))
-            for a, b in zip(firsts[n], seconds[n])
-        )
+        ids = list(range(len(firsts[target])))
+        cols = []
+        for x_col, y_col in zip(x_cols, y_cols):
+            sums = map(add, _getter(at_first(x_col))(start), _getter(at_second(y_col))(rank))
+            cols.append(_getter(tuple(sums))(ids))
+        return tuple(zip(*cols))
 
-    faces = [None] + [table(X.faces[n], Y.faces[n], n, n - 1) for n in range(1, max_dim + 1)]
+    faces = [None] + [
+        table(X.face_columns[n], Y.face_columns[n], n, n - 1) for n in range(1, max_dim + 1)
+    ]
     degeneracies = None
     if X.has_degeneracies and Y.has_degeneracies:
         degeneracies = [
-            table(X.degeneracies[n], Y.degeneracies[n], n, n + 1) for n in range(max_dim)
+            table(X.degeneracy_columns[n], Y.degeneracy_columns[n], n, n + 1)
+            for n in range(max_dim)
         ]
     payloads = []
     for n in range(max_dim + 1):

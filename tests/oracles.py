@@ -1,17 +1,20 @@
 """Reference implementations the tests check the library against.
 
 Each name here is either a slower, payload-level route to something the
-library computes on table rows, an order-theoretic notion the library
-itself never needs, or a renumbering that gives the routes ids out of
-payload order to agree on.  None of them is used by csx.
+library computes on table rows, the row-at-a-time loop a check or table
+the library now runs on whole columns replaced, an order-theoretic notion
+the library itself never needs, or a renumbering that gives the routes ids
+out of payload order to agree on.  None of them is used by csx.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import add
 
 from csx.bundles import BundleTotalSpace
+from csx.homology import SmithForm, SparseMatrix
 from csx.delta import MonotoneOp, monotone_ops, peel
 from csx.perms import (
     Word,
@@ -29,6 +32,7 @@ from csx.simpset import (
     CircularPermutation,
     SimplicialMap,
     TruncatedSimplicialSet,
+    _payload_order,
     build_S,
     build_SC,
     build_delta,
@@ -375,3 +379,151 @@ def shuffled_ids(X, seed):
             level["degeneracies"] = [[new_id[n + 1][s] for s in rows[k]] for k in order]
         dims.append(level)
     return sset_from_json({"max_dim": X.max_dim, "dims": dims}), orders
+
+
+# ---------------------------------------------------------------------------
+# checks and tables one row at a time
+#
+# The library reads these on whole columns; the row loops below are the
+# definitions its messages, first errors, tables and verdicts must match.
+
+
+def audit_identities_by_rows(X: TruncatedSimplicialSet) -> list[str]:
+    """All violations of the simplicial identities inside the truncation."""
+    bad = []
+    faces, degeneracies = X.faces, X.degeneracies
+    for n in range(2, X.max_dim + 1):
+        lower = faces[n - 1]
+        for k, row in enumerate(faces[n]):
+            for j in range(1, n + 1):
+                dj = lower[row[j]]
+                for i in range(j):
+                    if dj[i] != lower[row[i]][j - 1]:
+                        bad.append(f"d{i} d{j} != d{j-1} d{i} at dim {n} id {k}")
+    if not X.has_degeneracies:
+        return bad
+    for n in range(X.max_dim - 1):
+        upper = degeneracies[n + 1]
+        for k, row in enumerate(degeneracies[n]):
+            for i in range(n + 1):
+                si = upper[row[i]]
+                for j in range(i, n + 1):
+                    if upper[row[j]][i] != si[j + 1]:
+                        bad.append(f"s{i} s{j} != s{j+1} s{i} at dim {n} id {k}")
+    for n in range(X.max_dim):
+        # at n == 0 the only index pairs are i == j and i == j + 1
+        below = degeneracies[n - 1] if n else None
+        face_rows, upper = faces[n], faces[n + 1]
+        for k, row in enumerate(degeneracies[n]):
+            for j, sj in enumerate(row):
+                for i, got in enumerate(upper[sj]):
+                    if i == j or i == j + 1:
+                        want = k
+                    elif i < j:
+                        want = below[face_rows[k][i]][j - 1]
+                    else:
+                        want = below[face_rows[k][i - 1]][j]
+                    if got != want:
+                        bad.append(f"d{i} s{j} identity fails at dim {n} id {k}")
+    return bad
+
+
+def map_check_by_rows(self):
+    """SimplicialMap's check, one table entry at a time; self is any (source, target, table)."""
+    X, Y = self.source, self.target
+    if Y.max_dim < X.max_dim:
+        raise ValueError("target truncation too shallow")
+    table = self.table
+    for n in range(1, X.max_dim + 1):
+        below, image, target_rows = table[n - 1], table[n], Y.faces[n]
+        for k, row in enumerate(X.faces[n]):
+            want = target_rows[image[k]]
+            for i, f in enumerate(row):
+                if below[f] != want[i]:
+                    raise ValueError(f"map does not commute with face {i} at dim {n} id {k}")
+    if X.has_degeneracies and Y.has_degeneracies:
+        for n in range(X.max_dim):
+            above, image, target_rows = table[n + 1], table[n], Y.degeneracies[n]
+            for k, row in enumerate(X.degeneracies[n]):
+                want = target_rows[image[k]]
+                for i, s in enumerate(row):
+                    if above[s] != want[i]:
+                        raise ValueError(f"map does not commute with degeneracy {i} at dim {n}")
+
+
+def pullback_by_rows(p: SimplicialMap, q: SimplicialMap):
+    """The levelwise fiber product of p: X -> Z and q: Y -> Z.
+
+    Returns the product object (payload pairs) and its two projections.
+    Pairs get ids in lexicographic order of their payloads: pair (a, b) is
+    start[a] + rank[b], where start[a] counts the pairs whose first payload
+    precedes a's and rank[b] is b's place, in payload order, in its fiber
+    over Z.  A face or degeneracy of (a, b) is the pair of the components'
+    faces or degeneracies, so each table entry is one such sum read off the
+    rows of X and Y.  The projections are the coordinate tables, and a pair
+    is determined by its two coordinates, so an entry of P's tables is right
+    exactly when both projections commute with it: their construction-time
+    checks certify P.
+    """
+    X, Y = p.source, q.source
+    Z, W = p.target, q.target
+    if Z is not W and (Z.payloads, Z.faces, Z.degeneracies) != (W.payloads, W.faces, W.degeneracies):
+        raise ValueError("maps must share a target")
+    if X.max_dim != Y.max_dim:
+        raise ValueError("sources must share a truncation level")
+    max_dim = X.max_dim
+    starts, ranks, firsts, seconds = [], [], [], []
+    for n in range(max_dim + 1):
+        fibers, rank = q.fibers[n]
+        image = p.table[n]
+        start = [0] * X.simplex_count(n)
+        first, second = [], []
+        for a in _payload_order(X.payloads[n]):
+            start[a] = len(second)
+            fiber = fibers.get(image[a], ())
+            first += [a] * len(fiber)
+            second += fiber
+        starts.append(start)
+        ranks.append(rank)
+        firsts.append(tuple(first))
+        seconds.append(tuple(second))
+
+    def table(x_rows, y_rows, n, target):
+        start, rank = starts[target].__getitem__, ranks[target].__getitem__
+        # a sum above 256 is a fresh int object; reading it back through ids
+        # stores one shared object per id instead of one per table entry
+        ids = list(range(len(firsts[target]))).__getitem__
+        return tuple(
+            tuple(map(ids, map(add, map(start, x_rows[a]), map(rank, y_rows[b]))))
+            for a, b in zip(firsts[n], seconds[n])
+        )
+
+    faces = [None] + [table(X.faces[n], Y.faces[n], n, n - 1) for n in range(1, max_dim + 1)]
+    degeneracies = None
+    if X.has_degeneracies and Y.has_degeneracies:
+        degeneracies = [
+            table(X.degeneracies[n], Y.degeneracies[n], n, n + 1) for n in range(max_dim)
+        ]
+    payloads = []
+    for n in range(max_dim + 1):
+        xs, ys = X.payloads[n], Y.payloads[n]
+        payloads.append(tuple((xs[a], ys[b]) for a, b in zip(firsts[n], seconds[n])))
+    P = TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
+    return P, SimplicialMap(P, X, firsts), SimplicialMap(P, Y, seconds)
+
+
+def verify_transforms_by_rows(matrix, sf: SmithForm) -> bool:
+    """Exact check that left * M * right is the diagonal of invariant factors."""
+    if sf.left is None or sf.right is None:
+        return False
+    M = matrix.to_dense() if isinstance(matrix, SparseMatrix) else matrix
+    R, C = sf.shape
+    MV = [[sum(M[i][k] * sf.right[k][j] for k in range(C)) for j in range(C)] for i in range(R)]
+    for i in range(R):
+        Urow = sf.left[i]
+        for j in range(C):
+            v = sum(Urow[k] * MV[k][j] for k in range(R))
+            want = sf.factors[i] if i == j and i < len(sf.factors) else 0
+            if v != want:
+                return False
+    return True

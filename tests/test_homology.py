@@ -10,6 +10,7 @@ from csx import homology
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, total_space
 from csx.homology import (
     ChainComplexData,
+    SmithForm,
     SparseMatrix,
     export_sparse_matrix,
     homology_report,
@@ -19,6 +20,7 @@ from csx.homology import (
     verify_transforms,
 )
 from csx.simpset import build_C, build_S, build_SC, build_delta
+from oracles import verify_transforms_by_rows
 
 # invariant factors computed from determinant divisors:
 # d1 = gcd of entries, d2 = gcd of 2x2 minors, d3 = |det|
@@ -252,3 +254,59 @@ def test_homology_report_json_and_pretty():
     assert obj["H"][0] == {"betti": 1, "torsion": []}
     assert rep.pretty(0) == "Z"
     assert rep.pretty(2) == "0"
+
+
+# ---------------------------------------------------------------------------
+# certificate re-verification
+
+
+def test_verify_transforms_matches_row_loop():
+    rng = random.Random(5)
+    for _ in range(60):
+        R, C = rng.randrange(1, 7), rng.randrange(1, 7)
+        M = [[rng.randrange(-5, 6) for _ in range(C)] for _ in range(R)]
+        sf = smith_normal_form(M, transforms=True)
+        assert verify_transforms(M, sf) is verify_transforms_by_rows(M, sf) is True
+        assert verify_transforms(SparseMatrix.from_dense(M), sf)
+        for which in ("left", "right"):
+            T = [row[:] for row in getattr(sf, which)]
+            row = rng.choice(T)
+            row[rng.randrange(len(row))] += rng.choice((-1, 1))
+            forged = SmithForm(sf.shape, sf.factors, **{"left": sf.left, "right": sf.right, which: T})
+            assert verify_transforms(M, forged) == verify_transforms_by_rows(M, forged)
+
+
+def test_verify_transforms_rejects_a_shape_not_the_matrix_own():
+    # the 1x1 corner of a rank-2 matrix, passed off as its whole Smith form
+    assert not verify_transforms([[1, 5], [7, 0]], SmithForm((1, 1), (1,), [[1]], [[1]]))
+
+
+def _padded(T):
+    """T with an extra zero row and column, and a 1 in the new corner."""
+    return [row + [0] for row in T] + [[0] * len(T) + [1]]
+
+
+def test_verify_transforms_rejects_a_left_transform_with_an_extra_row_and_column():
+    sf = smith_normal_form(CLASSIC, transforms=True)
+    assert not verify_transforms(CLASSIC, SmithForm(sf.shape, sf.factors, _padded(sf.left), sf.right))
+
+
+def test_verify_transforms_rejects_a_right_transform_with_an_extra_row_and_column():
+    sf = smith_normal_form(CLASSIC, transforms=True)
+    assert not verify_transforms(CLASSIC, SmithForm(sf.shape, sf.factors, sf.left, _padded(sf.right)))
+
+
+@pytest.mark.parametrize(
+    "M, factors",
+    [([[2, 0], [0, 3]], (2, 3)), ([[-1]], (-1,)), ([[0]], (0,)), ([[1]], (1, 1))],
+    ids=["not-dividing", "negative", "zero", "too-many"],
+)
+def test_verify_transforms_rejects_factors_that_are_no_smith_form(M, factors):
+    identity = lambda n: [[int(i == j) for j in range(n)] for i in range(n)]
+    sf = SmithForm((len(M), len(M[0])), factors, identity(len(M)), identity(len(M[0])))
+    assert not verify_transforms(M, sf)
+
+
+def test_verify_transforms_rejects_a_ragged_matrix():
+    sf = SmithForm((2, 2), (1,), [[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    assert not verify_transforms([[1, 0], [0]], sf)

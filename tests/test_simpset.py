@@ -1,10 +1,13 @@
 """Truncated simplicial sets: builders, audits, maps, and serialization."""
 
 import json
+import random
 from math import comb, factorial
+from types import SimpleNamespace
 
 import pytest
 
+from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, total_space
 from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse, tau
 from csx.simpset import (
     CircularPermutation,
@@ -33,7 +36,10 @@ from csx.simpset import (
     yoneda,
 )
 from oracles import (
+    audit_identities_by_rows,
+    map_check_by_rows,
     pullback_by_payload,
+    pullback_by_rows,
     pullback_tables,
     sc_degeneracy,
     sc_is_degenerate,
@@ -268,6 +274,7 @@ def test_pullback_matches_payload_rules_over_yoneda_maps():
         for g in all_perms(n):
             y = yoneda(SC, n, SC.id_of(n, quotient_circ(g)))
             assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_payload(y, q))
+            assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_rows(y, q))
 
 
 def test_pullback_matches_payload_rules_on_unsorted_ids():
@@ -278,6 +285,7 @@ def test_pullback_matches_payload_rules_on_unsorted_ids():
     shuffled = SimplicialMap(S, q.target, table)
     for p, r in ((shuffled, shuffled), (shuffled, q), (q, shuffled)):
         assert pullback_tables(pullback(p, r)) == pullback_tables(pullback_by_payload(p, r))
+        assert pullback_tables(pullback(p, r)) == pullback_tables(pullback_by_rows(p, r))
 
 
 @pytest.mark.parametrize(
@@ -416,6 +424,13 @@ def test_map_check_catches_a_wrong_degeneracy():
         SimplicialMap(S, S, [(0,), (1, 0)])
 
 
+def test_map_check_refuses_a_table_shorter_than_its_source_level():
+    S = build_S(2)
+    table = [tuple(range(S.simplex_count(n))) for n in range(3)]
+    with pytest.raises(ValueError):
+        SimplicialMap(S, S, table[:2] + [table[2][:-1]])
+
+
 def test_quotient_map_is_built_once_per_depth():
     q = quotient_map(4)
     assert quotient_map(4) is q
@@ -464,3 +479,173 @@ def test_tau_class_generates_sc_one_dim():
     # dimension 1 of the quotient: a single class through tau
     assert quotient_circ(tau(1)) == quotient_circ(cyclic_word(1, 0))
     assert len(all_circular(1)) == 1
+
+
+# ---------------------------------------------------------------------------
+# column checks against the row-loop references
+
+
+def _rp3_total(max_dim):
+    """The degree-2 bundle over the tetrahedron boundary, up to max_dim."""
+    decor = decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 1)))
+    return total_space(decor, max_dim=max_dim)
+
+
+def _with_one_entry_changed(X, rng):
+    """A copy of X with one random face or degeneracy entry set to another id."""
+    spots = [("faces", n, n - 1) for n in range(1, X.max_dim + 1)]
+    if X.has_degeneracies:
+        spots += [("degeneracies", n, n + 1) for n in range(X.max_dim)]
+    kind, n, target = rng.choice(
+        [s for s in spots if X.simplex_count(s[1]) and X.simplex_count(s[2]) > 1]
+    )
+    level = [list(row) for row in getattr(X, kind)[n]]
+    row = level[rng.randrange(len(level))]
+    i = rng.randrange(n + 1)
+    row[i] = rng.choice([v for v in range(X.simplex_count(target)) if v != row[i]])
+    tables = {"faces": X.faces, "degeneracies": X.degeneracies}
+    tables[kind] = [*tables[kind][:n], tuple(map(tuple, level)), *tables[kind][n + 1 :]]
+    return TruncatedSimplicialSet(X.max_dim, X.payloads, tables["faces"], tables["degeneracies"])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_S(5), lambda: build_SC(6), lambda: _rp3_total(6).total, lambda: boundary_delta(3)],
+    ids=["S5", "SC6", "rp3_total6", "boundary3"],
+)
+def test_audit_messages_match_row_loops_under_corruption(build):
+    X = build()
+    assert audit_identities(X) == audit_identities_by_rows(X) == []
+    rng = random.Random(8)
+    caught = 0
+    for _ in range(12):
+        broken = _with_one_entry_changed(X, rng)
+        bad = audit_identities(broken)
+        assert bad == audit_identities_by_rows(broken)
+        caught += bool(bad)
+    assert caught
+
+
+def _map_error(check):
+    try:
+        check()
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: quotient_map(5), lambda: _rp3_total(5).pulled_along],
+    ids=["quotient5", "decoration5"],
+)
+def test_map_check_first_error_matches_row_loop(build):
+    f = build()
+    X, Y = f.source, f.target
+    rng = random.Random(21)
+    errors = 0
+    dims = [n for n in range(X.max_dim + 1) if Y.simplex_count(n) > 1]
+    for _ in range(20):
+        n = rng.choice(dims)
+        table = [list(level) for level in f.table]
+        k = rng.randrange(len(table[n]))
+        table[n][k] = rng.choice([v for v in range(Y.simplex_count(n)) if v != table[n][k]])
+        ours = _map_error(lambda: SimplicialMap(X, Y, table))
+        theirs = _map_error(lambda: map_check_by_rows(SimpleNamespace(source=X, target=Y, table=table)))
+        assert ours == theirs
+        errors += ours is not None
+    assert errors
+
+
+# ---------------------------------------------------------------------------
+# levels with zero simplices and with one
+
+# a vertex and a loop, nothing in dimension 2: face-only
+LOOP = {
+    "max_dim": 2,
+    "dims": [
+        {"payloads": ["v"], "faces": [[]]},
+        {"payloads": ["e"], "faces": [[0, 0]]},
+        {"payloads": [], "faces": []},
+    ],
+}
+# the point: one simplex in every dimension
+POINT = {
+    "max_dim": 2,
+    "dims": [
+        {"payloads": ["v"], "faces": [[]], "degeneracies": [[0]]},
+        {"payloads": ["s0v"], "faces": [[0, 0]], "degeneracies": [[0, 0]]},
+        {"payloads": ["s0s0v"], "faces": [[0, 0, 0]]},
+    ],
+}
+# no simplices at all
+EMPTY = {
+    "max_dim": 2,
+    "dims": [
+        {"payloads": [], "faces": [], "degeneracies": []},
+        {"payloads": [], "faces": [], "degeneracies": []},
+        {"payloads": [], "faces": []},
+    ],
+}
+
+
+def _identity(X):
+    return [tuple(range(X.simplex_count(n))) for n in range(X.max_dim + 1)]
+
+
+@pytest.mark.parametrize("obj", [LOOP, POINT, EMPTY], ids=["loop", "point", "empty"])
+def test_edge_levels_audit_map_check_and_pullback(obj):
+    X = sset_from_json(obj)
+    assert audit_identities(X) == audit_identities_by_rows(X) == []
+    f = SimplicialMap(X, X, _identity(X))
+    P, p1, p2 = pullback(f, f)
+    assert pullback_tables((P, p1, p2)) == pullback_tables(pullback_by_rows(f, f))
+    assert [P.simplex_count(n) for n in range(3)] == [X.simplex_count(n) for n in range(3)]
+    assert audit_identities(P) == []
+
+
+def test_edge_levels_map_into_the_point_and_out_of_the_empty_set():
+    point, empty = sset_from_json(POINT), sset_from_json(EMPTY)
+    to_point = SimplicialMap(point, point, [(0,), (0,), (0,)])
+    from_empty = SimplicialMap(empty, point, [(), (), ()])
+    P, _, _ = pullback(from_empty, to_point)
+    assert [P.simplex_count(n) for n in range(3)] == [0, 0, 0]
+    assert pullback_tables(pullback(from_empty, to_point)) == pullback_tables(
+        pullback_by_rows(from_empty, to_point)
+    )
+
+
+def test_edge_levels_single_simplex_errors_match_row_loops():
+    # an edge from a to b, nothing above: swapping the vertices breaks face 0
+    edge = sset_from_json(
+        {
+            "max_dim": 2,
+            "dims": [
+                {"payloads": ["a", "b"], "faces": [[], []]},
+                {"payloads": ["e"], "faces": [[1, 0]]},
+                {"payloads": [], "faces": []},
+            ],
+        }
+    )
+    swap = [(1, 0), (0,), ()]
+    ours = _map_error(lambda: SimplicialMap(edge, edge, swap))
+    assert ours == "map does not commute with face 0 at dim 1 id 0"
+    assert ours == _map_error(
+        lambda: map_check_by_rows(SimpleNamespace(source=edge, target=edge, table=swap))
+    )
+    # one triangle whose faces do not close up: the import reports the first violation
+    obj = {
+        "max_dim": 2,
+        "dims": [
+            {"payloads": ["a", "b"], "faces": [[], []]},
+            {"payloads": ["e0", "e1"], "faces": [[1, 0], [0, 0]]},
+            {"payloads": ["t"], "faces": [[1, 0, 0]]},
+        ],
+    }
+    payloads = [tuple(level["payloads"]) for level in obj["dims"]]
+    faces = [None] + [tuple(map(tuple, level["faces"])) for level in obj["dims"][1:]]
+    X = TruncatedSimplicialSet(2, payloads, faces, None)
+    bad = audit_identities(X)
+    assert bad and bad == audit_identities_by_rows(X)
+    with pytest.raises(ValueError, match="^imported tables fail the identity audit: " + bad[0] + "$"):
+        sset_from_json(obj)
