@@ -10,12 +10,13 @@ independent check on the pullback route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
+from operator import add
 
 from .perms import (
     Word,
     apply_operator_word,
-    cyclic_word,
     inverse,
     is_perm_word,
     multiply,
@@ -240,7 +241,8 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     Dimension m holds the pairs (xi, act(xi)(g) . rot) over monotone
     xi: [m] -> [n] and rotations rot; faces and degeneracies act with the
     same index on both coordinates.  The word act(xi)(g) is computed once
-    per xi; the tables are built on the id pairs of build_delta and build_S,
+    per xi and rotated by slicing; the tables are built on the id pairs of
+    build_delta and build_S,
     and the projection and classifying maps are their coordinates.  max_dim
     should be at least n + 1 to include the top cells of the bundle.
     """
@@ -256,7 +258,7 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
         level = []
         for j, xi in enumerate(D.payloads[m]):
             moved = apply_operator_word(xi, n + 1, g)
-            level += [(j, S.id_of(m, multiply(moved, cyclic_word(m, k)))) for k in range(m + 1)]
+            level += [(j, S.id_of(m, moved[-k:] + moved[:-k])) for k in range(m + 1)]
         pair_lists.append(level)
     total, on_D, on_S = from_id_pairs(D, S, pair_lists)
     return BundleTotalSpace(total, D, SimplicialMap(total, D, on_D), SimplicialMap(total, S, on_S))
@@ -285,6 +287,12 @@ def _pushforward_op(vals: tuple[int, ...], g_inv: Word) -> tuple[int, ...]:
     return tuple(sorted(g_inv[v] for v in vals))
 
 
+@lru_cache(maxsize=1)
+def _twisted_simplex(n: int, max_dim: int) -> TruncatedSimplicialSet:
+    """C x_tau Delta[n], shared by consecutive words g of degree n at one depth."""
+    return twisted_product(build_C(max_dim), build_delta(n, max_dim))
+
+
 def upsilon_comparison(g: Word, max_dim: int | None = None) -> bool:
     """Check that E_of(inverse(g)) is the order-reoriented twisted product.
 
@@ -292,32 +300,39 @@ def upsilon_comparison(g: Word, max_dim: int | None = None) -> bool:
     decoration (h, xi) -> h . act(xi)(g); reorienting along it must give
     E_of(inverse(g)) under the pairing that inverts the decorating word and
     pushes the base coordinate forward along g.  The word act(xi)(g) is
-    computed once per operator xi and shared by the simplices (h, xi).
-    Returns False on any mismatch.
+    computed once per operator xi and shared by the simplices (h, xi).  Both
+    maps are id tables; the pairing finds each simplex of E by the code
+    d * |S(m)| + s of its coordinates.  Returns False on any mismatch.
     """
     n = len(g) - 1
     if max_dim is None:
         max_dim = n + 1
     g_inv = inverse(g)
-    E = E_of(g_inv, max_dim).total
-    D = build_delta(n, max_dim)
-    X = twisted_product(build_C(max_dim), D)
-    S = build_S(max_dim)
-    moved = {xi: apply_operator_word(xi, n + 1, g) for level in D.payloads for xi in level}
-
-    def decor_word(p):
-        h, xi = p
-        return multiply(h, moved[xi])
-
-    a = SimplicialMap.from_payload_fn(X, S, lambda m, p: decor_word(p))
-    Y = reorient_upsilon(X, a)
-
-    def paired(m, p):
-        return (_pushforward_op(p[1], g_inv), inverse(decor_word(p)))
-
+    bundle = E_of(g_inv, max_dim)
+    E, D, S = bundle.total, build_delta(n, max_dim), build_S(max_dim)
+    X = _twisted_simplex(n, max_dim)
+    decor, paired = [], []
+    for m, level in enumerate(X.payloads):
+        moved = {xi: apply_operator_word(xi, n + 1, g) for xi in D.payloads[m]}
+        pushed = {xi: D.id_of(m, _pushforward_op(xi, g_inv)) for xi in D.payloads[m]}
+        words = [multiply(h, moved[xi]) for h, xi in level]
+        decor.append(tuple(S.id_of(m, w) for w in words))
+        width = S.simplex_count(m)
+        codes = map(add, map(width.__mul__, bundle.projection.table[m]), bundle.classifying.table[m])
+        at_code = dict(zip(codes, range(E.simplex_count(m))))
+        try:
+            paired.append(
+                tuple(
+                    at_code[pushed[xi] * width + S.id_of(m, inverse(w))]
+                    for (_, xi), w in zip(level, words)
+                )
+            )
+        except KeyError:
+            return False
+    Y = reorient_upsilon(X, SimplicialMap(X, S, decor))
     try:
-        pairing = SimplicialMap.from_payload_fn(Y, E, paired)
-    except (KeyError, ValueError):
+        pairing = SimplicialMap(Y, E, paired)
+    except ValueError:
         return False
     return all(
         len(set(pairing.table[m])) == E.simplex_count(m) == Y.simplex_count(m)

@@ -19,7 +19,9 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from itertools import product
+from functools import lru_cache
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .bundles import (
@@ -221,39 +223,72 @@ def _check_identities(cfg: RunConfig, target: str, args) -> dict:
     return _check_result(f"identities:{target}", cases, bad[0] if bad else None)
 
 
+def _product_ids(words) -> list[list[int]]:
+    """products[h][f] is the id of h.f, for words numbered in the order given."""
+    index = {w: k for k, w in enumerate(words)}
+    flat = tuple(chain.from_iterable(words))
+    # h applied to every letter of every word, cut back into words
+    return [list(map(index.__getitem__, zip(*[map(h.__getitem__, flat)] * len(h)))) for h in words]
+
+
+def _crossed_block(op, words, products):
+    """The least (f, h, i), as ids, at which op breaks the crossed relation on words.
+
+    products[h][f] is the id of h.f.  For each (h, i) the words op(i, h.f)
+    over all f, gathered from the rows op(i, w) tabulated once per word, are
+    compared in one pass with op(i, h) applied to the letters of the words
+    op(h^-1(i), f) laid end to end.
+    """
+    rows = [[op(i, w) for i in range(len(w))] for w in words]
+    cols = list(zip(*rows))
+    size = len(rows[0][0])
+    flat = [tuple(chain.from_iterable(col)) for col in cols]
+    bad = []
+    for h, (hf, row) in enumerate(zip(products, rows)):
+        at_hf = itemgetter(*hf)
+        for i, j in enumerate(inverse(words[h])):
+            got = at_hf(cols[i])
+            want = tuple(zip(*[map(row[i].__getitem__, flat[j])] * size))
+            if got != want:
+                bad.append((next(f for f, (a, b) in enumerate(zip(got, want)) if a != b), h, i))
+    return min(bad, default=None)
+
+
 def _check_crossed(cfg: RunConfig) -> list[dict]:
     # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
-    # 4 every pair of words is checked, reading op(i, w) from rows tabulated
-    # once per word; above, seeded samples compute their rows per case.
+    # 4 every pair of words is checked on blocks of ids, with the ids of h.f
+    # tabulated once per degree for both relations; above, seeded samples
+    # compute their rows per case, kept per word at degree 5.
     rng = random.Random(cfg.seed)
+    products = {}
     out = []
     for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
         cases = 0
         counterexample = None
         for n in range(1, cfg.max_dim + 1):
-
-            def row(w):
-                return [op(i, w) for i in range(n + 1)]
-
-            read = row
             if n <= 4:
                 words = all_perms(n)
-                pairs = product(words, words)
-                read = {w: row(w) for w in words}.__getitem__
+                if n not in products:
+                    products[n] = _product_ids(words)
+                cases += len(words) ** 2 * (n + 1)
+                bad = _crossed_block(op, words, products[n])
+                if bad:
+                    f, h, i = bad
+                    counterexample = f"n={n} h={words[h]} f={words[f]} i={i}"
             else:
-                pairs = [
-                    (
-                        tuple(rng.sample(range(n + 1), n + 1)),
-                        tuple(rng.sample(range(n + 1), n + 1)),
-                    )
-                    for _ in range(2000)
-                ]
-            for f, h in pairs:
-                got, op_h, op_f = read(multiply(h, f)), read(h), read(f)
-                for i, j in enumerate(inverse(h)):
-                    cases += 1
-                    if got[i] != multiply(op_h[i], op_f[j]) and counterexample is None:
-                        counterexample = f"n={n} h={h} f={f} i={i}"
+
+                def row(w):
+                    return [op(i, w) for i in range(n + 1)]
+
+                read = lru_cache(maxsize=None)(row) if n == 5 else row
+                for _ in range(2000):
+                    f = tuple(rng.sample(range(n + 1), n + 1))
+                    h = tuple(rng.sample(range(n + 1), n + 1))
+                    got, op_h, op_f = read(multiply(h, f)), read(h), read(f)
+                    for i, j in enumerate(inverse(h)):
+                        cases += 1
+                        if got[i] != multiply(op_h[i], op_f[j]) and counterexample is None:
+                            counterexample = f"n={n} h={h} f={f} i={i}"
             if counterexample:
                 break
         out.append(_check_result(f"crossed:{rel}", cases, counterexample))
@@ -287,6 +322,10 @@ def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
         targets = [args.target] if suite == "identities" and args.target else _IDENTITY_TARGETS
         for t in targets:
             checks.append(_check_identities(cfg, t, args))
+        # the later suites build S and SC at depths up to 5 only, where a
+        # rebuild is cheap; the audited ones would stay cached to the end
+        build_S.cache_clear()
+        build_SC.cache_clear()
     if suite in ("crossed", "all"):
         checks.extend(_check_crossed(cfg))
     if suite in ("lemma", "all"):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import permutations
+from itertools import permutations, repeat
 from math import factorial
 from operator import add, itemgetter
 
@@ -122,20 +122,13 @@ class TruncatedSimplicialSet:
             raise ValueError("face-only object has no degeneracy tables")
         return self.degeneracies[n][k][i]
 
-    def face_payload(self, n: int, p, i: int):
-        """The payload of face i of the dimension-n simplex with payload p."""
-        return self.payload(n - 1, self.face(n, self.id_of(n, p), i))
-
-    def degeneracy_payload(self, n: int, p, i: int):
-        """The payload of degeneracy i of the dimension-n simplex with payload p."""
-        return self.payload(n + 1, self.degeneracy(n, self.id_of(n, p), i))
-
 
 def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
     """Assemble tables from per-dimension payload lists and payload-level rules.
 
     Payloads are sorted; a face or degeneracy whose payload is missing from
-    the adjacent level is a construction bug and raises KeyError.
+    the adjacent level is a construction bug and raises KeyError.  Each
+    table column maps the rule over a whole level at one index.
     """
     payloads = [tuple(sorted(level)) for level in payload_lists]
     index = [{p: k for k, p in enumerate(level)} for level in payloads]
@@ -144,9 +137,9 @@ def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
             raise ValueError(f"duplicate payloads in dimension {n}")
 
     def table(fn, n, target):
-        return tuple(
-            tuple(index[target][fn(n, p, i)] for i in range(n + 1)) for p in payloads[n]
-        )
+        level, at = payloads[n], index[target].__getitem__
+        cols = [tuple(map(at, map(fn, repeat(n), level, repeat(i)))) for i in range(n + 1)]
+        return tuple(zip(*cols))
 
     faces = [None] + [table(face_fn, n, n - 1) for n in range(1, max_dim + 1)]
     degeneracies = None
@@ -670,17 +663,15 @@ def reorient_upsilon(X: TruncatedSimplicialSet, decor: SimplicialMap) -> Truncat
     if decor.source is not X:
         raise ValueError("decoration must be defined on the object being reoriented")
 
-    def rewired(structure_map, n):
-        level = []
-        for k in range(X.simplex_count(n)):
-            w = decor.target.payload(n, decor.apply(n, k))
-            level.append(tuple(structure_map(n, k, w[i]) for i in range(n + 1)))
-        return tuple(level)
+    def rewired(rows, n):
+        # row k read at the letters of its decorating word
+        words = map(decor.target.payloads[n].__getitem__, decor.table[n])
+        return tuple(tuple(map(row.__getitem__, w)) for row, w in zip(rows[n], words))
 
-    faces = [None] + [rewired(X.face, n) for n in range(1, X.max_dim + 1)]
+    faces = [None] + [rewired(X.faces, n) for n in range(1, X.max_dim + 1)]
     degeneracies = None
     if X.has_degeneracies:
-        degeneracies = [rewired(X.degeneracy, n) for n in range(X.max_dim)]
+        degeneracies = [rewired(X.degeneracies, n) for n in range(X.max_dim)]
     Y = TruncatedSimplicialSet(X.max_dim, X.payloads, faces, degeneracies)
     assert_valid(Y)
     return Y

@@ -2,28 +2,33 @@
 
 Each name here is either a slower, payload-level route to something the
 library computes on table rows, the row-at-a-time loop a check or table
-the library now runs on whole columns replaced, an order-theoretic notion
-the library itself never needs, or a renumbering that gives the routes ids
-out of payload order to agree on.  None of them is used by csx.
+the library now runs on whole columns replaced, the word-by-word crossed
+sweep the library now runs on blocks of ids, an order-theoretic notion the
+library itself never needs, or a renumbering that gives the routes ids out
+of payload order to agree on.  None of them is used by csx.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
 from operator import add
 
 from csx.bundles import BundleTotalSpace
+from csx.cli import _check_result
 from csx.homology import SmithForm, SparseMatrix
 from csx.delta import MonotoneOp, monotone_ops, peel
 from csx.perms import (
     Word,
+    all_perms,
     apply_operator_word,
     cyclic_power,
     cyclic_word,
     degeneracy_perm,
     degree,
     face_perm,
+    inverse,
     is_perm_word,
     multiply,
     pulled_index,
@@ -42,6 +47,20 @@ from csx.simpset import (
     sset_from_json,
     sset_to_json,
 )
+
+# ---------------------------------------------------------------------------
+# payload lookups the payload-level routes below are written in
+
+
+def face_payload(X, n: int, p, i: int):
+    """The payload of face i of the dimension-n simplex with payload p."""
+    return X.payload(n - 1, X.face(n, X.id_of(n, p), i))
+
+
+def degeneracy_payload(X, n: int, p, i: int):
+    """The payload of degeneracy i of the dimension-n simplex with payload p."""
+    return X.payload(n + 1, X.degeneracy(n, X.id_of(n, p), i))
+
 
 # ---------------------------------------------------------------------------
 # arbitrary maps of ordinals and their factorizations
@@ -211,7 +230,7 @@ def complete_semisimplicial_by_payload(base: TruncatedSimplicialSet, max_dim: in
             return (vals, bp)
         v = eta[i]  # the unique value lost by dropping position i
         squeezed = tuple(w - 1 if w > v else w for w in vals)
-        return (squeezed, base.face_payload(k, bp, v))
+        return (squeezed, face_payload(base, k, bp, v))
 
     def degen_fn(m, p, i):
         eta, bp = p
@@ -249,11 +268,11 @@ def pullback_by_payload(p: SimplicialMap, q: SimplicialMap):
 
     def face_fn(n, pay, i):
         x, y = pay
-        return (X.face_payload(n, x, i), Y.face_payload(n, y, i))
+        return (face_payload(X, n, x, i), face_payload(Y, n, y, i))
 
     def degen_fn(n, pay, i):
         x, y = pay
-        return (X.degeneracy_payload(n, x, i), Y.degeneracy_payload(n, y, i))
+        return (degeneracy_payload(X, n, x, i), degeneracy_payload(Y, n, y, i))
 
     both_degen = X.has_degeneracies and Y.has_degeneracies
     P = from_rules(max_dim, payload_lists, face_fn, degen_fn if both_degen else None)
@@ -304,11 +323,11 @@ def twisted_product_by_payload(G: TruncatedSimplicialSet, X: TruncatedSimplicial
 
     def face_fn(n, p, i):
         h, x = p
-        return (face_perm(i, h), X.face_payload(n, x, pulled_index(h, i)))
+        return (face_perm(i, h), face_payload(X, n, x, pulled_index(h, i)))
 
     def degen_fn(n, p, i):
         h, x = p
-        return (degeneracy_perm(i, h), X.degeneracy_payload(n, x, pulled_index(h, i)))
+        return (degeneracy_perm(i, h), degeneracy_payload(X, n, x, pulled_index(h, i)))
 
     return from_rules(max_dim, payload_lists, face_fn, degen_fn if X.has_degeneracies else None)
 
@@ -527,3 +546,52 @@ def verify_transforms_by_rows(matrix, sf: SmithForm) -> bool:
             if v != want:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# the crossed sweep word by word
+#
+# cli._check_crossed checks the exhaustive degrees on blocks of ids; this is
+# the loop whose case counts and first counterexample it must match.  It
+# reads face_perm and degeneracy_perm from this module, so a test forging
+# them must patch them here as well as in csx.cli.
+
+
+def check_crossed_by_words(cfg) -> list[dict]:
+    # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
+    # 4 every pair of words is checked, reading op(i, w) from rows tabulated
+    # once per word; above, seeded samples compute their rows per case.
+    rng = random.Random(cfg.seed)
+    out = []
+    for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
+        cases = 0
+        counterexample = None
+        for n in range(1, cfg.max_dim + 1):
+
+            def row(w):
+                return [op(i, w) for i in range(n + 1)]
+
+            read = row
+            if n <= 4:
+                words = all_perms(n)
+                pairs = product(words, words)
+                read = {w: row(w) for w in words}.__getitem__
+            else:
+                pairs = [
+                    (
+                        tuple(rng.sample(range(n + 1), n + 1)),
+                        tuple(rng.sample(range(n + 1), n + 1)),
+                    )
+                    for _ in range(2000)
+                ]
+            for f, h in pairs:
+                got, op_h, op_f = read(multiply(h, f)), read(h), read(f)
+                for i, j in enumerate(inverse(h)):
+                    cases += 1
+                    if got[i] != multiply(op_h[i], op_f[j]) and counterexample is None:
+                        counterexample = f"n={n} h={h} f={f} i={i}"
+            if counterexample:
+                break
+        out.append(_check_result(f"crossed:{rel}", cases, counterexample))
+    return out
+

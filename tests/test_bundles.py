@@ -210,6 +210,18 @@ def test_reorientation_comparison():
             assert upsilon_comparison(g)
 
 
+def test_reorientation_comparison_leaves_the_shared_twisted_product_unchanged():
+    from csx.bundles import _twisted_simplex
+
+    g = (2, 0, 1)
+    assert upsilon_comparison(g)
+    X = _twisted_simplex(2, 3)
+    before = sset_tables(X)
+    assert upsilon_comparison(g) and upsilon_comparison(g)
+    assert _twisted_simplex(2, 3) is X
+    assert sset_tables(X) == before
+
+
 def test_operator_action_descends_to_classes():
     for n in (1, 2):
         for m in range(3):

@@ -18,6 +18,8 @@ from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decor
 from csx.cli import RunConfig, effective_cap, main
 from csx.simpset import TruncatedSimplicialSet, from_rules
 
+import oracles
+
 
 def hopf_decoration() -> dict:
     """The JSON form of the degree-1 decoration of the tetrahedron boundary."""
@@ -331,7 +333,8 @@ def test_check_crossed_catches_a_forged_face_at_degree_5(capsys, monkeypatch):
     assert checks["crossed:face"]["counterexample"].startswith("n=5 ")
 
 
-def test_check_lemma_catches_a_swapped_face_entry_in_E(capsys, monkeypatch):
+def _forge_swapped_face_in_E(monkeypatch):
+    """Swap two face entries in the top dimension of E((2, 0, 1)) only."""
     from csx import bundles
 
     real = bundles.E_of
@@ -348,9 +351,55 @@ def test_check_lemma_catches_a_swapped_face_entry_in_E(capsys, monkeypatch):
         return bundle
 
     monkeypatch.setattr(bundles, "E_of", forged)
+
+
+def test_check_lemma_catches_a_swapped_face_entry_in_E(capsys, monkeypatch):
+    _forge_swapped_face_in_E(monkeypatch)
     code, rep = run_json(capsys, "check", "lemma", "--max-dim", "6")
     assert code == 1
     assert _checks_by_name(rep)["lemma:pullback"]["counterexample"] == "g=(2, 0, 1)"
+
+
+def test_check_upsilon_catches_a_swapped_face_entry_in_E(capsys, monkeypatch):
+    # the upsilon lemma reads E at the inverse word: (1, 2, 0) inverts to (2, 0, 1)
+    _forge_swapped_face_in_E(monkeypatch)
+    code, rep = run_json(capsys, "check", "upsilon", "--max-dim", "6")
+    assert code == 1
+    assert _checks_by_name(rep)["lemma:upsilon"]["counterexample"] == "g=(1, 2, 0)"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
+    for max_dim in range(7):
+        cfg = RunConfig(command="check", max_dim=max_dim, seed=seed)
+        assert cli._check_crossed(cfg) == oracles.check_crossed_by_words(cfg)
+
+
+@pytest.mark.parametrize(
+    "rel, faults",
+    [
+        ("face_perm", [((3, 0, 2, 1), 2), ((3, 2, 1, 0), 2)]),
+        ("degeneracy_perm", [((3, 1, 0, 2, 4), 0), ((1, 0, 4, 2, 3), 3)]),
+        ("face_perm", [((5, 0, 4, 1, 3, 2), 4), ((2, 4, 0, 5, 3, 1), 1)]),
+    ],
+    ids=["face-degree-3", "degeneracy-degree-4", "face-degree-5-sampled"],
+)
+def test_crossed_sweep_reports_the_word_by_word_counterexample(monkeypatch, rel, faults):
+    # two planted faults in one degree: the block sweep must still report the
+    # first case the word-by-word loop meets
+    real = getattr(cli, rel)
+
+    def forged(i, f):
+        out = real(i, f)
+        return out[::-1] if (f, i) in faults else out
+
+    for module in (cli, oracles):
+        monkeypatch.setattr(module, rel, forged)
+    cfg = RunConfig(command="check", max_dim=6, seed=3)
+    got = cli._check_crossed(cfg)
+    assert got == oracles.check_crossed_by_words(cfg)
+    bad = next(c for c in got if c["name"] == f"crossed:{rel.split('_')[0]}")
+    assert bad["counterexample"].startswith(f"n={len(faults[0][0]) - 1} ")
 
 
 def test_bundle_builds_its_decoration_map_once(capsys, monkeypatch):

@@ -20,6 +20,7 @@ from csx.simpset import (
     build_S,
     build_SC,
     build_delta,
+    from_id_pairs,
     dumps_canonical,
     evaluate_operator,
     from_rules,
@@ -441,6 +442,23 @@ def test_quotient_map_is_built_once_per_depth():
 def test_from_rules_rejects_duplicates():
     with pytest.raises(ValueError):
         from_rules(0, [[(0,), (0,)]], lambda n, p, i: p)
+
+
+def test_from_id_pairs_edge_levels_and_errors():
+    D, S = build_delta(1, 1), build_S(1)
+    # no pairs at all, and no pair at the top level of a face-only factor
+    X, firsts, seconds = from_id_pairs(D, S, [[], []])
+    assert X.payloads == [(), ()] and X.faces == [None, ()] and X.degeneracies == [()]
+    assert firsts == seconds == [(), ()]
+    edge = boundary_delta(2)
+    X, firsts, seconds = from_id_pairs(edge, S, [[(2, 0), (0, 0)], []])
+    assert X.payloads[0] == (((0,), (0,)), ((2,), (0,))) and X.faces == [None, ()]
+    assert X.degeneracies is None and firsts == [(0, 2), ()] and seconds == [(0, 0), ()]
+    with pytest.raises(ValueError):
+        from_id_pairs(D, S, [[(0, 0), (0, 0)], []])
+    # the faces of (1, 1) are (1, 0) and (0, 0); only the second is a pair
+    with pytest.raises(KeyError):
+        from_id_pairs(D, S, [[(0, 0)], [(1, 1)]])
 
 
 def test_payload_str_forms():
