@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement
-from operator import add
 
 from .perms import (
     Word,
@@ -301,29 +300,23 @@ def upsilon_comparison(g: Word, max_dim: int | None = None) -> bool:
     E_of(inverse(g)) under the pairing that inverts the decorating word and
     pushes the base coordinate forward along g.  The word act(xi)(g) is
     computed once per operator xi and shared by the simplices (h, xi).  Both
-    maps are id tables; the pairing finds each simplex of E by the code
-    d * |S(m)| + s of its coordinates.  Returns False on any mismatch.
+    maps are id tables.  Returns False on any mismatch.
     """
     n = len(g) - 1
     if max_dim is None:
         max_dim = n + 1
     g_inv = inverse(g)
-    bundle = E_of(g_inv, max_dim)
-    E, D, S = bundle.total, build_delta(n, max_dim), build_S(max_dim)
+    E, D, S = E_of(g_inv, max_dim).total, build_delta(n, max_dim), build_S(max_dim)
     X = _twisted_simplex(n, max_dim)
     decor, paired = [], []
     for m, level in enumerate(X.payloads):
         moved = {xi: apply_operator_word(xi, n + 1, g) for xi in D.payloads[m]}
-        pushed = {xi: D.id_of(m, _pushforward_op(xi, g_inv)) for xi in D.payloads[m]}
         words = [multiply(h, moved[xi]) for h, xi in level]
         decor.append(tuple(S.id_of(m, w) for w in words))
-        width = S.simplex_count(m)
-        codes = map(add, map(width.__mul__, bundle.projection.table[m]), bundle.classifying.table[m])
-        at_code = dict(zip(codes, range(E.simplex_count(m))))
         try:
             paired.append(
                 tuple(
-                    at_code[pushed[xi] * width + S.id_of(m, inverse(w))]
+                    E.id_of(m, (_pushforward_op(xi, g_inv), inverse(w)))
                     for (_, xi), w in zip(level, words)
                 )
             )

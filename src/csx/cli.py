@@ -19,7 +19,6 @@ import os
 import random
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -258,7 +257,7 @@ def _check_crossed(cfg: RunConfig) -> list[dict]:
     # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
     # 4 every pair of words is checked on blocks of ids, with the ids of h.f
     # tabulated once per degree for both relations; above, seeded samples
-    # compute their rows per case, kept per word at degree 5.
+    # compute their rows per case.
     rng = random.Random(cfg.seed)
     products = {}
     out = []
@@ -280,11 +279,10 @@ def _check_crossed(cfg: RunConfig) -> list[dict]:
                 def row(w):
                     return [op(i, w) for i in range(n + 1)]
 
-                read = lru_cache(maxsize=None)(row) if n == 5 else row
                 for _ in range(2000):
                     f = tuple(rng.sample(range(n + 1), n + 1))
                     h = tuple(rng.sample(range(n + 1), n + 1))
-                    got, op_h, op_f = read(multiply(h, f)), read(h), read(f)
+                    got, op_h, op_f = row(multiply(h, f)), row(h), row(f)
                     for i, j in enumerate(inverse(h)):
                         cases += 1
                         if got[i] != multiply(op_h[i], op_f[j]) and counterexample is None:
@@ -322,10 +320,6 @@ def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
         targets = [args.target] if suite == "identities" and args.target else _IDENTITY_TARGETS
         for t in targets:
             checks.append(_check_identities(cfg, t, args))
-        # the later suites build S and SC at depths up to 5 only, where a
-        # rebuild is cheap; the audited ones would stay cached to the end
-        build_S.cache_clear()
-        build_SC.cache_clear()
     if suite in ("crossed", "all"):
         checks.extend(_check_crossed(cfg))
     if suite in ("lemma", "all"):
