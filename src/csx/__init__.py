@@ -4,157 +4,23 @@ The package builds the permutation-word objects S and C, the circular
 quotient SC, and triangulated circle bundles over small bases, then checks
 the structural claims (pullback route, order reorientation, crossed
 relations) and computes exact integer homology via Smith normal form.
+
+The top level holds the names of the README's Library section; everything
+else is imported from its module (csx.simpset, csx.bundles, csx.homology,
+csx.perms, csx.delta, csx.cli).
 """
 
-from .perms import (
-    Word,
-    all_perms,
-    apply_operator_word,
-    cyclic_power,
-    cyclic_word,
-    degeneracy_perm,
-    degree,
-    face_perm,
-    identity_perm,
-    inverse,
-    is_perm_word,
-    multiply,
-    pulled_index,
-    tau,
-)
-from .delta import MonotoneOp, monotone_ops
-from .simpset import (
-    CircularPermutation,
-    SimplicialMap,
-    TruncatedSimplicialSet,
-    all_circular,
-    assert_valid,
-    audit_identities,
-    build_C,
-    build_S,
-    build_SC,
-    build_delta,
-    dumps_canonical,
-    evaluate_operator,
-    from_rules,
-    nondegenerate_list,
-    payload_str,
-    pullback,
-    quotient_circ,
-    quotient_map,
-    reorient_upsilon,
-    sc_face,
-    sset_from_json,
-    sset_to_json,
-    twisted_product,
-    yoneda,
-)
-from .homology import (
-    ChainComplexData,
-    HomologyReport,
-    SmithForm,
-    SparseMatrix,
-    export_sparse_matrix,
-    homology_report,
-    normalized_complex,
-    rank_mod_p,
-    smith_normal_form,
-    verify_transforms,
-)
-from .bundles import (
-    FLAT,
-    TWISTED,
-    BundleTotalSpace,
-    Decoration,
-    E_of,
-    Obstruction,
-    TwoCochain,
-    boundary_delta,
-    chern_cochain,
-    complete_semisimplicial,
-    decorate_from_cochain,
-    decoration_from_json,
-    decoration_map,
-    decoration_to_json,
-    extend_decoration,
-    pullback_comparison,
-    solid_delta,
-    sphere_cochain_degree,
-    total_space,
-    upsilon_comparison,
-)
+from .bundles import pullback_comparison, upsilon_comparison
+from .homology import homology_report, normalized_complex
+from .simpset import audit_identities, build_SC
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BundleTotalSpace",
-    "ChainComplexData",
-    "CircularPermutation",
-    "Decoration",
-    "E_of",
-    "FLAT",
-    "HomologyReport",
-    "MonotoneOp",
-    "Obstruction",
-    "SimplicialMap",
-    "SmithForm",
-    "SparseMatrix",
-    "TWISTED",
-    "TruncatedSimplicialSet",
-    "TwoCochain",
-    "Word",
-    "all_circular",
-    "all_perms",
-    "apply_operator_word",
-    "assert_valid",
     "audit_identities",
-    "boundary_delta",
-    "build_C",
-    "build_S",
     "build_SC",
-    "build_delta",
-    "chern_cochain",
-    "complete_semisimplicial",
-    "cyclic_power",
-    "cyclic_word",
-    "decorate_from_cochain",
-    "decoration_from_json",
-    "decoration_map",
-    "decoration_to_json",
-    "degeneracy_perm",
-    "degree",
-    "dumps_canonical",
-    "evaluate_operator",
-    "export_sparse_matrix",
-    "extend_decoration",
-    "face_perm",
-    "from_rules",
     "homology_report",
-    "identity_perm",
-    "inverse",
-    "is_perm_word",
-    "monotone_ops",
-    "multiply",
-    "nondegenerate_list",
     "normalized_complex",
-    "payload_str",
-    "pullback",
     "pullback_comparison",
-    "pulled_index",
-    "quotient_circ",
-    "quotient_map",
-    "rank_mod_p",
-    "reorient_upsilon",
-    "sc_face",
-    "smith_normal_form",
-    "solid_delta",
-    "sphere_cochain_degree",
-    "sset_from_json",
-    "sset_to_json",
-    "tau",
-    "total_space",
-    "twisted_product",
     "upsilon_comparison",
-    "verify_transforms",
-    "yoneda",
 ]

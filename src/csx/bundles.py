@@ -11,8 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement, groupby
+from operator import itemgetter
 
+from .delta import peel
 from .perms import (
     Word,
     apply_operator_word,
@@ -29,7 +31,6 @@ from .simpset import (
     build_S,
     build_SC,
     build_delta,
-    evaluate_operator,
     from_id_pairs,
     from_rules,
     in_payload_order,
@@ -121,14 +122,14 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
         if v in rest:
             return block(m - 1, rest)
         squeezed = tuple(w - (w > v) for w in rest)
-        return map(block(m - 1, squeezed).__getitem__, base.face_columns[eta[-1]][v])
+        return map(block(m - 1, squeezed).__getitem__, base.faces[eta[-1]][v])
 
     def degeneracy_column(m, eta, i):
         return block(m + 1, eta[: i + 1] + eta[i:])
 
     def table(m, column):
         return tuple(
-            chain.from_iterable(zip(*(column(m, eta, i) for i in range(m + 1))) for eta in etas[m])
+            tuple(chain.from_iterable(column(m, eta, i) for eta in etas[m])) for i in range(m + 1)
         )
 
     faces = [None] + [table(m, face_column) for m in range(1, max_dim + 1)]
@@ -178,23 +179,30 @@ class Decoration:
 def decoration_map(decor: Decoration, max_dim: int, completed=None) -> SimplicialMap:
     """The simplicial map induced on the degeneracy completion of the base.
 
-    The completed simplex (eta, b) goes to eta applied to the class of b,
-    evaluated on the tables of SC.
+    The completed simplex (eta, b) goes to eta applied to the class of b.
+    The completion lists its simplices in one block per surjection eta, so
+    each block's image is the column of its b's classes read through the
+    degeneracy columns of SC that eta peels into.
     """
     base = decor.base
     if completed is None:
         completed = complete_semisimplicial(base, max_dim)
     SC = build_SC(max_dim)
-    classes = [
-        [SC.id_of(k, c) for c in level] for k, level in enumerate(decor.assignment[: max_dim + 1])
+    class_of = [
+        {bp: SC.id_of(k, c) for bp, c in zip(base.payloads[k], level)}
+        for k, level in enumerate(decor.assignment[: max_dim + 1])
     ]
     table = []
     for level in completed.payloads:
-        row = []
-        for eta, bp in level:
+        column = []
+        for eta, block in groupby(level, key=itemgetter(0)):
             k = eta[-1]
-            row.append(evaluate_operator(SC, eta, k, classes[k][base.id_of(k, bp)])[1])
-        table.append(tuple(row))
+            ids = map(class_of[k].__getitem__, map(itemgetter(1), block))
+            for i in peel(eta, k)[1]:
+                ids = map(SC.degeneracies[k][i].__getitem__, ids)
+                k += 1
+            column += ids
+        table.append(tuple(column))
     return SimplicialMap(completed, SC, table)
 
 

@@ -349,9 +349,12 @@ def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     boundaries: list[SparseMatrix | None] = [None]
     for n in range(1, X.max_dim + 1):
         entries: dict[tuple[int, int], int] = {}
-        faces, below = X.faces[n], positions[n - 1]
-        for col, k in enumerate(basis[n]):
-            for i, f in enumerate(faces[k]):
+        # entries go in by basis simplex, then face index: the sweep's pivot
+        # choices, and so its speed, follow the insertion order
+        below = positions[n - 1]
+        rows = zip(*(map(face.__getitem__, basis[n]) for face in X.faces[n]))
+        for col, face_row in enumerate(rows):
+            for i, f in enumerate(face_row):
                 row = below.get(f)
                 if row is None:
                     continue

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat
 from math import factorial
-from operator import add, itemgetter
+from operator import add, getitem, itemgetter
 
 from .delta import monotone_ops, peel
 from .perms import (
@@ -74,9 +74,12 @@ def all_circular(n: int) -> list[CircularPermutation]:
 class TruncatedSimplicialSet:
     """Simplices of dimensions 0..max_dim with face and degeneracy tables.
 
-    faces[n][k][i] is the id of the i-th face of simplex k in dimension n,
-    for n >= 1.  degeneracies[n][k][i] is the id in dimension n+1 of the
-    i-th degeneracy, stored for n < max_dim; None for face-only objects.
+    Tables are stored by column: faces[n][i][k] is the id of the i-th face
+    of simplex k in dimension n, for n >= 1, so level n holds n + 1 tuples
+    of ids, one per index i, each as long as the level (an empty level holds
+    n + 1 empty tuples).  degeneracies[n][i][k] is the id in dimension n+1
+    of the i-th degeneracy, stored for n < max_dim; None for face-only
+    objects.  Rows, one per simplex, exist only in the JSON form.
     """
 
     def __init__(self, max_dim, payloads, faces, degeneracies):
@@ -88,18 +91,6 @@ class TruncatedSimplicialSet:
     @cached_property
     def _index(self) -> list[dict]:
         return [{p: k for k, p in enumerate(level)} for level in self.payloads]
-
-    @cached_property
-    def face_columns(self) -> list:
-        """faces[n] transposed: face_columns[n][i][k] is faces[n][k][i]."""
-        return [None] + [_columns(self.faces[n], n + 1) for n in range(1, self.max_dim + 1)]
-
-    @cached_property
-    def degeneracy_columns(self) -> list | None:
-        """degeneracies[n] transposed, or None for face-only objects."""
-        if self.degeneracies is None:
-            return None
-        return [_columns(self.degeneracies[n], n + 1) for n in range(self.max_dim)]
 
     @property
     def has_degeneracies(self) -> bool:
@@ -115,12 +106,12 @@ class TruncatedSimplicialSet:
         return self._index[n][payload]
 
     def face(self, n: int, k: int, i: int) -> int:
-        return self.faces[n][k][i]
+        return self.faces[n][i][k]
 
     def degeneracy(self, n: int, k: int, i: int) -> int:
         if self.degeneracies is None:
             raise ValueError("face-only object has no degeneracy tables")
-        return self.degeneracies[n][k][i]
+        return self.degeneracies[n][i][k]
 
 
 def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
@@ -138,8 +129,7 @@ def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
 
     def table(fn, n, target):
         level, at = payloads[n], index[target].__getitem__
-        cols = [tuple(map(at, map(fn, repeat(n), level, repeat(i)))) for i in range(n + 1)]
-        return tuple(zip(*cols))
+        return tuple(tuple(map(at, map(fn, repeat(n), level, repeat(i)))) for i in range(n + 1))
 
     faces = [None] + [table(face_fn, n, n - 1) for n in range(1, max_dim + 1)]
     degeneracies = None
@@ -174,11 +164,6 @@ def _getter(ids):
     return lambda values: ()
 
 
-def _columns(rows, width: int) -> list[tuple]:
-    """The width columns of a table; a table with no rows has width empty columns."""
-    return list(zip(*rows)) if rows else [()] * width
-
-
 def _mismatches(got: tuple, want: tuple) -> list[int]:
     """The positions at which two equally long tuples differ.
 
@@ -196,10 +181,9 @@ def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
     Each identity at an index pair is checked on a whole level at once:
     both sides are columns of ids, read through the columns of the adjacent
     levels.  Violations are reported by family, then by dimension, id and
-    index pair.  The columns are not kept on X: the audit is the last
-    reader of most objects it runs on, so they would only hold memory.
+    index pair.
     """
-    faces = [None] + [_columns(X.faces[n], n + 1) for n in range(1, X.max_dim + 1)]
+    faces = X.faces
     at_face = [None] + [list(map(_getter, level)) for level in faces[1:]]
     face_bad = []
     for n in range(2, X.max_dim + 1):
@@ -211,7 +195,7 @@ def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
     bad = [f"d{i} d{j} != d{j-1} d{i} at dim {n} id {k}" for n, k, j, i in sorted(face_bad)]
     if not X.has_degeneracies:
         return bad
-    degeneracies = [_columns(X.degeneracies[n], n + 1) for n in range(X.max_dim)]
+    degeneracies = X.degeneracies
     at_degeneracy = [list(map(_getter, level)) for level in degeneracies]
     degeneracy_bad = []
     for n in range(X.max_dim - 1):
@@ -265,15 +249,13 @@ class SimplicialMap:
             raise ValueError("target truncation too shallow")
         table = self.table
         for n in range(1, X.max_dim + 1):
-            bad = _first_mismatch(X.face_columns[n], Y.face_columns[n], table[n - 1], table[n])
+            bad = _first_mismatch(X.faces[n], Y.faces[n], table[n - 1], table[n])
             if bad is not None:
                 k, i = bad
                 raise ValueError(f"map does not commute with face {i} at dim {n} id {k}")
         if X.has_degeneracies and Y.has_degeneracies:
             for n in range(X.max_dim):
-                bad = _first_mismatch(
-                    X.degeneracy_columns[n], Y.degeneracy_columns[n], table[n + 1], table[n]
-                )
+                bad = _first_mismatch(X.degeneracies[n], Y.degeneracies[n], table[n + 1], table[n])
                 if bad is not None:
                     raise ValueError(f"map does not commute with degeneracy {bad[1]} at dim {n}")
 
@@ -353,7 +335,7 @@ def build_delta(n: int, max_dim: int) -> TruncatedSimplicialSet:
 # object per id instead of one per table entry.
 
 
-def _next_columns(lower, n: int, blocks, shift: int, diagonal) -> list[list[int]]:
+def _next_columns(lower, n: int, blocks, shift: int, diagonal) -> tuple[tuple[int, ...], ...]:
     """Columns 0..n of a level of S from the n columns of the level below.
 
     blocks[b] are the target ids whose first letter is b; the first letter a
@@ -368,8 +350,8 @@ def _next_columns(lower, n: int, blocks, shift: int, diagonal) -> list[list[int]
                 col += diagonal(a)
             else:
                 col += map(blocks[a + shift * (i < a)].__getitem__, lower[i - (i > a)])
-        cols.append(col)
-    return cols
+        cols.append(tuple(col))
+    return tuple(cols)
 
 
 def _split(ids: list[int], parts: int) -> list[list[int]]:
@@ -383,7 +365,7 @@ def _face_columns(ids, top: int):
     Face i == a of (a, u) is u; any other is
     (a - [i < a]) * (n - 1)! + (face i - [i > a] of u).
     """
-    cols = [[0, 0], [0, 0]]  # both words of degree 1 have the degree-0 word as faces
+    cols = ((0, 0), (0, 0))  # both words of degree 1 have the degree-0 word as faces
     for n in range(1, top + 1):
         if n > 1:
             below = ids[n - 1]
@@ -397,7 +379,7 @@ def _degeneracy_columns(ids, top: int):
     Degeneracy i == a of (a, u) is a * (n + 1)! + (a * n! + u); any other is
     (a + [i < a]) * (n + 1)! + (degeneracy i - [i > a] of u).
     """
-    cols = [[0]]
+    cols = ((0,),)
     for n in range(top + 1):
         if n:
             blocks, step = _split(ids[n + 1], n + 2), factorial(n)
@@ -412,8 +394,8 @@ def build_S(max_dim: int) -> TruncatedSimplicialSet:
     Each level's tables are computed from the columns of the level below.
     """
     ids = [list(range(factorial(n + 1))) for n in range(max_dim + 1)]
-    faces = [None] + [tuple(zip(*cols)) for cols in _face_columns(ids, max_dim)]
-    degeneracies = [tuple(zip(*cols)) for cols in _degeneracy_columns(ids, max_dim - 1)]
+    faces = [None, *_face_columns(ids, max_dim)]
+    degeneracies = list(_degeneracy_columns(ids, max_dim - 1))
     payloads = [tuple(all_perms(n)) for n in range(max_dim + 1)]
     return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
 
@@ -443,17 +425,17 @@ def build_SC(max_dim: int) -> TruncatedSimplicialSet:
 
     def zero_face(n):
         index = dict(zip(words[n - 1], ids[n - 1]))
-        return [index[_zero_first(face_perm(0, w))] for w in words[n]]
+        return tuple(index[_zero_first(face_perm(0, w))] for w in words[n])
 
     faces, degeneracies = [None], []
     if max_dim:
         # (0, 1) has (0,) as face 1, and (0,) has (0, 1) as degeneracy 0
-        faces.append(tuple(zip(zero_face(1), [0])))
+        faces.append((zero_face(1), (0,)))
         degeneracies.append(((0,),))
     s_faces = _face_columns(ids[1:], max_dim - 1)
-    faces += (tuple(zip(zero_face(n), *cols)) for n, cols in enumerate(s_faces, start=2))
+    faces += ((zero_face(n), *cols) for n, cols in enumerate(s_faces, start=2))
     s_degeneracies = _degeneracy_columns(ids[1:], max_dim - 2)
-    degeneracies += (tuple(zip(ids[n], *cols)) for n, cols in enumerate(s_degeneracies, start=1))
+    degeneracies += ((tuple(ids[n]), *cols) for n, cols in enumerate(s_degeneracies, start=1))
     payloads = [tuple(map(CircularPermutation, level)) for level in words]
     return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
 
@@ -480,9 +462,9 @@ def in_payload_order(X: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
         return X
     ranks = [inverse(order) for order in orders]
 
-    def renumbered(rows, n, target):
-        rank = ranks[target]
-        return tuple(tuple(rank[k] for k in rows[n][a]) for a in orders[n])
+    def renumbered(tables, n, target):
+        at_rank = ranks[target].__getitem__
+        return tuple(tuple(map(at_rank, map(col.__getitem__, orders[n]))) for col in tables[n])
 
     faces = [None] + [renumbered(X.faces, n, n - 1) for n in range(1, X.max_dim + 1)]
     degeneracies = None
@@ -503,10 +485,10 @@ def from_id_pairs(A, B, pair_lists, pulled=None):
     the tables of its two coordinates, per dimension.
     """
 
-    def rule(a_rows, b_rows):
+    def rule(a_tables, b_tables):
         if pulled is None:
-            return lambda n, p, i: (a_rows[n][p[0]][i], b_rows[n][p[1]][i])
-        return lambda n, p, i: (a_rows[n][p[0]][i], b_rows[n][p[1]][pulled[n][p[0]][i]])
+            return lambda n, p, i: (a_tables[n][i][p[0]], b_tables[n][i][p[1]])
+        return lambda n, p, i: (a_tables[n][i][p[0]], b_tables[n][pulled[n][p[0]][i]][p[1]])
 
     both_degen = A.has_degeneracies and B.has_degeneracies
     W = from_rules(
@@ -596,16 +578,13 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
         for x_col, y_col in zip(x_cols, y_cols):
             sums = map(add, _getter(at_first(x_col))(start), _getter(at_second(y_col))(rank))
             cols.append(_getter(tuple(sums))(ids))
-        return tuple(zip(*cols))
+        return tuple(cols)
 
-    faces = [None] + [
-        table(X.face_columns[n], Y.face_columns[n], n, n - 1) for n in range(1, max_dim + 1)
-    ]
+    faces = [None] + [table(X.faces[n], Y.faces[n], n, n - 1) for n in range(1, max_dim + 1)]
     degeneracies = None
     if X.has_degeneracies and Y.has_degeneracies:
         degeneracies = [
-            table(X.degeneracy_columns[n], Y.degeneracy_columns[n], n, n + 1)
-            for n in range(max_dim)
+            table(X.degeneracies[n], Y.degeneracies[n], n, n + 1) for n in range(max_dim)
         ]
     payloads = []
     for n in range(max_dim + 1):
@@ -663,10 +642,14 @@ def reorient_upsilon(X: TruncatedSimplicialSet, decor: SimplicialMap) -> Truncat
     if decor.source is not X:
         raise ValueError("decoration must be defined on the object being reoriented")
 
-    def rewired(rows, n):
-        # row k read at the letters of its decorating word
-        words = map(decor.target.payloads[n].__getitem__, decor.table[n])
-        return tuple(tuple(map(row.__getitem__, w)) for row, w in zip(rows[n], words))
+    def rewired(tables, n):
+        # entry k of column i is entry k of the column at letter i of k's decorating word
+        words = tuple(map(decor.target.payloads[n].__getitem__, decor.table[n]))
+        cols, ks = tables[n], range(len(words))
+        return tuple(
+            tuple(map(getitem, map(cols.__getitem__, map(itemgetter(i), words)), ks))
+            for i in range(n + 1)
+        )
 
     faces = [None] + [rewired(X.faces, n) for n in range(1, X.max_dim + 1)]
     degeneracies = None
@@ -694,14 +677,16 @@ def payload_str(p) -> str:
 
 
 def sset_to_json(X: TruncatedSimplicialSet) -> dict:
+    """The dict form: per dimension the payload strings and one table row per simplex."""
     dims = []
     for n in range(X.max_dim + 1):
+        count = X.simplex_count(n)
         entry = {
-            "payloads": [payload_str(X.payload(n, k)) for k in range(X.simplex_count(n))],
-            "faces": [list(X.faces[n][k]) for k in range(X.simplex_count(n))] if n >= 1 else [[] for _ in range(X.simplex_count(n))],
+            "payloads": [payload_str(X.payload(n, k)) for k in range(count)],
+            "faces": list(map(list, zip(*X.faces[n]))) if n >= 1 else [[] for _ in range(count)],
         }
         if X.has_degeneracies and n < X.max_dim:
-            entry["degeneracies"] = [list(X.degeneracies[n][k]) for k in range(X.simplex_count(n))]
+            entry["degeneracies"] = list(map(list, zip(*X.degeneracies[n])))
         dims.append(entry)
     return {"max_dim": X.max_dim, "dims": dims}
 
@@ -720,14 +705,17 @@ def json_field(obj: dict, key: str):
 
 
 def _read_table(rows, n: int, count: int, bound: int, what: str) -> tuple:
-    """A face or degeneracy table of dimension n: count rows of n + 1 ids below bound."""
+    """A face or degeneracy table of dimension n, read as count rows of n + 1 ids below bound.
+
+    Returns the table's n + 1 columns.
+    """
     if not isinstance(rows, list) or len(rows) != count:
         raise ValueError(f"{what} table missing or wrong size at dim {n}")
     for row in rows:
         shaped = isinstance(row, list) and len(row) == n + 1
         if not shaped or not all(is_json_int(v) and 0 <= v < bound for v in row):
             raise ValueError(f"bad {what} row at dim {n}")
-    return tuple(tuple(row) for row in rows)
+    return tuple(zip(*rows)) if rows else ((),) * (n + 1)
 
 
 def sset_from_json(obj: dict) -> TruncatedSimplicialSet:

@@ -403,14 +403,26 @@ def shuffled_ids(X, seed):
 # ---------------------------------------------------------------------------
 # checks and tables one row at a time
 #
-# The library reads these on whole columns; the row loops below are the
-# definitions its messages, first errors, tables and verdicts must match.
+# The library stores and reads its tables as whole columns; the row loops
+# below are the definitions its messages, first errors, tables and verdicts
+# must match.
+
+
+def rows_of(tables) -> list:
+    """Per level, the rows of a table stored by column; None stays None."""
+    return [None if cols is None else list(zip(*cols)) for cols in tables]
+
+
+def columns_of(rows, width: int) -> tuple:
+    """The width columns of a table level given by its rows."""
+    return tuple(zip(*rows)) if rows else ((),) * width
 
 
 def audit_identities_by_rows(X: TruncatedSimplicialSet) -> list[str]:
     """All violations of the simplicial identities inside the truncation."""
     bad = []
-    faces, degeneracies = X.faces, X.degeneracies
+    faces = rows_of(X.faces)
+    degeneracies = rows_of(X.degeneracies) if X.has_degeneracies else None
     for n in range(2, X.max_dim + 1):
         lower = faces[n - 1]
         for k, row in enumerate(faces[n]):
@@ -453,17 +465,19 @@ def map_check_by_rows(self):
     if Y.max_dim < X.max_dim:
         raise ValueError("target truncation too shallow")
     table = self.table
+    x_faces, y_faces = rows_of(X.faces), rows_of(Y.faces)
     for n in range(1, X.max_dim + 1):
-        below, image, target_rows = table[n - 1], table[n], Y.faces[n]
-        for k, row in enumerate(X.faces[n]):
+        below, image, target_rows = table[n - 1], table[n], y_faces[n]
+        for k, row in enumerate(x_faces[n]):
             want = target_rows[image[k]]
             for i, f in enumerate(row):
                 if below[f] != want[i]:
                     raise ValueError(f"map does not commute with face {i} at dim {n} id {k}")
     if X.has_degeneracies and Y.has_degeneracies:
+        x_degeneracies, y_degeneracies = rows_of(X.degeneracies), rows_of(Y.degeneracies)
         for n in range(X.max_dim):
-            above, image, target_rows = table[n + 1], table[n], Y.degeneracies[n]
-            for k, row in enumerate(X.degeneracies[n]):
+            above, image, target_rows = table[n + 1], table[n], y_degeneracies[n]
+            for k, row in enumerate(x_degeneracies[n]):
                 want = target_rows[image[k]]
                 for i, s in enumerate(row):
                     if above[s] != want[i]:
@@ -512,16 +526,19 @@ def pullback_by_rows(p: SimplicialMap, q: SimplicialMap):
         # a sum above 256 is a fresh int object; reading it back through ids
         # stores one shared object per id instead of one per table entry
         ids = list(range(len(firsts[target]))).__getitem__
-        return tuple(
+        rows = [
             tuple(map(ids, map(add, map(start, x_rows[a]), map(rank, y_rows[b]))))
             for a, b in zip(firsts[n], seconds[n])
-        )
+        ]
+        return columns_of(rows, n + 1)
 
-    faces = [None] + [table(X.faces[n], Y.faces[n], n, n - 1) for n in range(1, max_dim + 1)]
+    x_faces, y_faces = rows_of(X.faces), rows_of(Y.faces)
+    faces = [None] + [table(x_faces[n], y_faces[n], n, n - 1) for n in range(1, max_dim + 1)]
     degeneracies = None
     if X.has_degeneracies and Y.has_degeneracies:
+        x_degeneracies, y_degeneracies = rows_of(X.degeneracies), rows_of(Y.degeneracies)
         degeneracies = [
-            table(X.degeneracies[n], Y.degeneracies[n], n, n + 1) for n in range(max_dim)
+            table(x_degeneracies[n], y_degeneracies[n], n, n + 1) for n in range(max_dim)
         ]
     payloads = []
     for n in range(max_dim + 1):

@@ -343,9 +343,9 @@ def _forge_swapped_face_in_E(monkeypatch):
         bundle = real(g, max_dim)
         if g == (2, 0, 1):
             E = bundle.total
-            top = [list(row) for row in E.faces[E.max_dim]]
-            row = next(row for row in top if row[0] != row[1])
-            row[0], row[1] = row[1], row[0]
+            top = [list(col) for col in E.faces[E.max_dim]]
+            k = next(k for k, (a, b) in enumerate(zip(top[0], top[1])) if a != b)
+            top[0][k], top[1][k] = top[1][k], top[0][k]
             faces = E.faces[:-1] + [tuple(map(tuple, top))]
             bundle.total = TruncatedSimplicialSet(E.max_dim, E.payloads, faces, E.degeneracies)
         return bundle

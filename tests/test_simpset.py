@@ -7,7 +7,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, total_space
+from csx.bundles import (
+    E_of,
+    TwoCochain,
+    boundary_delta,
+    complete_semisimplicial,
+    decorate_from_cochain,
+    total_space,
+)
 from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse, tau
 from csx.simpset import (
     CircularPermutation,
@@ -106,7 +113,7 @@ def test_audit_catches_corruption():
     X = build_delta(2, 3)
     k = X.id_of(2, (0, 1, 2))  # a simplex with three distinct faces
     faces = [None] + [list(map(list, level)) for level in X.faces[1:]]
-    faces[2][k][0], faces[2][k][1] = faces[2][k][1], faces[2][k][0]
+    faces[2][0][k], faces[2][1][k] = faces[2][1][k], faces[2][0][k]
     from csx.simpset import TruncatedSimplicialSet
 
     broken = TruncatedSimplicialSet(
@@ -143,9 +150,12 @@ def test_word_tables_match_payload_rules(max_dim):
 
 
 def _corrupted(X, edit):
-    """A copy of X whose tables edit(faces, degeneracies) changed in place."""
-    faces = [None] + [[list(row) for row in level] for level in X.faces[1:]]
-    degeneracies = [[list(row) for row in level] for level in X.degeneracies]
+    """A copy of X whose tables edit(faces, degeneracies) changed in place.
+
+    The copies are column lists: faces[n][i][k] is face i of simplex k.
+    """
+    faces = [None] + [[list(col) for col in level] for level in X.faces[1:]]
+    degeneracies = [[list(col) for col in level] for level in X.degeneracies]
     edit(faces, degeneracies)
     return TruncatedSimplicialSet(
         X.max_dim,
@@ -160,15 +170,16 @@ def test_audit_reports_each_identity_family():
     word = S.id_of
 
     def face_edit(faces, degeneracies):
-        faces[2][word(2, (0, 1, 2))][0] = word(1, (1, 0))
+        faces[2][0][word(2, (0, 1, 2))] = word(1, (1, 0))
 
     def degeneracy_edit(faces, degeneracies):
-        degeneracies[1][word(1, (1, 0))][1] = word(2, (2, 1, 0))
+        degeneracies[1][1][word(1, (1, 0))] = word(2, (2, 1, 0))
 
     def top_rows_swapped(faces, degeneracies):
         # each top row stays a valid face row, so only d_i s_j can notice
         a, b = word(4, (0, 1, 2, 3, 4)), word(4, (4, 3, 2, 1, 0))
-        faces[4][a], faces[4][b] = faces[4][b], faces[4][a]
+        for col in faces[4]:
+            col[a], col[b] = col[b], col[a]
 
     cases = [
         (face_edit, "d0 d2 != d1 d0 at dim 3 id 0", 16),
@@ -448,11 +459,11 @@ def test_from_id_pairs_edge_levels_and_errors():
     D, S = build_delta(1, 1), build_S(1)
     # no pairs at all, and no pair at the top level of a face-only factor
     X, firsts, seconds = from_id_pairs(D, S, [[], []])
-    assert X.payloads == [(), ()] and X.faces == [None, ()] and X.degeneracies == [()]
+    assert X.payloads == [(), ()] and X.faces == [None, ((), ())] and X.degeneracies == [((),)]
     assert firsts == seconds == [(), ()]
     edge = boundary_delta(2)
     X, firsts, seconds = from_id_pairs(edge, S, [[(2, 0), (0, 0)], []])
-    assert X.payloads[0] == (((0,), (0,)), ((2,), (0,))) and X.faces == [None, ()]
+    assert X.payloads[0] == (((0,), (0,)), ((2,), (0,))) and X.faces == [None, ((), ())]
     assert X.degeneracies is None and firsts == [(0, 2), ()] and seconds == [(0, 0), ()]
     with pytest.raises(ValueError):
         from_id_pairs(D, S, [[(0, 0), (0, 0)], []])
@@ -517,10 +528,10 @@ def _with_one_entry_changed(X, rng):
     kind, n, target = rng.choice(
         [s for s in spots if X.simplex_count(s[1]) and X.simplex_count(s[2]) > 1]
     )
-    level = [list(row) for row in getattr(X, kind)[n]]
-    row = level[rng.randrange(len(level))]
-    i = rng.randrange(n + 1)
-    row[i] = rng.choice([v for v in range(X.simplex_count(target)) if v != row[i]])
+    level = [list(col) for col in getattr(X, kind)[n]]
+    k = rng.randrange(X.simplex_count(n))
+    col = level[rng.randrange(n + 1)]
+    col[k] = rng.choice([v for v in range(X.simplex_count(target)) if v != col[k]])
     tables = {"faces": X.faces, "degeneracies": X.degeneracies}
     tables[kind] = [*tables[kind][:n], tuple(map(tuple, level)), *tables[kind][n + 1 :]]
     return TruncatedSimplicialSet(X.max_dim, X.payloads, tables["faces"], tables["degeneracies"])
@@ -633,6 +644,39 @@ def test_edge_levels_map_into_the_point_and_out_of_the_empty_set():
     )
 
 
+LAYOUT_OBJECTS = {
+    "S": lambda: build_S(4),
+    "C": lambda: build_C(4),
+    "SC": lambda: build_SC(4),
+    "delta2": lambda: build_delta(2, 3),
+    "CxD2": lambda: twisted_product(build_C(3), build_delta(2, 3)),
+    "E201": lambda: E_of((2, 0, 1)).total,
+    "completed_boundary3": lambda: complete_semisimplicial(boundary_delta(3), 4),
+    "rp3_total": lambda: _rp3_total(4).total,
+    "empty": lambda: sset_from_json(EMPTY),
+    "point": lambda: sset_from_json(POINT),
+}
+
+
+@pytest.mark.parametrize("build", LAYOUT_OBJECTS.values(), ids=LAYOUT_OBJECTS.keys())
+def test_tables_hold_one_column_per_index_and_survive_json(build):
+    X = build()
+
+    def assert_columns(level, n):
+        assert isinstance(level, tuple) and len(level) == n + 1
+        assert all(isinstance(col, tuple) and len(col) == X.simplex_count(n) for col in level)
+
+    assert X.faces[0] is None and len(X.faces) == X.max_dim + 1
+    for n in range(1, X.max_dim + 1):
+        assert_columns(X.faces[n], n)
+    if X.has_degeneracies:
+        assert len(X.degeneracies) == X.max_dim
+        for n in range(X.max_dim):
+            assert_columns(X.degeneracies[n], n)
+    Y = sset_from_json(sset_to_json(X))
+    assert Y.faces == X.faces and Y.degeneracies == X.degeneracies
+
+
 def test_edge_levels_single_simplex_errors_match_row_loops():
     # an edge from a to b, nothing above: swapping the vertices breaks face 0
     edge = sset_from_json(
@@ -661,7 +705,7 @@ def test_edge_levels_single_simplex_errors_match_row_loops():
         ],
     }
     payloads = [tuple(level["payloads"]) for level in obj["dims"]]
-    faces = [None] + [tuple(map(tuple, level["faces"])) for level in obj["dims"][1:]]
+    faces = [None] + [tuple(zip(*level["faces"])) for level in obj["dims"][1:]]
     X = TruncatedSimplicialSet(2, payloads, faces, None)
     bad = audit_identities(X)
     assert bad and bad == audit_identities_by_rows(X)
