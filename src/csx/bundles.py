@@ -271,18 +271,19 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     return BundleTotalSpace(total, D, SimplicialMap(total, D, on_D), SimplicialMap(total, S, on_S))
 
 
-def pullback_comparison(g: Word, max_dim: int | None = None) -> bool:
+def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool:
     """Check E_of(g) against the generic pullback route.
 
     The pullback of the quotient along the classifying map of the rotation
     class of g must reproduce E_of(g) verbatim: same payload lists, same
     face and degeneracy tables.  Both constructions number simplices in
-    payload order, so table equality is the whole comparison.
+    payload order, so table equality is the whole comparison.  bundle, if
+    given, is E_of(g, max_dim) built by the caller.
     """
     n = len(g) - 1
     if max_dim is None:
         max_dim = n + 1
-    E = E_of(g, max_dim).total
+    E = (E_of(g, max_dim) if bundle is None else bundle).total
     SC = build_SC(max_dim)
     y = yoneda(SC, n, SC.id_of(n, quotient_circ(g)), max_dim)
     P, _, _ = pullback(y, quotient_map(max_dim))
@@ -300,33 +301,35 @@ def _twisted_simplex(n: int, max_dim: int) -> TruncatedSimplicialSet:
     return twisted_product(build_C(max_dim), build_delta(n, max_dim))
 
 
-def upsilon_comparison(g: Word, max_dim: int | None = None) -> bool:
+def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool:
     """Check that E_of(inverse(g)) is the order-reoriented twisted product.
 
     The twisted product of the rotation group with the n-simplex carries the
     decoration (h, xi) -> h . act(xi)(g); reorienting along it must give
     E_of(inverse(g)) under the pairing that inverts the decorating word and
-    pushes the base coordinate forward along g.  The word act(xi)(g) is
-    computed once per operator xi and shared by the simplices (h, xi).  Both
-    maps are id tables.  Returns False on any mismatch.
+    pushes the base coordinate forward along g.  The word act(xi)(g) and the
+    pushed-forward operator are computed once per operator xi and shared by
+    the simplices (h, xi).  Both maps are id tables.  bundle, if given, is
+    E_of(inverse(g), max_dim) built by the caller.  Returns False on any
+    mismatch.
     """
     n = len(g) - 1
     if max_dim is None:
         max_dim = n + 1
     g_inv = inverse(g)
-    E, D, S = E_of(g_inv, max_dim).total, build_delta(n, max_dim), build_S(max_dim)
+    if bundle is None:
+        bundle = E_of(g_inv, max_dim)
+    E, D, S = bundle.total, build_delta(n, max_dim), build_S(max_dim)
     X = _twisted_simplex(n, max_dim)
     decor, paired = [], []
     for m, level in enumerate(X.payloads):
         moved = {xi: apply_operator_word(xi, n + 1, g) for xi in D.payloads[m]}
+        pushed = {xi: _pushforward_op(xi, g_inv) for xi in D.payloads[m]}
         words = [multiply(h, moved[xi]) for h, xi in level]
         decor.append(tuple(S.id_of(m, w) for w in words))
         try:
             paired.append(
-                tuple(
-                    E.id_of(m, (_pushforward_op(xi, g_inv), inverse(w)))
-                    for (_, xi), w in zip(level, words)
-                )
+                tuple(E.id_of(m, (pushed[xi], inverse(w))) for (_, xi), w in zip(level, words))
             )
         except KeyError:
             return False

@@ -20,11 +20,12 @@ import random
 import sys
 from dataclasses import dataclass
 from itertools import chain
+from math import factorial
 from operator import itemgetter
 from pathlib import Path
 
+from . import bundles
 from .bundles import (
-    E_of,
     boundary_delta,
     chern_cochain,
     decorate_from_cochain,
@@ -43,7 +44,6 @@ from .perms import (
     face_perm,
     inverse,
     is_perm_word,
-    multiply,
 )
 from .simpset import (
     audit_identities,
@@ -159,7 +159,7 @@ def _build_E(max_dim: int, args):
     if not args.g:
         raise ValueError("enumerate E needs --g")
     g = _parse_word(args.g)
-    return E_of(g, max_dim).total, {"g": list(g)}
+    return bundles.E_of(g, max_dim).total, {"g": list(g)}
 
 
 def _build_bundle(max_dim: int, args):
@@ -253,11 +253,39 @@ def _crossed_block(op, words, products):
     return min(bad, default=None)
 
 
+# seeded word pairs drawn per relation at each degree above 4
+_SAMPLES = 2000
+
+
+def _crossed_sampled(op, n: int, rng):
+    """The first (h, f, i) among the seeded pairs of degree n at which op breaks the relation.
+
+    Every pair is drawn, whatever fails, so the rng stream does not depend on
+    op.  A degree with fewer words than pairs has its rows op(i, w) tabulated
+    once per word; above, each pair computes its three rows.  The n + 1
+    words op(i, h.f) of a pair are compared with their values at once.
+    """
+
+    def row(w):
+        return [op(i, w) for i in range(n + 1)]
+
+    if factorial(n + 1) < _SAMPLES:
+        row = {w: row(w) for w in all_perms(n)}.__getitem__
+    first = None
+    for _ in range(_SAMPLES):
+        f = tuple(rng.sample(range(n + 1), n + 1))
+        h = tuple(rng.sample(range(n + 1), n + 1))
+        got, op_h, op_f = row(tuple(map(h.__getitem__, f))), row(h), row(f)
+        want = [tuple(map(a.__getitem__, op_f[j])) for a, j in zip(op_h, inverse(h))]
+        if got != want and first is None:
+            first = (h, f, next(i for i, (a, b) in enumerate(zip(got, want)) if a != b))
+    return first
+
+
 def _check_crossed(cfg: RunConfig) -> list[dict]:
     # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
     # 4 every pair of words is checked on blocks of ids, with the ids of h.f
-    # tabulated once per degree for both relations; above, seeded samples
-    # compute their rows per case.
+    # tabulated once per degree for both relations; above, seeded samples.
     rng = random.Random(cfg.seed)
     products = {}
     out = []
@@ -275,42 +303,59 @@ def _check_crossed(cfg: RunConfig) -> list[dict]:
                     f, h, i = bad
                     counterexample = f"n={n} h={words[h]} f={words[f]} i={i}"
             else:
-
-                def row(w):
-                    return [op(i, w) for i in range(n + 1)]
-
-                for _ in range(2000):
-                    f = tuple(rng.sample(range(n + 1), n + 1))
-                    h = tuple(rng.sample(range(n + 1), n + 1))
-                    got, op_h, op_f = row(multiply(h, f)), row(h), row(f)
-                    for i, j in enumerate(inverse(h)):
-                        cases += 1
-                        if got[i] != multiply(op_h[i], op_f[j]) and counterexample is None:
-                            counterexample = f"n={n} h={h} f={f} i={i}"
+                cases += _SAMPLES * (n + 1)
+                bad = _crossed_sampled(op, n, rng)
+                if bad:
+                    h, f, i = bad
+                    counterexample = f"n={n} h={h} f={f} i={i}"
             if counterexample:
                 break
         out.append(_check_result(f"crossed:{rel}", cases, counterexample))
     return out
 
 
-def _check_wordwise(cfg: RunConfig, name: str, fn) -> dict:
-    # exhaustive through degree 3; seeded samples for higher degrees
+def _check_lemmas(cfg: RunConfig, suite: str) -> list[dict]:
+    """The pullback and upsilon lemmas the suite names, sharing one E(g) per word.
+
+    Both lemmas walk the same words: every word through degree 3, and two
+    seeded words at degree 4.  The comparison of g reads E(g) for the
+    pullback lemma and E(g^-1) for the upsilon lemma, so the comparisons of
+    a degree are grouped by the word of the E they read, which takes the
+    words in pairs {g, g^-1}.  Each E is built once, through bundles.E_of,
+    and dropped once every comparison reading it has run.  Each lemma
+    reports its own first failing word and stops after that degree.
+    """
+    lemmas = [
+        (name, compare, reads)
+        for key, name, compare, reads in (
+            ("lemma", "lemma:pullback", pullback_comparison, lambda g: g),
+            ("upsilon", "lemma:upsilon", upsilon_comparison, inverse),
+        )
+        if suite in (key, "all")
+    ]
     rng = random.Random(cfg.seed)
-    cases = 0
-    counterexample = None
-    top = min(cfg.max_dim - 1, 4)
-    for n in range(0, top + 1):
+    cases = [0] * len(lemmas)
+    found = [None] * len(lemmas)
+    for n in range(min(cfg.max_dim - 1, 4) + 1):
+        live = [k for k, bad in enumerate(found) if bad is None]
+        if not live:
+            break
         if n <= 3:
             words = all_perms(n)
         else:
             words = [tuple(rng.sample(range(n + 1), n + 1)) for _ in range(2)]
+        readers = {}
         for g in words:
-            cases += 1
-            if not fn(g) and counterexample is None:
-                counterexample = f"g={g}"
-        if counterexample:
-            break
-    return _check_result(name, cases, counterexample)
+            for k in live:
+                readers.setdefault(lemmas[k][2](g), []).append((k, g))
+        failed = set()
+        for w, comparisons in readers.items():
+            bundle = bundles.E_of(w, n + 1)
+            failed.update((k, g) for k, g in comparisons if not lemmas[k][1](g, n + 1, bundle))
+        for k in live:
+            cases[k] += len(words)
+            found[k] = next((f"g={g}" for g in words if (k, g) in failed), None)
+    return [_check_result(name, c, bad) for (name, _, _), c, bad in zip(lemmas, cases, found)]
 
 
 def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
@@ -322,10 +367,8 @@ def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
             checks.append(_check_identities(cfg, t, args))
     if suite in ("crossed", "all"):
         checks.extend(_check_crossed(cfg))
-    if suite in ("lemma", "all"):
-        checks.append(_check_wordwise(cfg, "lemma:pullback", pullback_comparison))
-    if suite in ("upsilon", "all"):
-        checks.append(_check_wordwise(cfg, "lemma:upsilon", upsilon_comparison))
+    if suite in ("lemma", "upsilon", "all"):
+        checks.extend(_check_lemmas(cfg, suite))
     if not checks:
         raise ValueError(f"unknown check suite {suite!r}")
     ok = all(c["pass"] for c in checks)

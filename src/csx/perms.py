@@ -22,10 +22,6 @@ def is_perm_word(f) -> bool:
     return isinstance(f, tuple) and sorted(f) == list(range(len(f)))
 
 
-def identity_perm(n: int) -> Word:
-    return tuple(range(n + 1))
-
-
 def multiply(f: Word, h: Word) -> Word:
     """The composite f after h: j -> f(h(j))."""
     assert len(f) == len(h)
@@ -39,11 +35,6 @@ def inverse(f: Word) -> Word:
     return tuple(g)
 
 
-def pulled_index(f: Word, i: int) -> int:
-    """The preimage f^{-1}(i), i.e. the position of the value i in the word."""
-    return f.index(i)
-
-
 def tau(n: int) -> Word:
     """The rotation (n, 0, 1, ..., n-1)."""
     return tuple((j - 1) % (n + 1) for j in range(n + 1))
@@ -54,13 +45,6 @@ def cyclic_word(n: int, k: int) -> Word:
     return tuple((j - k) % (n + 1) for j in range(n + 1))
 
 
-def cyclic_power(f: Word) -> int | None:
-    """The k with f = tau^k, or None if f is not a rotation."""
-    n = degree(f)
-    k = (-f[0]) % (n + 1)
-    return k if f == cyclic_word(n, k) else None
-
-
 def all_perms(n: int) -> list[Word]:
     return sorted(permutations(range(n + 1)))
 
@@ -69,7 +53,7 @@ def face_perm(i: int, f: Word) -> Word:
     """Delete the value i from the word and close the gap in the values.
 
     This is the unique degree n-1 word g with coface(n, i) o g equal to
-    f o coface(n, pulled_index(f, i)) as maps of ordinals.
+    f o coface(n, j) as maps of ordinals, where f(j) = i.
     """
     assert 0 <= i < len(f) and len(f) >= 2
     return tuple([v - 1 if v > i else v for v in f if v != i])

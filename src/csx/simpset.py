@@ -66,9 +66,20 @@ def _circular_words(n: int) -> list[Word]:
     return [(0,) + rest for rest in permutations(range(1, n + 1))]
 
 
+def _unchecked_circular(word: Word) -> CircularPermutation:
+    """Wrap a 0-first permutation word generated here, without re-checking it.
+
+    __post_init__ sorts every word it checks; words read from outside the
+    program go through the checked constructor instead.
+    """
+    c = object.__new__(CircularPermutation)
+    object.__setattr__(c, "word", word)
+    return c
+
+
 def all_circular(n: int) -> list[CircularPermutation]:
     """All rotation classes of degree n, lexicographic by canonical word."""
-    return [CircularPermutation(w) for w in _circular_words(n)]
+    return list(map(_unchecked_circular, _circular_words(n)))
 
 
 class TruncatedSimplicialSet:
@@ -280,14 +291,6 @@ class SimplicialMap:
             out.append((fibers, rank))
         return out
 
-    @classmethod
-    def from_payload_fn(cls, source, target, fn):
-        table = [
-            tuple(target.id_of(n, fn(n, source.payload(n, k))) for k in range(source.simplex_count(n)))
-            for n in range(source.max_dim + 1)
-        ]
-        return cls(source, target, table)
-
 
 def _first_mismatch(source_cols, target_cols, through, image):
     """The least (k, i) with through[source_cols[i][k]] != target_cols[i][image[k]], or None.
@@ -418,7 +421,7 @@ def build_SC(max_dim: int) -> TruncatedSimplicialSet:
     t as face and degeneracy i - 1 of S(n - 1), computed from the columns of
     the level below; degeneracy 0 inserts 1 after the 0, which keeps the id.
     Only face 0 deletes the 0 and rotates the word back to 0-first, once per
-    word.  Each word is then wrapped as a CircularPermutation.
+    word.  Each word is then wrapped as a CircularPermutation, unchecked.
     """
     words = [_circular_words(n) for n in range(max_dim + 1)]
     ids = [list(range(len(level))) for level in words]
@@ -436,7 +439,7 @@ def build_SC(max_dim: int) -> TruncatedSimplicialSet:
     faces += ((zero_face(n), *cols) for n, cols in enumerate(s_faces, start=2))
     s_degeneracies = _degeneracy_columns(ids[1:], max_dim - 2)
     degeneracies += ((tuple(ids[n]), *cols) for n, cols in enumerate(s_degeneracies, start=1))
-    payloads = [tuple(map(CircularPermutation, level)) for level in words]
+    payloads = [tuple(map(_unchecked_circular, level)) for level in words]
     return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
 
 
@@ -510,7 +513,7 @@ def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
     """Pairs (h, x) with the group-twisted structure maps.
 
     G must carry permutation-word payloads (build_S or build_C).  The i-th
-    face acts as face i on the word and as face pulled_index(h, i) on x;
+    face acts as face i on the word and as face h^-1(i) on x;
     degeneracies act the same way.  The tables are built on id pairs, with
     the inverse of each word of G tabulated once; ids follow the payload
     order of the pairs even when those of X do not follow X's.

@@ -3,9 +3,10 @@
 Each name here is either a slower, payload-level route to something the
 library computes on table rows, the row-at-a-time loop a check or table
 the library now runs on whole columns replaced, the word-by-word crossed
-sweep the library now runs on blocks of ids, an order-theoretic notion the
-library itself never needs, or a renumbering that gives the routes ids out
-of payload order to agree on.  None of them is used by csx.
+sweep the library now runs on blocks of ids, an order-theoretic notion or
+a word or map helper the library itself never needs, or a renumbering
+that gives the routes ids out of payload order to agree on.  None of them
+is used by csx.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from csx.perms import (
     Word,
     all_perms,
     apply_operator_word,
-    cyclic_power,
     cyclic_word,
     degeneracy_perm,
     degree,
@@ -31,7 +31,6 @@ from csx.perms import (
     inverse,
     is_perm_word,
     multiply,
-    pulled_index,
 )
 from csx.simpset import (
     CircularPermutation,
@@ -50,6 +49,15 @@ from csx.simpset import (
 
 # ---------------------------------------------------------------------------
 # payload lookups the payload-level routes below are written in
+
+
+def map_from_payload_fn(source, target, fn) -> SimplicialMap:
+    """The map sending the n-simplex with payload p to the one with payload fn(n, p)."""
+    table = [
+        tuple(target.id_of(n, fn(n, source.payload(n, k))) for k in range(source.simplex_count(n)))
+        for n in range(source.max_dim + 1)
+    ]
+    return SimplicialMap(source, target, table)
 
 
 def face_payload(X, n: int, p, i: int):
@@ -132,6 +140,22 @@ def sort_factorization(phi) -> tuple[MonotoneOp, tuple[int, ...]]:
 # words and rotation classes
 
 
+def identity_perm(n: int) -> Word:
+    return tuple(range(n + 1))
+
+
+def pulled_index(f: Word, i: int) -> int:
+    """The preimage f^{-1}(i), i.e. the position of the value i in the word."""
+    return f.index(i)
+
+
+def cyclic_power(f: Word) -> int | None:
+    """The k with f = tau^k, or None if f is not a rotation."""
+    n = degree(f)
+    k = (-f[0]) % (n + 1)
+    return k if f == cyclic_word(n, k) else None
+
+
 def is_degenerate_at(f: Word, i: int) -> bool:
     """True iff the value i+1 sits immediately after the value i."""
     j = f.index(i)
@@ -196,7 +220,7 @@ def decoration_map_by_payload(decor, completed) -> SimplicialMap:
         k = eta[-1]
         return apply_operator_circ(eta, k + 1, decor.value(k, base.id_of(k, bp)))
 
-    return SimplicialMap.from_payload_fn(completed, build_SC(completed.max_dim), fn)
+    return map_from_payload_fn(completed, build_SC(completed.max_dim), fn)
 
 
 # ---------------------------------------------------------------------------
@@ -276,8 +300,8 @@ def pullback_by_payload(p: SimplicialMap, q: SimplicialMap):
 
     both_degen = X.has_degeneracies and Y.has_degeneracies
     P = from_rules(max_dim, payload_lists, face_fn, degen_fn if both_degen else None)
-    proj1 = SimplicialMap.from_payload_fn(P, X, lambda n, pay: pay[0])
-    proj2 = SimplicialMap.from_payload_fn(P, Y, lambda n, pay: pay[1])
+    proj1 = map_from_payload_fn(P, X, lambda n, pay: pay[0])
+    proj2 = map_from_payload_fn(P, Y, lambda n, pay: pay[1])
     return P, proj1, proj2
 
 
@@ -365,8 +389,8 @@ def E_of_by_payload(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
         return (xi[: i + 1] + xi[i:], degeneracy_perm(i, w))
 
     total = from_rules(max_dim, payload_lists, face_fn, degen_fn)
-    proj = SimplicialMap.from_payload_fn(total, D, lambda m, p: p[0])
-    classifying = SimplicialMap.from_payload_fn(total, S, lambda m, p: p[1])
+    proj = map_from_payload_fn(total, D, lambda m, p: p[0])
+    classifying = map_from_payload_fn(total, S, lambda m, p: p[1])
     return BundleTotalSpace(total, D, proj, classifying)
 
 

@@ -24,7 +24,7 @@ from csx.homology import (
     smith_normal_form,
     verify_transforms,
 )
-from csx.perms import all_perms, degeneracy_perm, face_perm, multiply, pulled_index
+from csx.perms import all_perms, degeneracy_perm, face_perm, multiply
 from csx.simpset import (
     audit_identities,
     build_C,
@@ -34,6 +34,7 @@ from csx.simpset import (
     quotient_map,
     twisted_product,
 )
+from oracles import pulled_index
 
 Z = (1, ())
 ZERO = (0, ())

@@ -186,7 +186,13 @@ def test_negative_simplex_dimension_is_an_input_error(capsys, argv):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("case", ["string max_dim", "list payload", "int value", "top-level list"])
+# SC wraps the words it generates unchecked; a word read from a file is still checked
+_BAD_WORDS = {"unrotated word": "circ:1,0,2", "repeated letter": "circ:0,2,2", "short word": "circ:0,1"}
+
+
+@pytest.mark.parametrize(
+    "case", ["string max_dim", "list payload", "int value", "top-level list", *_BAD_WORDS]
+)
 def test_malformed_decoration_file_is_an_input_error(capsys, tmp_path, case):
     obj = hopf_decoration()
     if case == "string max_dim":
@@ -195,6 +201,8 @@ def test_malformed_decoration_file_is_an_input_error(capsys, tmp_path, case):
         obj["base"]["dims"][0]["payloads"][0] = [0]
     elif case == "int value":
         obj["assignment"][2]["values"][0] = 5
+    elif case in _BAD_WORDS:
+        obj["assignment"][2]["values"][1] = _BAD_WORDS[case]
     else:
         obj = [obj]
     path = tmp_path / "decor.json"
@@ -368,6 +376,39 @@ def test_check_upsilon_catches_a_swapped_face_entry_in_E(capsys, monkeypatch):
     assert _checks_by_name(rep)["lemma:upsilon"]["counterexample"] == "g=(1, 2, 0)"
 
 
+def test_check_all_reports_each_lemma_at_its_own_word(capsys, monkeypatch):
+    # one forged E((2, 0, 1)) serves the pullback lemma at (2, 0, 1) and the
+    # upsilon lemma at its inverse; both stop after degree 2
+    _forge_swapped_face_in_E(monkeypatch)
+    code, rep = run_json(capsys, "check", "all", "--max-dim", "6")
+    checks = _checks_by_name(rep)
+    assert code == 1
+    assert checks["lemma:pullback"]["counterexample"] == "g=(2, 0, 1)"
+    assert checks["lemma:upsilon"]["counterexample"] == "g=(1, 2, 0)"
+    assert checks["lemma:pullback"]["cases"] == checks["lemma:upsilon"]["cases"] == 1 + 2 + 6
+
+
+def test_check_all_builds_each_E_once_per_run(capsys, monkeypatch):
+    from csx import bundles
+
+    real = bundles.E_of
+    calls = []
+
+    def counting(g, max_dim=None):
+        calls.append((g, max_dim))
+        return real(g, max_dim)
+
+    monkeypatch.setattr(bundles, "E_of", counting)
+    argv = ("check", "all", "--max-dim", "6", "--seed", "7")
+    assert run_json(capsys, *argv)[0] == 0
+    # the 33 words of degrees 0-3, and seed 7's two degree-4 words and their
+    # inverses: each E built once, not once per lemma (70)
+    assert len(calls) == len(set(calls)) == 37
+    # a second run builds them all again, so no E outlives its run
+    assert run_json(capsys, *argv)[0] == 0
+    assert calls[37:] == calls[:37]
+
+
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
     for max_dim in range(7):
@@ -381,8 +422,22 @@ def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
         ("face_perm", [((3, 0, 2, 1), 2), ((3, 2, 1, 0), 2)]),
         ("degeneracy_perm", [((3, 1, 0, 2, 4), 0), ((1, 0, 4, 2, 3), 3)]),
         ("face_perm", [((5, 0, 4, 1, 3, 2), 4), ((2, 4, 0, 5, 3, 1), 1)]),
+        # words of the pairs seed 3 draws at the faulty degree: an f of pair
+        # 40 and an h of pair 1500; two faults on one word break a pair at
+        # two indices, of which the first is reported
+        ("degeneracy_perm", [((4, 1, 5, 0, 3, 2), 2), ((2, 4, 3, 5, 1, 0), 5)]),
+        (
+            "face_perm",
+            [((2, 4, 1, 6, 0, 5, 3), 3), ((2, 4, 1, 6, 0, 5, 3), 5), ((6, 5, 1, 2, 4, 0, 3), 6)],
+        ),
     ],
-    ids=["face-degree-3", "degeneracy-degree-4", "face-degree-5-sampled"],
+    ids=[
+        "face-degree-3",
+        "degeneracy-degree-4",
+        "face-degree-5-sampled",
+        "degeneracy-degree-5-sampled",
+        "face-degree-6-sampled",
+    ],
 )
 def test_crossed_sweep_reports_the_word_by_word_counterexample(monkeypatch, rel, faults):
     # two planted faults in one degree: the block sweep must still report the

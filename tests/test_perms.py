@@ -10,16 +10,13 @@ from csx.delta import monotone_ops
 from csx.perms import (
     all_perms,
     apply_operator_word,
-    cyclic_power,
     cyclic_word,
     degeneracy_perm,
     degree,
     face_perm,
-    identity_perm,
     inverse,
     is_perm_word,
     multiply,
-    pulled_index,
     tau,
 )
 from oracles import (
@@ -28,7 +25,10 @@ from oracles import (
     codegeneracy,
     coface,
     compose_ops,
+    cyclic_power,
+    identity_perm,
     is_degenerate_perm,
+    pulled_index,
     sort_factorization,
 )
 

@@ -46,6 +46,7 @@ from csx.simpset import (
 from oracles import (
     audit_identities_by_rows,
     map_check_by_rows,
+    map_from_payload_fn,
     pullback_by_payload,
     pullback_by_rows,
     pullback_tables,
@@ -89,6 +90,19 @@ def test_all_circular_counts():
         assert len(classes) == factorial(n)
         assert len(set(classes)) == len(classes)
 
+
+def test_sc_classes_match_checked_ones():
+    # build_SC and all_circular wrap the words they generate without the
+    # check; each class must equal, hash and print as a checked one
+    SC = build_SC(5)
+    for n, level in enumerate(SC.payloads):
+        checked = tuple(CircularPermutation(c.word) for c in level)
+        assert level == checked and tuple(all_circular(n)) == checked
+        assert list(map(hash, level)) == list(map(hash, checked))
+        assert [payload_str(c) for c in level] == [
+            "circ:" + ",".join(map(str, c.word)) for c in checked
+        ]
+    assert payload_str(SC.payloads[3][1]) == "circ:0,1,3,2"
 
 def test_builder_counts():
     S = build_S(5)
@@ -224,7 +238,7 @@ def test_quotient_fibers():
 @pytest.mark.parametrize("max_dim", range(7))
 def test_quotient_map_matches_payload_route(max_dim):
     S, SC = build_S(max_dim), build_SC(max_dim)
-    oracle = SimplicialMap.from_payload_fn(S, SC, lambda n, w: quotient_circ(w))
+    oracle = map_from_payload_fn(S, SC, lambda n, w: quotient_circ(w))
     assert list(quotient_map(max_dim).table) == oracle.table
 
 
@@ -240,12 +254,12 @@ def test_twisted_product_projects_to_group():
 
     G = build_C(3)
     X = twisted_product(G, build_delta(2, 3))
-    proj = SimplicialMap.from_payload_fn(X, G, lambda n, p: p[0])
+    proj = map_from_payload_fn(X, G, lambda n, p: p[0])
     assert proj.table  # construction checks commutation
 
 
 def test_twisted_product_twist_engages_only_off_identity():
-    from csx.perms import identity_perm
+    from oracles import identity_perm
 
     G = build_C(2)
     D = build_delta(1, 2)
@@ -329,7 +343,7 @@ def test_pullback_rejects_mismatched_maps():
     moved = SimplicialMap(q4.source, copy, q4.table)
     assert pullback_tables(pullback(q4, moved)) == pullback_tables(pullback(q4, q4))
     S = build_S(3)
-    flipped = reorient_upsilon(S, SimplicialMap.from_payload_fn(S, S, lambda n, w: w))
+    flipped = reorient_upsilon(S, map_from_payload_fn(S, S, lambda n, w: w))
     identity = [tuple(range(S.simplex_count(n))) for n in range(4)]
     with pytest.raises(ValueError, match="maps must share a target"):
         pullback(SimplicialMap(S, S, identity), SimplicialMap(flipped, flipped, identity))
@@ -362,22 +376,22 @@ def test_yoneda_hits_every_operator_image():
 
 def test_reorient_identity_decoration_flips_words():
     S = build_S(3)
-    ident = SimplicialMap.from_payload_fn(S, S, lambda n, w: w)
+    ident = map_from_payload_fn(S, S, lambda n, w: w)
     Y = reorient_upsilon(S, ident)
     assert audit_identities(Y) == []
     # inversion is simplicial on the reoriented object
-    SimplicialMap.from_payload_fn(Y, S, lambda n, w: inverse(w))
+    map_from_payload_fn(Y, S, lambda n, w: inverse(w))
     # the identity is generally NOT simplicial on Y
     with pytest.raises(ValueError):
-        SimplicialMap.from_payload_fn(Y, S, lambda n, w: w)
+        map_from_payload_fn(Y, S, lambda n, w: w)
 
 
 def test_reorient_constant_identity_decoration_is_noop():
-    from csx.perms import identity_perm
+    from oracles import identity_perm
 
     X = build_SC(3)
     S = build_S(3)
-    const = SimplicialMap.from_payload_fn(X, S, lambda n, c: identity_perm(n))
+    const = map_from_payload_fn(X, S, lambda n, c: identity_perm(n))
     Y = reorient_upsilon(X, const)
     assert Y.faces == X.faces
     assert Y.degeneracies == X.degeneracies
@@ -385,7 +399,7 @@ def test_reorient_constant_identity_decoration_is_noop():
 
 def test_reorient_preserves_counts():
     S = build_S(3)
-    ident = SimplicialMap.from_payload_fn(S, S, lambda n, w: w)
+    ident = map_from_payload_fn(S, S, lambda n, w: w)
     Y = reorient_upsilon(S, ident)
     for n in range(4):
         assert Y.simplex_count(n) == S.simplex_count(n)
@@ -394,9 +408,9 @@ def test_reorient_preserves_counts():
 
 def test_reorient_twice_is_identity():
     S = build_S(3)
-    ident = SimplicialMap.from_payload_fn(S, S, lambda n, w: w)
+    ident = map_from_payload_fn(S, S, lambda n, w: w)
     Y = reorient_upsilon(S, ident)
-    inv = SimplicialMap.from_payload_fn(Y, S, lambda n, w: inverse(w))
+    inv = map_from_payload_fn(Y, S, lambda n, w: inverse(w))
     Z = reorient_upsilon(Y, inv)
     assert Z.faces == S.faces
     assert Z.degeneracies == S.degeneracies
@@ -446,7 +460,7 @@ def test_map_check_refuses_a_table_shorter_than_its_source_level():
 def test_quotient_map_is_built_once_per_depth():
     q = quotient_map(4)
     assert quotient_map(4) is q
-    fresh = SimplicialMap.from_payload_fn(build_S(4), build_SC(4), lambda n, w: quotient_circ(w))
+    fresh = map_from_payload_fn(build_S(4), build_SC(4), lambda n, w: quotient_circ(w))
     assert q.table == fresh.table
 
 
