@@ -14,10 +14,6 @@ from .delta import peel
 Word = tuple[int, ...]
 
 
-def degree(f: Word) -> int:
-    return len(f) - 1
-
-
 def is_perm_word(f) -> bool:
     return isinstance(f, tuple) and sorted(f) == list(range(len(f)))
 

@@ -3,10 +3,11 @@
 Each name here is either a slower, payload-level route to something the
 library computes on table rows, the row-at-a-time loop a check or table
 the library now runs on whole columns replaced, the word-by-word crossed
-sweep the library now runs on blocks of ids, an order-theoretic notion or
-a word or map helper the library itself never needs, or a renumbering
-that gives the routes ids out of payload order to agree on.  None of them
-is used by csx.
+sweep the library now runs on blocks of ids, the per-boundary homology
+loop the library now runs after pairing off unit cells, an
+order-theoretic notion or a word or map helper the library itself never
+needs, or a renumbering that gives the routes ids out of payload order to
+agree on.  None of them is used by csx.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from operator import add
 
 from csx.bundles import BundleTotalSpace
 from csx.cli import _check_result
-from csx.homology import SmithForm, SparseMatrix
+from csx.homology import (
+    HomologyReport,
+    SmithForm,
+    SparseMatrix,
+    rank_mod_p,
+    smith_normal_form,
+    verify_transforms,
+)
 from csx.delta import MonotoneOp, monotone_ops, peel
 from csx.perms import (
     Word,
@@ -26,7 +34,6 @@ from csx.perms import (
     apply_operator_word,
     cyclic_word,
     degeneracy_perm,
-    degree,
     face_perm,
     inverse,
     is_perm_word,
@@ -138,6 +145,10 @@ def sort_factorization(phi) -> tuple[MonotoneOp, tuple[int, ...]]:
 
 # ---------------------------------------------------------------------------
 # words and rotation classes
+
+
+def degree(f: Word) -> int:
+    return len(f) - 1
 
 
 def identity_perm(n: int) -> Word:
@@ -587,6 +598,38 @@ def verify_transforms_by_rows(matrix, sf: SmithForm) -> bool:
             if v != want:
                 return False
     return True
+
+
+def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
+    """Homology from each whole boundary on its own, with no unit pairing.
+
+    Boundaries up to 200x200 get the certified dense Smith form; larger ones
+    the sparse sweep, the remainder certificate and the mod-p rank of the
+    whole matrix.
+    """
+    sizes = cc.basis_sizes()
+    ranks = [0] * (cc.max_dim + 2)
+    factors: list[tuple[int, ...]] = [()] * (cc.max_dim + 2)
+    for n in range(1, cc.max_dim + 1):
+        sm = cc.boundaries[n]
+        small = sm.rows <= 200 and sm.cols <= 200
+        sf = smith_normal_form(sm, transforms=small, policy=policy)
+        if small:
+            if not verify_transforms(sm, sf):
+                raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
+        else:
+            if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
+                raise ArithmeticError(f"remainder certificate failed for boundary {n}")
+            if rank_mod_p(sm) != sf.rank:
+                raise ArithmeticError(f"rank cross-check failed for boundary {n}")
+        ranks[n] = sf.rank
+        factors[n] = sf.factors
+    groups = []
+    for k in range(cc.max_dim + 1):
+        betti = sizes[k] - ranks[k] - ranks[k + 1]
+        torsion = tuple(d for d in factors[k + 1] if d > 1)
+        groups.append((betti, torsion))
+    return HomologyReport(groups, unreliable_top=True)
 
 
 # ---------------------------------------------------------------------------

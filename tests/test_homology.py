@@ -1,13 +1,22 @@
 """Smith normal form and normalized chain homology."""
 
 import random
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csx import homology
-from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, total_space
+from csx.bundles import (
+    E_of,
+    TwoCochain,
+    _subset_base,
+    boundary_delta,
+    complete_semisimplicial,
+    decorate_from_cochain,
+    total_space,
+)
 from csx.homology import (
     ChainComplexData,
     SmithForm,
@@ -20,7 +29,7 @@ from csx.homology import (
     verify_transforms,
 )
 from csx.simpset import build_C, build_S, build_SC, build_delta
-from oracles import verify_transforms_by_rows
+from oracles import homology_report_by_boundary, verify_transforms_by_rows
 
 # invariant factors computed from determinant divisors:
 # d1 = gcd of entries, d2 = gcd of 2x2 minors, d3 = |det|
@@ -310,3 +319,101 @@ def test_verify_transforms_rejects_factors_that_are_no_smith_form(M, factors):
 def test_verify_transforms_rejects_a_ragged_matrix():
     sf = SmithForm((2, 2), (1,), [[1, 0], [0, 1]], [[1, 0], [0, 1]])
     assert not verify_transforms([[1, 0], [0]], sf)
+
+
+# ---------------------------------------------------------------------------
+# the unit pairing and its certificate
+
+
+def _tiny(entries) -> ChainComplexData:
+    """One boundary from dimension 1 to 0, given by its entries."""
+    rows = 1 + max((r for r, _ in entries), default=0)
+    cols = 1 + max((c for _, c in entries), default=0)
+    basis = [list(range(rows)), list(range(cols))]
+    return ChainComplexData(1, basis, [None, SparseMatrix(rows, cols, dict(entries))])
+
+
+def test_unit_pairing_is_certified_and_pairs_units_only():
+    cc = normalized_complex(build_SC(6))
+    pairs = homology.unit_pairing(cc)
+    steps = homology.check_unit_pairing(cc, pairs)
+    assert pairs and all(cc.boundaries[n].entries[r, c] in (1, -1) for n, r, c in pairs)
+    assert sorted(steps[n - 1][r] for n, r, _ in pairs) == list(range(len(pairs)))
+    # a 2 is no unit, so the one cell and its face stay
+    assert homology.unit_pairing(_tiny({(0, 0): 2})) == []
+    assert homology.unit_pairing(_tiny({(0, 0): -1})) == [(1, 0, 0)]
+
+
+def test_check_unit_pairing_rejects_a_pair_of_coefficient_two():
+    cc = _tiny({(0, 0): 2})
+    with pytest.raises(ArithmeticError, match="not a \\+-1 entry"):
+        homology.check_unit_pairing(cc, [(1, 0, 0)])
+    with pytest.raises(ArithmeticError, match="not a \\+-1 entry"):
+        homology.check_unit_pairing(cc, [(2, 0, 0)])
+
+
+def test_check_unit_pairing_rejects_a_cell_used_twice():
+    cc = _tiny({(0, 0): 1, (0, 1): -1})
+    homology.check_unit_pairing(cc, [(1, 0, 0)])
+    with pytest.raises(ArithmeticError, match="cell 0 of dimension 0 is used twice"):
+        homology.check_unit_pairing(cc, [(1, 0, 0), (1, 0, 1)])
+
+
+def test_check_unit_pairing_rejects_the_last_pair_moved_to_the_front():
+    cc = normalized_complex(build_SC(6))
+    pairs = homology.unit_pairing(cc)
+    homology.check_unit_pairing(cc, pairs)
+    with pytest.raises(ArithmeticError, match="pair 0 is not acyclic"):
+        homology.check_unit_pairing(cc, pairs[-1:] + pairs[:-1])
+    # a square [[1, 1], [1, 1]]: either pair alone leaves a live 1 beside it
+    square = _tiny({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
+    with pytest.raises(ArithmeticError, match="pair 0 is not acyclic"):
+        homology.check_unit_pairing(square, [(1, 0, 0)])
+
+
+def test_homology_report_rejects_a_forged_pairing(monkeypatch):
+    cc = normalized_complex(build_SC(7))
+    pairs = homology.unit_pairing(cc)
+    monkeypatch.setattr(homology, "unit_pairing", lambda cc: pairs[-1:] + pairs[:-1])
+    with pytest.raises(ArithmeticError, match="not acyclic"):
+        homology_report(cc)
+    monkeypatch.setattr(homology, "unit_pairing", lambda cc: pairs + [pairs[0]])
+    with pytest.raises(ArithmeticError, match="used twice"):
+        homology_report(cc)
+
+
+def _random_face_only(seed: int):
+    """The downward closure of random edges, triangles and tetrahedra on 5 to 8 vertices."""
+    rng = random.Random(seed)
+    vertices = rng.randrange(5, 9)
+    facets = [rng.sample(range(vertices), rng.randrange(2, 5)) for _ in range(rng.randrange(4, 12))]
+    faces = {tuple(sorted(s)) for f in facets for m in range(1, len(f) + 1) for s in combinations(f, m)}
+    faces.update((v,) for v in range(vertices))
+    top = max(map(len, faces)) - 1
+    return _subset_base(top, [[s for s in faces if len(s) == m + 1] for m in range(top + 1)])
+
+
+def _equivalence_cases():
+    for bits in product((0, 1), repeat=4):
+        decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
+        yield f"boundary3-{''.join(map(str, bits))}", total_space(decor, 6).total
+    for seed in range(8):
+        base = _random_face_only(seed)
+        yield f"random-{seed}", base
+        yield f"random-{seed}-completed", complete_semisimplicial(base, base.max_dim + 2)
+    yield "boundary3", boundary_delta(3)
+    yield "boundary3-completed", complete_semisimplicial(boundary_delta(3), 4)
+    yield "S6", build_S(6)
+    yield "SC6", build_SC(6)
+    yield "C6", build_C(6)
+    for g in ((0,), (1, 0), (2, 0, 1), (1, 3, 0, 2)):
+        yield f"E{g}", E_of(g).total
+
+
+def test_homology_report_matches_the_per_boundary_loop(monkeypatch):
+    for name, X in _equivalence_cases():
+        cc = normalized_complex(X)
+        want = homology_report_by_boundary(cc).groups
+        for limit in (0, 3, 200):
+            monkeypatch.setattr(homology, "_TRANSFORM_LIMIT", limit)
+            assert homology_report(cc).groups == want, (name, limit)

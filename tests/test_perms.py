@@ -12,7 +12,6 @@ from csx.perms import (
     apply_operator_word,
     cyclic_word,
     degeneracy_perm,
-    degree,
     face_perm,
     inverse,
     is_perm_word,
@@ -26,6 +25,7 @@ from oracles import (
     coface,
     compose_ops,
     cyclic_power,
+    degree,
     identity_perm,
     is_degenerate_perm,
     pulled_index,
