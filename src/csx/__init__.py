@@ -7,10 +7,10 @@ relations) and computes exact integer homology via Smith normal form.
 
 The top level holds the names of the README's Library section; everything
 else is imported from its module (csx.simpset, csx.bundles, csx.homology,
-csx.perms, csx.delta, csx.cli).
+csx.perms, csx.delta, csx.cli).  The two bundle comparisons load
+csx.bundles on first access.
 """
 
-from .bundles import pullback_comparison, upsilon_comparison
 from .homology import homology_report, normalized_complex
 from .simpset import audit_identities, build_SC
 
@@ -24,3 +24,11 @@ __all__ = [
     "pullback_comparison",
     "upsilon_comparison",
 ]
+
+
+def __getattr__(name):
+    if name in ("pullback_comparison", "upsilon_comparison"):
+        from . import bundles
+
+        return getattr(bundles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -9,7 +9,6 @@ independent check on the pullback route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, groupby
 from operator import itemgetter
@@ -58,12 +57,7 @@ TWISTED = CircularPermutation((0, 2, 1))
 
 def _subset_base(max_dim: int, subsets_by_dim) -> TruncatedSimplicialSet:
     payload_lists = [sorted(subsets_by_dim[m]) for m in range(max_dim + 1)]
-    return from_rules(
-        max_dim,
-        payload_lists,
-        lambda n, s, i: s[:i] + s[i + 1 :],
-        None,
-    )
+    return from_rules(max_dim, payload_lists, lambda n, s, i: s[:i] + s[i + 1 :])
 
 
 def solid_delta(n: int) -> TruncatedSimplicialSet:
@@ -151,14 +145,11 @@ def _fits(base, assignment, n: int, k: int, c: CircularPermutation) -> bool:
     )
 
 
-@dataclass
 class Decoration:
     """A face-compatible assignment of rotation classes to a face-only base."""
 
-    base: TruncatedSimplicialSet
-    assignment: list[list[CircularPermutation]]
-
-    def __post_init__(self):
+    def __init__(self, base: TruncatedSimplicialSet, assignment: list[list[CircularPermutation]]):
+        self.base, self.assignment = base, assignment
         if self.base.has_degeneracies:
             raise ValueError("decorations live on face-only bases")
         if len(self.assignment) != self.base.max_dim + 1:
@@ -210,7 +201,6 @@ def decoration_map(decor: Decoration, max_dim: int, completed=None) -> Simplicia
 # total spaces
 
 
-@dataclass
 class BundleTotalSpace:
     """A total space with its projection to the base and classifying map.
 
@@ -218,11 +208,9 @@ class BundleTotalSpace:
     back along; None for E_of, which is written down directly.
     """
 
-    total: TruncatedSimplicialSet
-    base: TruncatedSimplicialSet
-    projection: SimplicialMap
-    classifying: SimplicialMap
-    pulled_along: SimplicialMap | None = None
+    def __init__(self, total, base, projection, classifying, pulled_along=None):
+        self.total, self.base, self.projection = total, base, projection
+        self.classifying, self.pulled_along = classifying, pulled_along
 
 
 def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpace:
@@ -348,23 +336,20 @@ def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool
 # cochains, curvature, extension
 
 
-@dataclass
 class TwoCochain:
     """A 0/1 value per 2-simplex of a base."""
 
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(v not in (0, 1) for v in self.values):
+    def __init__(self, values: tuple[int, ...]):
+        if any(v not in (0, 1) for v in values):
             raise ValueError("cochain values must be 0 or 1")
+        self.values = values
 
 
-@dataclass
 class Obstruction:
     """The first simplex over which a decoration could not be extended."""
 
-    dim: int
-    simplex_id: int
+    def __init__(self, dim: int, simplex_id: int):
+        self.dim, self.simplex_id = dim, simplex_id
 
     def to_json(self) -> dict:
         return {"obstruction": {"dim": self.dim, "simplex": self.simplex_id}}

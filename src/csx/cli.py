@@ -18,25 +18,11 @@ import json
 import os
 import random
 import sys
-from dataclasses import dataclass
 from itertools import chain
 from math import factorial
 from operator import itemgetter
 from pathlib import Path
 
-from . import bundles
-from .bundles import (
-    boundary_delta,
-    chern_cochain,
-    decorate_from_cochain,
-    decoration_from_json,
-    pullback_comparison,
-    solid_delta,
-    sphere_cochain_degree,
-    total_space,
-    TwoCochain,
-    upsilon_comparison,
-)
 from .homology import export_sparse_matrix, homology_report, normalized_complex
 from .perms import (
     all_perms,
@@ -65,18 +51,12 @@ class CapExceeded(Exception):
     pass
 
 
-@dataclass
 class RunConfig:
     """Resolved run parameters shared by every subcommand."""
 
-    command: str
-    max_dim: int = 6
-    fmt: str = "text"
-    out: str | None = None
-    seed: int = 0
-    overflow: str = "bigint"
-
-    def __post_init__(self):
+    def __init__(self, command: str, max_dim=6, fmt="text", out=None, seed=0, overflow="bigint"):
+        self.command, self.max_dim, self.fmt = command, max_dim, fmt
+        self.out, self.seed, self.overflow = out, seed, overflow
         cap = effective_cap()
         if self.max_dim > cap:
             raise CapExceeded(f"max dim {self.max_dim} exceeds cap {cap}")
@@ -93,6 +73,8 @@ def effective_cap() -> int:
             value = int(env)
         except ValueError:
             raise ValueError(f"CSX_MAX_DIM must be an integer, got {env!r}")
+        if value < 0:
+            raise ValueError(f"CSX_MAX_DIM must be nonnegative, got {env!r}")
         cap = min(cap, value)
     return cap
 
@@ -107,7 +89,7 @@ def _parse_word(text: str) -> tuple[int, ...]:
     return g
 
 
-def _parse_cochain_items(items, count: int) -> TwoCochain:
+def _parse_cochain_items(items, count: int) -> tuple[int, ...]:
     values = [0] * count
     given = set()
     for item in items or ():
@@ -123,39 +105,45 @@ def _parse_cochain_items(items, count: int) -> TwoCochain:
             raise ValueError(f"cochain id {k} given twice")
         given.add(k)
         values[k] = v
-    return TwoCochain(tuple(values))
+    return tuple(values)
 
 
+# builtin bases: the csx.bundles builder of each and its dimension.  csx.bundles
+# is imported where a bundle is built and its names read at call time, so a
+# process that builds none never loads it.
 _BASES = {
-    "point": lambda: solid_delta(0),
-    "interval": lambda: solid_delta(1),
-    "delta2": lambda: solid_delta(2),
-    "boundary2": lambda: boundary_delta(2),
-    "boundary3": lambda: boundary_delta(3),
+    "point": ("solid_delta", 0),
+    "interval": ("solid_delta", 1),
+    "delta2": ("solid_delta", 2),
+    "boundary2": ("boundary_delta", 2),
+    "boundary3": ("boundary_delta", 3),
 }
 
 
 def _load_bundle(max_dim: int, args):
     """The decoration the arguments name, its builtin base name or None, and its bundle."""
-    decor, base_name = _load_decoration(args)
-    # total_space picks its own depth unless the user set one explicitly
-    return decor, base_name, total_space(decor, max_dim=max_dim if args.max_dim_set else None)
+    from . import bundles
 
-
-def _load_decoration(args):
+    base_name = None
     if getattr(args, "decoration", None):
         obj = json.loads(Path(args.decoration).read_text(encoding="utf-8"))
-        return decoration_from_json(obj), None
-    base_name = getattr(args, "base", None) or "boundary3"
-    if base_name not in _BASES:
-        raise ValueError(f"unknown base {base_name!r}; choices: {', '.join(sorted(_BASES))}")
-    base = _BASES[base_name]()
-    count = base.simplex_count(2) if base.max_dim >= 2 else 0
-    cochain = _parse_cochain_items(getattr(args, "cochain", None), count)
-    return decorate_from_cochain(base, cochain), base_name
+        decor = bundles.decoration_from_json(obj)
+    else:
+        base_name = getattr(args, "base", None) or "boundary3"
+        if base_name not in _BASES:
+            raise ValueError(f"unknown base {base_name!r}; choices: {', '.join(sorted(_BASES))}")
+        builder, dim = _BASES[base_name]
+        base = getattr(bundles, builder)(dim)
+        count = base.simplex_count(2) if base.max_dim >= 2 else 0
+        cochain = bundles.TwoCochain(_parse_cochain_items(getattr(args, "cochain", None), count))
+        decor = bundles.decorate_from_cochain(base, cochain)
+    # total_space picks its own depth unless the user set one explicitly
+    return decor, base_name, bundles.total_space(decor, max_dim=max_dim if args.max_dim_set else None)
 
 
 def _build_E(max_dim: int, args):
+    from . import bundles
+
     if not args.g:
         raise ValueError("enumerate E needs --g")
     g = _parse_word(args.g)
@@ -325,11 +313,13 @@ def _check_lemmas(cfg: RunConfig, suite: str) -> list[dict]:
     and dropped once every comparison reading it has run.  Each lemma
     reports its own first failing word and stops after that degree.
     """
+    from . import bundles
+
     lemmas = [
         (name, compare, reads)
         for key, name, compare, reads in (
-            ("lemma", "lemma:pullback", pullback_comparison, lambda g: g),
-            ("upsilon", "lemma:upsilon", upsilon_comparison, inverse),
+            ("lemma", "lemma:pullback", bundles.pullback_comparison, lambda g: g),
+            ("upsilon", "lemma:upsilon", bundles.upsilon_comparison, inverse),
         )
         if suite in (key, "all")
     ]
@@ -395,6 +385,10 @@ def _dump_matrices(cc, directory: str) -> list[str]:
 
 
 def cmd_homology(cfg: RunConfig, args) -> tuple[dict, int]:
+    if args.target != "bundle":
+        stray = [f"--{opt}" for opt in ("decoration", "base", "cochain") if getattr(args, opt) is not None]
+        if stray:
+            raise ValueError(f"homology {args.target} does not take {', '.join(stray)} (bundle target only)")
     X, keys = _build_object(args.target, _HOMOLOGY_TARGETS, "homology target", cfg, args)
     report = {"command": "homology", "target": args.target, "policy": cfg.overflow, **keys}
     report["max_dim"] = X.max_dim
@@ -409,6 +403,8 @@ def cmd_homology(cfg: RunConfig, args) -> tuple[dict, int]:
 
 
 def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
+    from . import bundles
+
     decor, base_name, bundle = _load_bundle(cfg.max_dim, args)
     X = bundle.total
 
@@ -424,7 +420,7 @@ def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
 
     cc = normalized_complex(X)
     rep = homology_report(cc, policy=cfg.overflow)
-    chern = chern_cochain(decor)
+    chern = bundles.chern_cochain(decor)
     report = {
         "command": "bundle",
         "chern_cochain": list(chern.values),
@@ -437,7 +433,7 @@ def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
     if base_name:
         report["base"] = base_name
     if base_name == "boundary3":
-        report["degree"] = sphere_cochain_degree(chern)
+        report["degree"] = bundles.sphere_cochain_degree(chern)
     return report, 0 if square_ok else 1
 
 

@@ -6,27 +6,40 @@ their value word: op.values[j] is the image of j.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 
-@dataclass(frozen=True)
 class MonotoneOp:
-    """A weakly order-preserving map [source_size-1] -> [target_size-1], by values."""
+    """A weakly order-preserving map [source_size-1] -> [target_size-1], by values.
 
-    source_size: int
-    target_size: int
-    values: tuple[int, ...]
+    An immutable value: equal and hashed by its three fields.
+    """
 
-    def __post_init__(self):
-        if self.source_size < 1 or self.target_size < 1:
+    __slots__ = ("source_size", "target_size", "values")
+
+    def __init__(self, source_size: int, target_size: int, values: tuple[int, ...]):
+        if source_size < 1 or target_size < 1:
             raise ValueError("ordinals must be nonempty")
-        if len(self.values) != self.source_size:
+        if len(values) != source_size:
             raise ValueError("value word length does not match source")
-        if any(v < 0 or v >= self.target_size for v in self.values):
+        if any(v < 0 or v >= target_size for v in values):
             raise ValueError("value out of range")
-        if any(a > b for a, b in zip(self.values, self.values[1:])):
+        if any(a > b for a, b in zip(values, values[1:])):
             raise ValueError("values not monotone")
+        for name, value in zip(self.__slots__, (source_size, target_size, values)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"MonotoneOp is immutable; cannot set {name!r}")
+
+    def _key(self):
+        return self.source_size, self.target_size, self.values
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def monotone_ops(m: int, n: int) -> list[MonotoneOp]:

@@ -8,7 +8,6 @@ loudly if any intermediate entry would leave the signed 64-bit range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import add
 
 from .simpset import TruncatedSimplicialSet, assert_valid, nondegenerate_list
@@ -17,13 +16,11 @@ INT64_MAX = 2**63 - 1
 _CROSSCHECK_PRIME = 2**31 - 1
 
 
-@dataclass
 class SparseMatrix:
     """Integer matrix as a {(row, col): value} dict of its nonzero entries."""
 
-    rows: int
-    cols: int
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int] | None = None):
+        self.rows, self.cols, self.entries = rows, cols, {} if entries is None else entries
 
     def to_dense(self) -> list[list[int]]:
         M = [[0] * self.cols for _ in range(self.rows)]
@@ -39,7 +36,6 @@ class SparseMatrix:
         return cls(rows, cols, entries)
 
 
-@dataclass
 class SmithForm:
     """Invariant factors plus optional unimodular certificates.
 
@@ -49,12 +45,9 @@ class SmithForm:
     its certified Smith form as remainder_form; all torsion lives there.
     """
 
-    shape: tuple[int, int]
-    factors: tuple[int, ...]
-    left: list[list[int]] | None = None
-    right: list[list[int]] | None = None
-    remainder: list[list[int]] | None = None
-    remainder_form: SmithForm | None = None
+    def __init__(self, shape, factors, left=None, right=None, remainder=None, remainder_form=None):
+        self.shape, self.factors, self.left, self.right = shape, factors, left, right
+        self.remainder, self.remainder_form = remainder, remainder_form
 
     @property
     def rank(self) -> int:
@@ -322,16 +315,14 @@ def rank_mod_p(sm: SparseMatrix, p: int = _CROSSCHECK_PRIME) -> int:
     return _sweep(sm.entries, p=p)[0]
 
 
-@dataclass
 class ChainComplexData:
     """Normalized chain data: per-dimension bases and boundary matrices.
 
     boundaries[n] maps dimension n to n-1 (None at index 0).
     """
 
-    max_dim: int
-    basis: list[list[int]]
-    boundaries: list[SparseMatrix | None]
+    def __init__(self, max_dim: int, basis: list[list[int]], boundaries: list[SparseMatrix | None]):
+        self.max_dim, self.basis, self.boundaries = max_dim, basis, boundaries
 
     def basis_sizes(self) -> list[int]:
         return [len(b) for b in self.basis]
@@ -383,12 +374,11 @@ def _assert_composite_zero(outer: SparseMatrix, inner: SparseMatrix):
         raise ValueError("boundary of boundary is nonzero")
 
 
-@dataclass
 class HomologyReport:
     """Integer homology in each dimension: free rank plus torsion orders."""
 
-    groups: list[tuple[int, tuple[int, ...]]]
-    unreliable_top: bool = True
+    def __init__(self, groups: list[tuple[int, tuple[int, ...]]], unreliable_top: bool = True):
+        self.groups, self.unreliable_top = groups, unreliable_top
 
     def to_json(self) -> dict:
         return {

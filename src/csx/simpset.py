@@ -8,7 +8,6 @@ identities are only audited where both sides exist.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat
 from math import factorial
@@ -26,19 +25,32 @@ from .perms import (
 )
 
 
-@dataclass(frozen=True, order=True)
 class CircularPermutation:
     """A rotation class of permutation words, stored 0-first.
 
     The class of f collects the right translates f, f.tau, f.tau^2, ...; the
-    canonical word is the rotation whose first letter is 0.
+    canonical word is the rotation whose first letter is 0.  An immutable
+    value: equal, hashed and ordered by its word.
     """
 
-    word: Word
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        if not self.word or self.word[0] != 0 or not is_perm_word(self.word):
-            raise ValueError(f"not a canonical circular word: {self.word}")
+    def __init__(self, word: Word):
+        if not word or word[0] != 0 or not is_perm_word(word):
+            raise ValueError(f"not a canonical circular word: {word}")
+        object.__setattr__(self, "word", word)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"CircularPermutation is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash((self.word,))
+
+    def __lt__(self, other):
+        return self.word < other.word if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def degree(self) -> int:
@@ -69,8 +81,8 @@ def _circular_words(n: int) -> list[Word]:
 def _unchecked_circular(word: Word) -> CircularPermutation:
     """Wrap a 0-first permutation word generated here, without re-checking it.
 
-    __post_init__ sorts every word it checks; words read from outside the
-    program go through the checked constructor instead.
+    The constructor sorts every word it checks; words read from outside the
+    program go through it instead.
     """
     c = object.__new__(CircularPermutation)
     object.__setattr__(c, "word", word)
@@ -494,12 +506,8 @@ def from_id_pairs(A, B, pair_lists, pulled=None):
         return lambda n, p, i: (a_tables[n][i][p[0]], b_tables[n][pulled[n][p[0]][i]][p[1]])
 
     both_degen = A.has_degeneracies and B.has_degeneracies
-    W = from_rules(
-        A.max_dim,
-        pair_lists,
-        rule(A.faces, B.faces),
-        rule(A.degeneracies, B.degeneracies) if both_degen else None,
-    )
+    degeneracy_rule = rule(A.degeneracies, B.degeneracies) if both_degen else None
+    W = from_rules(A.max_dim, pair_lists, rule(A.faces, B.faces), degeneracy_rule)
     payloads = [
         tuple((xs[a], ys[b]) for a, b in level)
         for xs, ys, level in zip(A.payloads, B.payloads, W.payloads)

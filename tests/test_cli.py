@@ -186,6 +186,23 @@ def test_negative_simplex_dimension_is_an_input_error(capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "target, options",
+    [
+        ("S", ["--base", "boundary3", "--cochain", "0:1"]),
+        ("SC", ["--cochain"]),
+        ("delta", ["--decoration", "decor.json"]),
+        ("C", ["--base", "point"]),
+    ],
+)
+def test_bundle_options_on_another_homology_target_are_input_errors(capsys, target, options):
+    assert main(["homology", target, "--max-dim", "2", *options]) == 2
+    captured = capsys.readouterr()
+    given = [opt for opt in ("--decoration", "--base", "--cochain") if opt in options]
+    assert captured.err == f"error: homology {target} does not take {', '.join(given)} (bundle target only)\n"
+    assert captured.out == ""
+
+
 # SC wraps the words it generates unchecked; a word read from a file is still checked
 _BAD_WORDS = {"unrotated word": "circ:1,0,2", "repeated letter": "circ:0,2,2", "short word": "circ:0,1"}
 
@@ -486,6 +503,16 @@ def test_env_var_lowers_cap(monkeypatch):
     assert main(["enumerate", "S", "--max-dim", "4"]) == 3
     monkeypatch.setenv("CSX_MAX_DIM", "99")  # may not raise the hard cap
     assert effective_cap() == 9
+
+
+def test_negative_env_cap_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("CSX_MAX_DIM", "-1")
+    assert main(["enumerate", "S", "--max-dim", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: CSX_MAX_DIM must be nonnegative, got '-1'\n"
+    assert captured.out == ""
+    monkeypatch.setenv("CSX_MAX_DIM", "0")
+    assert main(["enumerate", "S", "--max-dim", "0"]) == 0
 
 
 def test_run_config_validation():

@@ -20,6 +20,21 @@ def test_setmap_validation():
         MonotoneOp(3, 4, (1, 0, 2))
 
 
+def test_monotone_op_is_an_immutable_value():
+    op = MonotoneOp(3, 4, (0, 2, 2))
+    assert op == MonotoneOp(3, 4, (0, 2, 2)) and hash(op) == hash(MonotoneOp(3, 4, (0, 2, 2)))
+    assert op != MonotoneOp(3, 5, (0, 2, 2)) and op != MonotoneOp(3, 4, (0, 1, 2))
+    assert op != (3, 4, (0, 2, 2)) and len({op, MonotoneOp(3, 4, (0, 2, 2))}) == 1
+    assert MonotoneOp(source_size=1, target_size=1, values=(0,)) == MonotoneOp(1, 1, (0,))
+    assert not hasattr(op, "__dict__")
+    with pytest.raises(AttributeError):
+        op.values = (0, 1, 2)
+    assert (op.source_size, op.target_size, op.values) == (3, 4, (0, 2, 2))
+    for args in [(0, 1, ()), (1, 0, (0,)), (2, 3, (0,)), (2, 3, (0, 3)), (2, 3, (-1, 0)), (2, 3, (1, 0))]:
+        with pytest.raises(ValueError):
+            MonotoneOp(*args)
+
+
 def test_generators():
     assert identity_op(2).values == (0, 1, 2)
     assert coface(2, 0).values == (1, 2)

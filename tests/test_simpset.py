@@ -18,6 +18,7 @@ from csx.bundles import (
 from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse, tau
 from csx.simpset import (
     CircularPermutation,
+    _unchecked_circular,
     SimplicialMap,
     TruncatedSimplicialSet,
     all_circular,
@@ -103,6 +104,31 @@ def test_sc_classes_match_checked_ones():
             "circ:" + ",".join(map(str, c.word)) for c in checked
         ]
     assert payload_str(SC.payloads[3][1]) == "circ:0,1,3,2"
+
+
+def test_circular_permutation_is_an_immutable_value():
+    # equality, hash and order all follow the word; the hash is the one a
+    # frozen one-field record gives, so set orders and JSON bytes stay put
+    a, b = CircularPermutation((0, 2, 1)), CircularPermutation((0, 2, 1))
+    assert a == b and a is not b and hash(a) == hash(b) == hash(((0, 2, 1),))
+    assert a != CircularPermutation((0, 1, 2)) and a != (0, 2, 1)
+    assert len({a, b}) == 1
+    words = [(0, 2, 3, 1), (0, 1, 2, 3), (0, 3, 1, 2), (0, 1, 3, 2)]
+    assert [c.word for c in sorted(map(CircularPermutation, words))] == sorted(words)
+    assert min(map(CircularPermutation, words)).word == (0, 1, 2, 3)
+    assert sorted([((1,), a), ((0,), a), ((1,), CircularPermutation((0, 1, 2)))])[1][1].word == (0, 1, 2)
+    assert not hasattr(a, "__dict__")
+    with pytest.raises(AttributeError):
+        a.word = (0, 1, 2)
+    with pytest.raises(AttributeError):
+        a.other = 1
+    assert a.word == (0, 2, 1) and a.degree == 2
+    for bad in [(), (1, 0), (0, 0, 1), (0, 1, 3), [0, 1]]:
+        with pytest.raises(ValueError):
+            CircularPermutation(bad)
+    for word in [(0,), (0, 1), (0, 2, 1), (0, 3, 1, 2)]:
+        c = _unchecked_circular(word)
+        assert c == CircularPermutation(word) and hash(c) == hash(CircularPermutation(word))
 
 def test_builder_counts():
     S = build_S(5)
