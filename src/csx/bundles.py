@@ -10,13 +10,14 @@ independent check on the pullback route.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, groupby
+from itertools import chain, combinations, combinations_with_replacement, groupby, repeat
 from operator import itemgetter
 
 from .delta import peel
 from .perms import (
     Word,
-    apply_operator_word,
+    degeneracy_perm,
+    face_perm,
     inverse,
     is_perm_word,
     multiply,
@@ -35,6 +36,7 @@ from .simpset import (
     in_payload_order,
     is_json_int,
     json_field,
+    on_delta,
     payload_str,
     pullback,
     quotient_circ,
@@ -230,14 +232,28 @@ def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpa
     return BundleTotalSpace(total, completed, proj, classifying, dec)
 
 
+def _acted(g: Word, max_dim: int) -> list[list[Word]]:
+    """act(xi)(g) for every simplex xi of build_delta(n, max_dim), per dimension, by id.
+
+    Each word is one face_perm or degeneracy_perm of another (simpset.on_delta).
+    """
+    return on_delta(
+        len(g) - 1,
+        max_dim,
+        g,
+        lambda m, i, words: map(face_perm, repeat(i), words),
+        lambda m, i, words: map(degeneracy_perm, repeat(i), words),
+    )
+
+
 def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     """The minimal circle bundle over the n-simplex classified by the word g.
 
     Dimension m holds the pairs (xi, act(xi)(g) . rot) over monotone
     xi: [m] -> [n] and rotations rot; faces and degeneracies act with the
     same index on both coordinates.  The word act(xi)(g) is computed once
-    per xi and rotated by slicing; the tables are built on the id pairs of
-    build_delta and build_S,
+    per xi, by one word operator from another xi's, and rotated by slicing;
+    the tables are built on the id pairs of build_delta and build_S,
     and the projection and classifying maps are their coordinates.  max_dim
     should be at least n + 1 to include the top cells of the bundle.
     """
@@ -249,10 +265,9 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     D = build_delta(n, max_dim)
     S = build_S(max_dim)
     pair_lists = []
-    for m in range(max_dim + 1):
+    for m, words in enumerate(_acted(g, max_dim)):
         level = []
-        for j, xi in enumerate(D.payloads[m]):
-            moved = apply_operator_word(xi, n + 1, g)
+        for j, moved in enumerate(words):
             level += [(j, S.id_of(m, moved[-k:] + moved[:-k])) for k in range(m + 1)]
         pair_lists.append(level)
     total, on_D, on_S = from_id_pairs(D, S, pair_lists)
@@ -310,8 +325,9 @@ def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool
     E, D, S = bundle.total, build_delta(n, max_dim), build_S(max_dim)
     X = _twisted_simplex(n, max_dim)
     decor, paired = [], []
+    acted = _acted(g, max_dim)
     for m, level in enumerate(X.payloads):
-        moved = {xi: apply_operator_word(xi, n + 1, g) for xi in D.payloads[m]}
+        moved = dict(zip(D.payloads[m], acted[m]))
         pushed = {xi: _pushforward_op(xi, g_inv) for xi in D.payloads[m]}
         words = [multiply(h, moved[xi]) for h, xi in level]
         decor.append(tuple(S.id_of(m, w) for w in words))

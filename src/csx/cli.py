@@ -245,6 +245,30 @@ def _crossed_block(op, words, products):
 _SAMPLES = 2000
 
 
+def _draw(rng, n: int) -> tuple[int, ...]:
+    """A seeded word of degree n: tuple(rng.sample(range(n + 1), n + 1)), drawn for less.
+
+    For a population of at most 21 values, random.Random.sample draws from a
+    pool: at each of the n + 1 places it takes j below the pool size from
+    _randbelow, which calls rng.getrandbits(size.bit_length()) until the
+    value is below the size, and moves the pool's last value into place j.
+    This is that loop written out, so it makes the same getrandbits calls in
+    the same order and returns the same word, leaving the rng in the same
+    state; it skips sample's argument checks and set-size estimate.
+    """
+    getrandbits = rng.getrandbits
+    pool = list(range(n + 1))
+    word = []
+    for size in range(n + 1, 0, -1):
+        bits = size.bit_length()
+        j = getrandbits(bits)
+        while j >= size:
+            j = getrandbits(bits)
+        word.append(pool[j])
+        pool[j] = pool[size - 1]
+    return tuple(word)
+
+
 def _crossed_sampled(op, n: int, rng):
     """The first (h, f, i) among the seeded pairs of degree n at which op breaks the relation.
 
@@ -261,8 +285,8 @@ def _crossed_sampled(op, n: int, rng):
         row = {w: row(w) for w in all_perms(n)}.__getitem__
     first = None
     for _ in range(_SAMPLES):
-        f = tuple(rng.sample(range(n + 1), n + 1))
-        h = tuple(rng.sample(range(n + 1), n + 1))
+        f = _draw(rng, n)
+        h = _draw(rng, n)
         got, op_h, op_f = row(tuple(map(h.__getitem__, f))), row(h), row(f)
         want = [tuple(map(a.__getitem__, op_f[j])) for a, j in zip(op_h, inverse(h))]
         if got != want and first is None:
@@ -333,7 +357,7 @@ def _check_lemmas(cfg: RunConfig, suite: str) -> list[dict]:
         if n <= 3:
             words = all_perms(n)
         else:
-            words = [tuple(rng.sample(range(n + 1), n + 1)) for _ in range(2)]
+            words = [_draw(rng, n), _draw(rng, n)]
         readers = {}
         for g in words:
             for k in live:
@@ -385,10 +409,6 @@ def _dump_matrices(cc, directory: str) -> list[str]:
 
 
 def cmd_homology(cfg: RunConfig, args) -> tuple[dict, int]:
-    if args.target != "bundle":
-        stray = [f"--{opt}" for opt in ("decoration", "base", "cochain") if getattr(args, opt) is not None]
-        if stray:
-            raise ValueError(f"homology {args.target} does not take {', '.join(stray)} (bundle target only)")
     X, keys = _build_object(args.target, _HOMOLOGY_TARGETS, "homology target", cfg, args)
     report = {"command": "homology", "target": args.target, "policy": cfg.overflow, **keys}
     report["max_dim"] = X.max_dim
@@ -441,6 +461,32 @@ def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
 # wiring
 
 
+def _reject_stray_options(args) -> None:
+    """Raise an input error for an option given to a target or suite it does not apply to."""
+    if args.command == "enumerate":
+        subject, groups = f"enumerate {args.which}", [
+            (("n",), args.which in ("delta", "twisted"), "delta and twisted targets"),
+            (("g",), args.which == "E", "E target"),
+        ]
+    elif args.command == "check":
+        # check all, and check identities without --target, audit delta and twisted among the rest
+        identities = args.suite == "identities"
+        on_delta = args.suite == "all" or identities and args.target in (None, "delta", "twisted")
+        subject = f"check identities {args.target}" if identities and args.target else f"check {args.suite}"
+        groups = [(("target",), identities, "identities suite"), (("n",), on_delta, "delta and twisted identities")]
+    elif args.command == "homology":
+        subject, groups = f"homology {args.target}", [
+            (("n",), args.target == "delta", "delta target"),
+            (("decoration", "base", "cochain"), args.target == "bundle", "bundle target"),
+        ]
+    else:
+        return
+    for options, applies, where in groups:
+        stray = [f"--{opt}" for opt in options if getattr(args, opt) is not None]
+        if stray and not applies:
+            raise ValueError(f"{subject} does not take {', '.join(stray)} ({where} only)")
+
+
 def _as_text(obj, prefix="") -> list[str]:
     if isinstance(obj, dict):
         lines = []
@@ -489,18 +535,18 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("enumerate", help="per-dimension simplex counts")
     pe.add_argument("which", choices=_ENUMERATE_TARGETS)
     pe.add_argument("--g", default=None, help="permutation word, comma-separated values")
-    pe.add_argument("--n", type=int, default=2, help="simplex dimension for delta/twisted")
+    pe.add_argument("--n", type=int, default=None, help="simplex dimension for delta/twisted (default 2)")
     common(pe, default_dim=4)
 
     pc = sub.add_parser("check", help="structural audits; exit 0 iff all pass")
     pc.add_argument("suite", choices=("identities", "crossed", "lemma", "upsilon", "all"))
     pc.add_argument("--target", default=None, help="object for the identities suite")
-    pc.add_argument("--n", type=int, default=2, help="simplex dimension for delta/twisted targets")
+    pc.add_argument("--n", type=int, default=None, help="simplex dimension for delta/twisted targets (default 2)")
     common(pc, default_dim=4)
 
     ph = sub.add_parser("homology", help="exact integer homology of a truncation")
     ph.add_argument("target", choices=_HOMOLOGY_TARGETS)
-    ph.add_argument("--n", type=int, default=2, help="simplex dimension for the delta target")
+    ph.add_argument("--n", type=int, default=None, help="simplex dimension for the delta target (default 2)")
     ph.add_argument("--decoration", default=None, help="decoration JSON file (bundle target)")
     ph.add_argument("--base", default=None, help=f"builtin base: {', '.join(sorted(_BASES))}")
     ph.add_argument("--cochain", nargs="*", default=None, help="2-simplex values as id:value")
@@ -527,6 +573,9 @@ _COMMANDS = {
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _reject_stray_options(args)
+        if getattr(args, "n", 2) is None:
+            args.n = 2  # the default simplex dimension; None told that --n was not given
         args.max_dim_set = args.max_dim is not None
         cfg = RunConfig(
             command=args.command,

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .delta import peel
-
 Word = tuple[int, ...]
 
 
@@ -61,19 +59,3 @@ def degeneracy_perm(i: int, f: Word) -> Word:
     shifted = [v + 1 if v > i else v for v in f]
     shifted.insert(shifted.index(i) + 1, i + 1)
     return tuple(shifted)
-
-
-def apply_operator_word(xi_values: tuple[int, ...], target_size: int, f: Word) -> Word:
-    """Contravariant action of the monotone operator xi on the word f.
-
-    xi is a monotone map [m] -> [n] given by its value word; f has degree n.
-    The word-level face and degeneracy operators are applied along the
-    peeling of xi (delta.peel).
-    """
-    assert len(f) == target_size
-    faces, degeneracies = peel(xi_values, target_size - 1)
-    for i in faces:
-        f = face_perm(i, f)
-    for i in degeneracies:
-        f = degeneracy_perm(i, f)
-    return f

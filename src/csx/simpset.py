@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat
-from math import factorial
+from math import comb, factorial
 from operator import add, getitem, itemgetter
 
-from .delta import monotone_ops, peel
+from .delta import monotone_ops
 from .perms import (
     Word,
     all_perms,
@@ -130,11 +130,6 @@ class TruncatedSimplicialSet:
 
     def face(self, n: int, k: int, i: int) -> int:
         return self.faces[n][i][k]
-
-    def degeneracy(self, n: int, k: int, i: int) -> int:
-        if self.degeneracies is None:
-            raise ValueError("face-only object has no degeneracy tables")
-        return self.degeneracies[n][i][k]
 
 
 def from_rules(max_dim, payload_lists, face_fn, degeneracy_fn=None):
@@ -337,6 +332,63 @@ def build_delta(n: int, max_dim: int) -> TruncatedSimplicialSet:
         return vals[: i + 1] + vals[i:]
 
     return from_rules(max_dim, payload_lists, face_fn, degen_fn)
+
+
+@lru_cache(maxsize=64)
+def delta_steps(n: int, max_dim: int):
+    """A way to reach each simplex of build_delta(n, max_dim) by one face or degeneracy.
+
+    The walk starts at the identity of [n], goes down the face columns,
+    which reaches every injective operator, then up the degeneracy columns,
+    which reaches the rest, each simplex once and from one reached before.
+    Returns the identity's id and the steps (m, is_face, i, parents,
+    children): child ids one dimension below (faces) or above m, each the
+    operator at index i of the parent at the same place.  For max_dim < n
+    the walk reads build_delta(n, n), passing the injective operators above
+    max_dim on the way down.
+    """
+    D = build_delta(n, max(n, max_dim))
+    identity = D.id_of(n, tuple(range(n + 1)))
+    reached = [bytearray(D.simplex_count(m)) for m in range(D.max_dim + 1)]
+    reached[n][identity] = 1
+    steps = []
+
+    def walk(m, target, columns, is_face):
+        here, there = reached[m], reached[target]
+        for i, col in enumerate(columns):
+            parents, children = [], []
+            for p, c in enumerate(col):
+                if here[p] and not there[c]:
+                    there[c] = 1
+                    parents.append(p)
+                    children.append(c)
+            if parents:
+                steps.append((m, is_face, i, tuple(parents), tuple(children)))
+
+    for m in range(n, 0, -1):
+        walk(m, m - 1, D.faces[m], True)
+    for m in range(max_dim):
+        walk(m, m + 1, D.degeneracies[m], False)
+    return identity, tuple(steps)
+
+
+def on_delta(n: int, max_dim: int, start, face, degeneracy) -> list[list]:
+    """The value of every simplex of build_delta(n, max_dim), given the identity's.
+
+    start is the value of the identity of [n]; face(m, i, values) returns
+    the values of face i of simplices of dimension m with the given values,
+    and degeneracy(m, i, values) those of degeneracy i.  Following
+    delta_steps, each simplex takes one value from one operator.  Returns
+    the values of dimensions 0..max_dim, one list per dimension, by id.
+    """
+    identity, steps = delta_steps(n, max_dim)
+    values = [[None] * comb(n + m + 1, n) for m in range(max(n, max_dim) + 1)]
+    values[n][identity] = start
+    for m, is_face, i, parents, children in steps:
+        fn, target = (face, values[m - 1]) if is_face else (degeneracy, values[m + 1])
+        for c, v in zip(children, fn(m, i, map(values[m].__getitem__, parents))):
+            target[c] = v
+    return values[: max_dim + 1]
 
 
 # Ids of words are lexicographic ranks.  A word of degree n is its first
@@ -605,41 +657,26 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     return P, SimplicialMap(P, X, firsts), SimplicialMap(P, Y, seconds)
 
 
-def evaluate_operator(X: TruncatedSimplicialSet, xi_values, n: int, k: int) -> tuple[int, int]:
-    """Apply the monotone operator xi: [m] -> [n] to simplex k of dimension n.
-
-    Returns (m, id).  The faces and degeneracies come from delta.peel, so
-    the truncation is never left.
-    """
-    faces, degeneracies = peel(xi_values, n)
-    for i in faces:
-        k = X.face(n, k, i)
-        n -= 1
-    for i in degeneracies:
-        k = X.degeneracy(n, k, i)
-        n += 1
-    return n, k
-
-
 def yoneda(X: TruncatedSimplicialSet, n: int, k: int, max_dim=None) -> SimplicialMap:
     """The map from the standard n-simplex classifying simplex k of X.
 
-    Each operator payload of build_delta(n) is evaluated on the simplex.
+    Each simplex of build_delta(n) is one face or degeneracy of another
+    (delta_steps), so its image is one entry of a column of X.
     """
     if max_dim is None:
         max_dim = X.max_dim
     if max_dim > X.max_dim:
         raise ValueError("classifying map would leave the target truncation")
-    D = build_delta(n, max_dim)
-    table = []
-    for m in range(max_dim + 1):
-        row = []
-        for j in range(D.simplex_count(m)):
-            dim, kk = evaluate_operator(X, D.payload(m, j), n, k)
-            assert dim == m
-            row.append(kk)
-        table.append(tuple(row))
-    return SimplicialMap(D, X, table)
+    if max_dim and not X.has_degeneracies:
+        raise ValueError("face-only object has no degeneracy tables")
+    table = on_delta(
+        n,
+        max_dim,
+        k,
+        lambda m, i, ids: map(X.faces[m][i].__getitem__, ids),
+        lambda m, i, ids: map(X.degeneracies[m][i].__getitem__, ids),
+    )
+    return SimplicialMap(build_delta(n, max_dim), X, list(map(tuple, table)))
 
 
 def reorient_upsilon(X: TruncatedSimplicialSet, decor: SimplicialMap) -> TruncatedSimplicialSet:

@@ -31,7 +31,6 @@ from csx.delta import MonotoneOp, monotone_ops, peel
 from csx.perms import (
     Word,
     all_perms,
-    apply_operator_word,
     cyclic_word,
     degeneracy_perm,
     face_perm,
@@ -74,7 +73,7 @@ def face_payload(X, n: int, p, i: int):
 
 def degeneracy_payload(X, n: int, p, i: int):
     """The payload of degeneracy i of the dimension-n simplex with payload p."""
-    return X.payload(n + 1, X.degeneracy(n, X.id_of(n, p), i))
+    return X.payload(n + 1, X.degeneracies[n][i][X.id_of(n, p)])
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +209,54 @@ def sc_is_degenerate(c: CircularPermutation) -> bool:
     w = c.word
     n = len(w)
     return any(w[(w.index(i) + 1) % n] == i + 1 for i in range(n - 1))
+
+
+def apply_operator_word(xi_values: tuple[int, ...], target_size: int, f: Word) -> Word:
+    """Contravariant action of the monotone operator xi on the word f.
+
+    xi is a monotone map [m] -> [n] given by its value word; f has degree n.
+    The word-level face and degeneracy operators are applied along the
+    peeling of xi (delta.peel).
+    """
+    assert len(f) == target_size
+    faces, degeneracies = peel(xi_values, target_size - 1)
+    for i in faces:
+        f = face_perm(i, f)
+    for i in degeneracies:
+        f = degeneracy_perm(i, f)
+    return f
+
+
+def evaluate_operator(X: TruncatedSimplicialSet, xi_values, n: int, k: int) -> tuple[int, int]:
+    """Apply the monotone operator xi: [m] -> [n] to simplex k of dimension n.
+
+    Returns (m, id).  The faces and degeneracies come from delta.peel, so
+    the truncation is never left.
+    """
+    faces, degeneracies = peel(xi_values, n)
+    for i in faces:
+        k = X.face(n, k, i)
+        n -= 1
+    for i in degeneracies:
+        k = X.degeneracies[n][i][k]
+        n += 1
+    return n, k
+
+
+def yoneda_by_peeling(X: TruncatedSimplicialSet, n: int, k: int, max_dim=None) -> SimplicialMap:
+    """The classifying map of simplex k of X, each operator of build_delta(n) peeled on k."""
+    if max_dim is None:
+        max_dim = X.max_dim
+    D = build_delta(n, max_dim)
+    table = []
+    for m in range(max_dim + 1):
+        row = []
+        for xi in D.payloads[m]:
+            dim, kk = evaluate_operator(X, xi, n, k)
+            assert dim == m
+            row.append(kk)
+        table.append(tuple(row))
+    return SimplicialMap(D, X, table)
 
 
 def apply_operator_circ(xi_values, target_size: int, c: CircularPermutation) -> CircularPermutation:

@@ -1,5 +1,6 @@
 """Bases, decorations, total spaces, and the two structural comparisons."""
 
+import random
 from itertools import product
 
 import pytest
@@ -26,14 +27,13 @@ from csx.bundles import (
     upsilon_comparison,
 )
 from csx.homology import homology_report, normalized_complex
-from csx.perms import all_perms, apply_operator_word
+from csx.perms import all_perms
 from csx.simpset import (
     CircularPermutation,
     all_circular,
     audit_identities,
     build_S,
     build_SC,
-    evaluate_operator,
     nondegenerate_list,
     pullback,
     quotient_circ,
@@ -44,9 +44,11 @@ from csx.delta import monotone_ops
 from oracles import (
     E_of_by_payload,
     apply_operator_circ,
+    apply_operator_word,
     bundle_tables,
     complete_semisimplicial_by_payload,
     decoration_map_by_payload,
+    evaluate_operator,
     pullback_by_payload,
     pullback_tables,
     shuffled_ids,
@@ -197,9 +199,15 @@ def test_pullback_route_matches_direct_construction():
             assert pullback_comparison(g)
 
 
-@pytest.mark.parametrize("n", range(4))
-def test_e_of_tables_match_payload_rules(n):
-    for g in all_perms(n):
+# every word through degree 3, and the two words check all --seed 7 draws at degree 4
+_SEED_7 = random.Random(7)
+_E_WORDS = [all_perms(n) for n in range(4)] + [[tuple(_SEED_7.sample(range(5), 5)) for _ in range(2)]]
+
+
+@pytest.mark.parametrize("words", _E_WORDS, ids=["0", "1", "2", "3", "4-seed7"])
+def test_e_of_tables_match_payload_rules(words):
+    n = len(words[0]) - 1
+    for g in words:
         for max_dim in (n + 1, n + 2):
             assert bundle_tables(E_of(g, max_dim)) == bundle_tables(E_of_by_payload(g, max_dim))
 

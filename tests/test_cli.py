@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 import tempfile
@@ -201,6 +202,54 @@ def test_bundle_options_on_another_homology_target_are_input_errors(capsys, targ
     given = [opt for opt in ("--decoration", "--base", "--cochain") if opt in options]
     assert captured.err == f"error: homology {target} does not take {', '.join(given)} (bundle target only)\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["homology", "S", "--n", "5"], "homology S does not take --n (delta target only)"),
+        (["check", "crossed", "--target", "S"], "check crossed does not take --target (identities suite only)"),
+        (["enumerate", "S", "--g", "1,0"], "enumerate S does not take --g (E target only)"),
+        (
+            ["check", "identities", "--target", "S", "--n", "4"],
+            "check identities S does not take --n (delta and twisted identities only)",
+        ),
+    ],
+)
+def test_per_target_options_elsewhere_are_input_errors(capsys, argv, message):
+    assert main(argv + ["--max-dim", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "all", "--n", "3"],
+        ["check", "identities", "--n", "3"],
+        ["check", "identities", "--target", "twisted", "--n", "1"],
+        ["enumerate", "twisted", "--n", "1"],
+        ["homology", "delta", "--n", "1"],
+    ],
+)
+def test_simplex_dimension_where_it_applies_is_accepted(capsys, argv):
+    assert main(argv + ["--max-dim", "2"]) == 0
+
+
+def test_unset_simplex_dimension_reports_its_default(capsys):
+    _, given = run_json(capsys, "enumerate", "delta", "--n", "2")
+    _, default = run_json(capsys, "enumerate", "delta")
+    assert default == given and default["n"] == 2
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+def test_draw_is_random_sample_over_the_same_stream(seed):
+    ours, theirs = random.Random(seed), random.Random(seed)
+    for _ in range(20):
+        for n in range(cli.HARD_CAP + 1):
+            assert cli._draw(ours, n) == tuple(theirs.sample(range(n + 1), n + 1))
+            assert ours.getstate() == theirs.getstate()
 
 
 # SC wraps the words it generates unchecked; a word read from a file is still checked

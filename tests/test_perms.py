@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from csx.delta import monotone_ops
 from csx.perms import (
     all_perms,
-    apply_operator_word,
     cyclic_word,
     degeneracy_perm,
     face_perm,
@@ -21,6 +20,7 @@ from csx.perms import (
 from oracles import (
     CyclicElement,
     SetMap,
+    apply_operator_word,
     codegeneracy,
     coface,
     compose_ops,

@@ -28,9 +28,9 @@ from csx.simpset import (
     build_S,
     build_SC,
     build_delta,
+    delta_steps,
     from_id_pairs,
     dumps_canonical,
-    evaluate_operator,
     from_rules,
     nondegenerate_list,
     payload_str,
@@ -46,6 +46,7 @@ from csx.simpset import (
 )
 from oracles import (
     audit_identities_by_rows,
+    evaluate_operator,
     map_check_by_rows,
     map_from_payload_fn,
     pullback_by_payload,
@@ -56,6 +57,7 @@ from oracles import (
     shuffled_ids,
     sset_tables,
     twisted_product_by_payload,
+    yoneda_by_peeling,
 )
 
 # relabeling-free fixed points under rotation: nondegenerate class counts
@@ -398,6 +400,55 @@ def test_yoneda_hits_every_operator_image():
     # vertices all land on the unique 0-class
     for k in range(D.simplex_count(0)):
         assert y.apply(0, k) == 0
+    with pytest.raises(ValueError, match="face-only object has no degeneracy tables"):
+        yoneda(boundary_delta(3), 1, 0)
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_delta_steps_reach_each_simplex_once_from_one_reached_before(n):
+    for max_dim in range(7):
+        D = build_delta(n, max(n, max_dim))
+        start, steps = delta_steps(n, max_dim)
+        assert D.payload(n, start) == tuple(range(n + 1))
+        reached = [[0] * D.simplex_count(m) for m in range(D.max_dim + 1)]
+        reached[n][start] = 1
+        for m, is_face, i, parents, children in steps:
+            target = m - 1 if is_face else m + 1
+            column = (D.faces if is_face else D.degeneracies)[m][i]
+            assert len(parents) == len(children) > 0
+            for p, c in zip(parents, children):
+                assert reached[m][p] == 1 and column[p] == c
+                reached[target][c] += 1
+        for m, level in enumerate(reached):
+            if m <= max_dim:
+                assert level == [1] * len(level)
+            else:
+                # above max_dim, only the faces of the identity on the way down
+                injective = [int(len(set(xi)) == m + 1) for xi in D.payloads[m]]
+                assert level == injective
+
+
+def _sampled_ids(X, n, count=4):
+    ids = range(X.simplex_count(n))
+    return sorted({ids[0], ids[-1], *random.Random(n).sample(ids, min(count, len(ids)))})
+
+
+def _hopf_total_space():
+    return total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0)))).total
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_S(6), lambda: build_SC(6), lambda: build_C(6), _hopf_total_space],
+    ids=["S", "SC", "C", "hopf"],
+)
+def test_yoneda_matches_peeling_each_operator(build):
+    X = build()
+    for n in range(X.max_dim + 1):
+        for k in _sampled_ids(X, n):
+            # below n the map still starts at simplex k of dimension n
+            for max_dim in sorted({max(n - 1, 0), n, X.max_dim}):
+                assert yoneda(X, n, k, max_dim).table == yoneda_by_peeling(X, n, k, max_dim).table
 
 
 def test_reorient_identity_decoration_flips_words():
