@@ -372,17 +372,91 @@ def _check_lemmas(cfg: RunConfig, suite: str) -> list[dict]:
     return [_check_result(name, c, bad) for (name, _, _), c, bad in zip(lemmas, cases, found)]
 
 
+def _fork_call(fn, *args):
+    """Start fn(*args) in a forked child; return (pid, read end of its pipe), or None.
+
+    None means os.fork is missing or failed, and the caller runs fn itself.
+    The child sends pickle.dumps((True, value)), or (False, exception,
+    traceback text) if fn raises, then leaves by os._exit: it runs no atexit
+    handler and never flushes the stdio buffers it shares with the parent.
+    The CLI starts no thread, so the child inherits no lock held elsewhere.
+    """
+    import pickle
+
+    fork = getattr(os, "fork", None)
+    if fork is None:
+        return None
+    r, w = os.pipe()
+    try:
+        pid = fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        os.close(r)
+        try:
+            result = pickle.dumps((True, fn(*args)))
+        except Exception as e:
+            import traceback
+
+            result = pickle.dumps((False, e, traceback.format_exc()))
+        with os.fdopen(w, "wb") as fh:
+            fh.write(result)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(child) -> tuple[bytes, int]:
+    """Read what the child sent to EOF, then reap it: those bytes and its wait status."""
+    pid, r = child
+    with os.fdopen(r, "rb") as fh:
+        sent = fh.read()
+    return sent, os.waitpid(pid, 0)[1]
+
+
+def _child_value(sent: bytes, status: int):
+    """The value the child sent, or its exception raised here with its traceback as the cause."""
+    import pickle
+
+    if status:
+        raise RuntimeError(f"forked child ended without a result (wait status {status})")
+    ok, value, *text = pickle.loads(sent)
+    if not ok:
+        raise value from RuntimeError(f"in the forked child:\n{text[0]}")
+    return value
+
+
 def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
+    """Run the suite named: identity audits, then crossed relations, then lemmas.
+
+    For check all, the crossed sweep (no object built, its own seeded rng)
+    runs in a forked child while this process runs the other suites, with
+    the same records; where os.fork is unavailable it runs here, in turn.
+    The child is read to EOF and reaped on every path.
+    """
     suite = args.suite
-    checks: list[dict] = []
-    if suite in ("identities", "all"):
-        targets = [args.target] if suite == "identities" and args.target else _IDENTITY_TARGETS
-        for t in targets:
-            checks.append(_check_identities(cfg, t, args))
-    if suite in ("crossed", "all"):
-        checks.extend(_check_crossed(cfg))
-    if suite in ("lemma", "upsilon", "all"):
-        checks.extend(_check_lemmas(cfg, suite))
+    child = _fork_call(_check_crossed, cfg) if suite == "all" else None
+    identities, crossed, lemmas = [], [], []
+    try:
+        if suite in ("identities", "all"):
+            targets = [args.target] if suite == "identities" and args.target else _IDENTITY_TARGETS
+            identities = [_check_identities(cfg, t, args) for t in targets]
+        if suite == "crossed" or suite == "all" and child is None:
+            crossed = _check_crossed(cfg)
+        if suite in ("lemma", "upsilon", "all"):
+            lemmas = _check_lemmas(cfg, suite)
+    finally:
+        if child:
+            sent, status = _reap(child)
+    if child:
+        crossed = _child_value(sent, status)
+    checks = identities + crossed + lemmas
     if not checks:
         raise ValueError(f"unknown check suite {suite!r}")
     ok = all(c["pass"] for c in checks)

@@ -2,7 +2,7 @@
 
 A permutation of degree n is stored as the word (f(0), ..., f(n)), a tuple of
 length n + 1.  Degree n words form the group of automorphisms of [n]; the
-cyclic rotation tau(n) generates the cyclic subgroup.
+rotation tau(n) = (n, 0, 1, ..., n-1) generates the cyclic subgroup.
 """
 
 from __future__ import annotations
@@ -27,11 +27,6 @@ def inverse(f: Word) -> Word:
     for j, v in enumerate(f):
         g[v] = j
     return tuple(g)
-
-
-def tau(n: int) -> Word:
-    """The rotation (n, 0, 1, ..., n-1)."""
-    return tuple((j - 1) % (n + 1) for j in range(n + 1))
 
 
 def cyclic_word(n: int, k: int) -> Word:

@@ -154,6 +154,11 @@ def identity_perm(n: int) -> Word:
     return tuple(range(n + 1))
 
 
+def tau(n: int) -> Word:
+    """The rotation (n, 0, 1, ..., n-1)."""
+    return tuple((j - 1) % (n + 1) for j in range(n + 1))
+
+
 def pulled_index(f: Word, i: int) -> int:
     """The preimage f^{-1}(i), i.e. the position of the value i in the word."""
     return f.index(i)

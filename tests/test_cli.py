@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -473,6 +474,100 @@ def test_check_all_builds_each_E_once_per_run(capsys, monkeypatch):
     # a second run builds them all again, so no E outlives its run
     assert run_json(capsys, *argv)[0] == 0
     assert calls[37:] == calls[:37]
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_check_all_runs_the_crossed_sweep_in_a_child(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_check_crossed", lambda cfg: [cli._check_result(f"pid {os.getpid()}", 0, None)])
+    code, rep = run_json(capsys, "check", "all", "--max-dim", "3")
+    names = [c["name"] for c in rep["checks"]]
+    assert code == 0
+    # the five identity audits, then the sweep's record, then the lemmas
+    assert names[5].startswith("pid ") and names[5] != f"pid {os.getpid()}"
+    assert names[6:] == ["lemma:pullback", "lemma:upsilon"]
+    _assert_no_child()
+
+
+def test_check_all_catches_a_forged_face_at_degree_5_in_the_child(capsys, monkeypatch):
+    argv = ("check", "all", "--max-dim", "6")
+    real_code, real = run_json(capsys, *argv)
+    assert real_code == 0
+    real_face = cli.face_perm
+
+    def forged(i, f):
+        out = real_face(i, f)
+        return out[::-1] if len(f) == 6 else out
+
+    monkeypatch.setattr(cli, "face_perm", forged)
+    code, rep = run_json(capsys, *argv)
+    _assert_no_child()
+    checks = _checks_by_name(rep)
+    assert code == 1 and not rep["pass"]
+    assert checks["crossed:face"]["counterexample"].startswith("n=5 ")
+    assert checks["crossed:degeneracy"] == _checks_by_name(real)["crossed:degeneracy"]
+    assert [c for c in rep["checks"] if not c["name"].startswith("crossed:")] == [
+        c for c in real["checks"] if not c["name"].startswith("crossed:")
+    ]
+
+
+def test_an_input_error_in_the_child_exits_2(capsys, monkeypatch):
+    def boom(cfg):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "_check_crossed", boom)
+    assert main(["check", "all", "--max-dim", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: boom\n" and captured.out == ""
+    _assert_no_child()
+
+
+def test_an_internal_error_in_the_child_stays_a_traceback(capsys, monkeypatch):
+    def bug(cfg):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "_check_crossed", bug)
+    with pytest.raises(RuntimeError, match="^bug$") as info:
+        main(["check", "all", "--max-dim", "3"])
+    # the child's own traceback comes along as the cause
+    assert "in bug" in str(info.value.__cause__)
+    _assert_no_child()
+
+
+def test_a_child_that_sends_nothing_is_an_internal_error(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_check_crossed", lambda cfg: os._exit(5))
+    with pytest.raises(RuntimeError, match=r"wait status 1280\)$"):
+        main(["check", "all", "--max-dim", "3"])
+    _assert_no_child()
+
+
+def test_a_failing_parent_suite_still_reaps_the_child(capsys, monkeypatch):
+    def bug(cfg, target, args):
+        raise RuntimeError("parent")
+
+    monkeypatch.setattr(cli, "_check_identities", bug)
+    with pytest.raises(RuntimeError, match="^parent$"):
+        main(["check", "all", "--max-dim", "3"])
+    _assert_no_child()
+
+
+def _fork_fails():
+    raise OSError("no fork")
+
+
+@pytest.mark.parametrize("fork", [None, _fork_fails], ids=["missing", "failing"])
+def test_check_all_without_fork_runs_the_sweep_in_process(capsys, monkeypatch, fork):
+    if fork is None:
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", fork)
+    assert main(["check", "all", "--max-dim", "6", "--seed", "7", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (Path(__file__).parent / "golden" / "check_all_6_seed7.json").read_bytes()
+    _assert_no_child()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])

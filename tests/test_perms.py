@@ -15,7 +15,6 @@ from csx.perms import (
     inverse,
     is_perm_word,
     multiply,
-    tau,
 )
 from oracles import (
     CyclicElement,
@@ -30,6 +29,7 @@ from oracles import (
     is_degenerate_perm,
     pulled_index,
     sort_factorization,
+    tau,
 )
 
 perm_words = st.integers(min_value=0, max_value=5).flatmap(

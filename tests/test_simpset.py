@@ -15,7 +15,7 @@ from csx.bundles import (
     decorate_from_cochain,
     total_space,
 )
-from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse, tau
+from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse
 from csx.simpset import (
     CircularPermutation,
     _unchecked_circular,
@@ -56,6 +56,7 @@ from oracles import (
     sc_is_degenerate,
     shuffled_ids,
     sset_tables,
+    tau,
     twisted_product_by_payload,
     yoneda_by_peeling,
 )
