@@ -4,7 +4,8 @@ Each name here is either a slower, payload-level route to something the
 library computes on table rows, the row-at-a-time loop a check or table
 the library now runs on whole columns replaced, the word-by-word crossed
 sweep the library now runs on blocks of ids, the per-boundary homology
-loop the library now runs after pairing off unit cells, an
+loop the library now runs after pairing off unit cells, the boundary
+entries summed in a (row, col) dict where the library keeps columns, an
 order-theoretic notion or a word or map helper the library itself never
 needs, or a renumbering that gives the routes ids out of payload order to
 agree on.  None of them is used by csx.
@@ -47,6 +48,7 @@ from csx.simpset import (
     build_SC,
     build_delta,
     from_rules,
+    nondegenerate_list,
     quotient_circ,
     sc_face,
     sset_from_json,
@@ -682,6 +684,21 @@ def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
         torsion = tuple(d for d in factors[k + 1] if d > 1)
         groups.append((betti, torsion))
     return HomologyReport(groups, unreliable_top=True)
+
+
+def boundary_triplets(X: TruncatedSimplicialSet, n: int) -> str:
+    """The --dump-matrices text of boundary n, summed entry by entry in a (row, col) dict."""
+    rows, cols = nondegenerate_list(X, n - 1), nondegenerate_list(X, n)
+    position = {k: r for r, k in enumerate(rows)}
+    entries: dict[tuple[int, int], int] = {}
+    for c, k in enumerate(cols):
+        for i, face in enumerate(X.faces[n]):
+            r = position.get(face[k])
+            if r is not None:
+                entries[r, c] = entries.get((r, c), 0) + (-1) ** i
+    lines = [f"dims {len(rows)} {len(cols)}"]
+    lines += [f"{r} {c} {v}" for (r, c), v in sorted(entries.items()) if v]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

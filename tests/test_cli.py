@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csx import cli
-from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json
+from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json, total_space
 from csx.cli import RunConfig, effective_cap, main
-from csx.simpset import TruncatedSimplicialSet, from_rules
+from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules
 
 import oracles
 
@@ -100,6 +100,28 @@ def test_homology_bundle_by_cochain(capsys):
     )
     assert code == 0
     assert rep["groups"][:4] == ["Z", "0", "0", "Z"]
+
+
+@pytest.mark.parametrize(
+    "argv, build",
+    [
+        (["SC", "--max-dim", "5"], lambda: build_SC(5)),
+        (
+            ["bundle", "--base", "boundary3", "--cochain", "1:1", "3:1"],
+            lambda: total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 1)))).total,
+        ),
+    ],
+    ids=["SC5", "boundary3-0101"],
+)
+def test_dump_matrices_writes_the_sorted_triplets_of_each_boundary(capsys, tmp_path, argv, build):
+    code, rep = run_json(capsys, "homology", *argv, "--dump-matrices", str(tmp_path))
+    assert code == 0
+    X = build()
+    assert rep["max_dim"] == X.max_dim
+    files = [tmp_path / f"boundary_{n}.txt" for n in range(1, X.max_dim + 1)]
+    assert rep["matrix_files"] == [str(f) for f in files]
+    for n, f in enumerate(files, 1):
+        assert f.read_text(encoding="utf-8") == oracles.boundary_triplets(X, n), n
 
 
 def test_bundle_report(capsys):

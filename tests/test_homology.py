@@ -352,6 +352,14 @@ def test_check_unit_pairing_rejects_a_pair_of_coefficient_two():
         homology.check_unit_pairing(cc, [(2, 0, 0)])
 
 
+@pytest.mark.parametrize("pair", [(1, -1, 1), (1, 1, -1), (1, 2, 1), (1, 1, 2)])
+def test_check_unit_pairing_rejects_ids_out_of_range(pair):
+    # a 2x2 identity: -1 read as the last row or column would find a 1 there
+    cc = _tiny({(0, 0): 1, (1, 1): 1})
+    with pytest.raises(ArithmeticError, match="not a \\+-1 entry"):
+        homology.check_unit_pairing(cc, [pair])
+
+
 def test_check_unit_pairing_rejects_a_cell_used_twice():
     cc = _tiny({(0, 0): 1, (0, 1): -1})
     homology.check_unit_pairing(cc, [(1, 0, 0)])
