@@ -477,7 +477,7 @@ def _dump_matrices(cc, directory: str) -> list[str]:
     written = []
     for k in range(1, cc.max_dim + 1):
         path = outdir / f"boundary_{k}.txt"
-        path.write_text(export_sparse_matrix(cc.boundaries[k]), encoding="utf-8")
+        path.write_text(export_sparse_matrix(cc.boundaries[k], len(cc.basis[k - 1])), encoding="utf-8")
         written.append(str(path))
     return written
 

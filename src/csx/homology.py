@@ -271,27 +271,45 @@ def _combine(terms, width: int) -> list[int]:
     return total
 
 
+def _det(T) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
+
+    Each updated entry is a minor of T (rows swapped as pivoting needs), so
+    every division by the previous pivot is exact.
+    """
+    A = [row[:] for row in T]
+    sign, prev = 1, 1
+    for k in range(len(A)):
+        swap = next((i for i in range(k, len(A)) if A[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            A[k], A[swap] = A[swap], A[k]
+            sign = -sign
+        pivot, top = A[k][k], A[k]
+        for i in range(k + 1, len(A)):
+            a = A[i][k]
+            A[i] = [(x * pivot - a * y) // prev for x, y in zip(A[i], top)]
+        prev = pivot
+    return sign * prev
+
+
 def verify_transforms(matrix, sf: SmithForm) -> bool:
-    """Exact check that sf certifies the Smith form of matrix.
+    """Exact check that sf certifies the Smith form of matrix, a list of rows.
 
     sf must have the matrix's shape R x C, an R x R left and a C x C right
     transform, and positive factors, each dividing the next; then left * M *
     right must be the diagonal of the factors.  M * right is built row by
     row as integer combinations of the rows of right, one per nonzero entry
-    of M, and left * (M * right) likewise.
+    of M, and left * (M * right) likewise.  Last, both transforms must be
+    unimodular: determinant +-1, computed exactly by _det.
     """
     if sf.left is None or sf.right is None:
         return False
-    if isinstance(matrix, SparseMatrix):
-        R, C = matrix.rows, matrix.cols
-        nonzeros = [[] for _ in range(R)]
-        for (r, c), v in matrix.entries.items():
-            nonzeros[r].append((v, c))
-    else:
-        R, C = len(matrix), len(matrix[0]) if matrix else 0
-        if any(len(row) != C for row in matrix):
-            return False
-        nonzeros = [[(v, c) for c, v in enumerate(row) if v] for row in matrix]
+    R, C = len(matrix), len(matrix[0]) if matrix else 0
+    if any(len(row) != C for row in matrix):
+        return False
+    nonzeros = [[(v, c) for c, v in enumerate(row) if v] for row in matrix]
     factors = sf.factors
     if tuple(sf.shape) != (R, C) or len(factors) > min(R, C):
         return False
@@ -307,7 +325,7 @@ def verify_transforms(matrix, sf: SmithForm) -> bool:
             want[i] = factors[i]
         if _combine(zip(Urow, MV), C) != want:
             return False
-    return True
+    return abs(_det(sf.left)) == 1 == abs(_det(sf.right))
 
 
 def rank_mod_p(sm: SparseMatrix, p: int = _CROSSCHECK_PRIME) -> int:
@@ -316,12 +334,14 @@ def rank_mod_p(sm: SparseMatrix, p: int = _CROSSCHECK_PRIME) -> int:
 
 
 class ChainComplexData:
-    """Normalized chain data: per-dimension bases and boundary matrices.
+    """Normalized chain data: per-dimension bases and boundary columns.
 
-    boundaries[n] maps dimension n to n-1 (None at index 0).
+    boundaries[n] maps dimension n to n-1 (None at index 0).  It is a list
+    with one column per basis simplex of dimension n: column c is a
+    {row: coefficient} dict of the nonzero entries of the boundary of c.
     """
 
-    def __init__(self, max_dim: int, basis: list[list[int]], boundaries: list[SparseMatrix | None]):
+    def __init__(self, max_dim: int, basis: list[list[int]], boundaries: list[list[dict[int, int]] | None]):
         self.max_dim, self.basis, self.boundaries = max_dim, basis, boundaries
 
     def basis_sizes(self) -> list[int]:
@@ -329,7 +349,7 @@ class ChainComplexData:
 
 
 def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
-    """Boundary matrices on nondegenerate simplices with signs (-1)^i.
+    """Boundary columns on nondegenerate simplices with signs (-1)^i.
 
     Composing consecutive boundaries must give zero; that and the identity
     audit guard against malformed inputs.
@@ -337,41 +357,38 @@ def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     assert_valid(X)
     basis = [nondegenerate_list(X, n) for n in range(X.max_dim + 1)]
     positions = [{k: idx for idx, k in enumerate(level)} for level in basis]
-    boundaries: list[SparseMatrix | None] = [None]
+    boundaries: list[list[dict[int, int]] | None] = [None]
     for n in range(1, X.max_dim + 1):
-        entries: dict[tuple[int, int], int] = {}
-        # entries go in by basis simplex, then face index: the sweep's pivot
-        # choices, and so its speed, follow the insertion order
+        columns = []
+        # rows go in by face index: the sweep's pivot choices, and so its
+        # speed, follow the insertion order
         below = positions[n - 1]
-        rows = zip(*(map(face.__getitem__, basis[n]) for face in X.faces[n]))
-        for col, face_row in enumerate(rows):
+        for face_row in zip(*(map(face.__getitem__, basis[n]) for face in X.faces[n])):
+            column: dict[int, int] = {}
             for i, f in enumerate(face_row):
                 row = below.get(f)
                 if row is None:
                     continue
-                key = (row, col)
-                v = entries.get(key, 0) + (1 if i % 2 == 0 else -1)
+                v = column.get(row, 0) + (1 if i % 2 == 0 else -1)
                 if v:
-                    entries[key] = v
-                elif key in entries:
-                    del entries[key]
-        boundaries.append(SparseMatrix(len(basis[n - 1]), len(basis[n]), entries))
+                    column[row] = v
+                else:
+                    del column[row]
+            columns.append(column)
+        boundaries.append(columns)
     for n in range(2, X.max_dim + 1):
         _assert_composite_zero(boundaries[n - 1], boundaries[n])
     return ChainComplexData(X.max_dim, basis, boundaries)
 
 
-def _assert_composite_zero(outer: SparseMatrix, inner: SparseMatrix):
-    by_col: dict[int, list[tuple[int, int]]] = {}
-    for (r, c), v in outer.entries.items():
-        by_col.setdefault(c, []).append((r, v))
-    sums: dict[tuple[int, int], int] = {}
-    for (r, c), v in inner.entries.items():
-        for r2, v2 in by_col.get(r, ()):
-            key = (r2, c)
-            sums[key] = sums.get(key, 0) + v * v2
-    if any(sums.values()):
-        raise ValueError("boundary of boundary is nonzero")
+def _assert_composite_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]):
+    for column in inner:
+        sums: dict[int, int] = {}
+        for r, v in column.items():
+            for r2, v2 in outer[r].items():
+                sums[r2] = sums.get(r2, 0) + v * v2
+        if any(sums.values()):
+            raise ValueError("boundary of boundary is nonzero")
 
 
 class HomologyReport:
@@ -406,15 +423,14 @@ def unit_pairing(cc: ChainComplexData) -> list[tuple[int, int, int]]:
     many cells as a FIFO queue.  A pair (n, row, col) is a +-1 entry of
     boundary n.  Nothing here is trusted: check_unit_pairing certifies it.
     """
-    sizes, top = cc.basis_sizes(), cc.max_dim
-    faces = [[[] for _ in range(s)] for s in sizes]
+    sizes, top, faces = cc.basis_sizes(), cc.max_dim, cc.boundaries
     cofaces = [[[] for _ in range(s)] for s in sizes]
     for n in range(1, top + 1):
-        f, cf = faces[n], cofaces[n - 1]
-        for r, c in cc.boundaries[n].entries:
-            f[c].append(r)
-            cf[r].append(c)
-    live_faces = [list(map(len, level)) for level in faces]
+        cf = cofaces[n - 1]
+        for c, column in enumerate(faces[n]):
+            for r in column:
+                cf[r].append(c)
+    live_faces = [[0] * sizes[0]] + [list(map(len, level)) for level in faces[1:]]
     live_cofaces = [list(map(len, level)) for level in cofaces]
     dead = [bytearray(s) for s in sizes]
     stack = [(n, k) for n in range(top + 1) for k in range(sizes[n]) if 1 in (live_faces[n][k], live_cofaces[n][k])]
@@ -437,14 +453,14 @@ def unit_pairing(cc: ChainComplexData) -> list[tuple[int, int, int]]:
             continue
         if live_faces[n][k] == 1:
             r = next(r for r in faces[n][k] if not dead[n - 1][r])
-            if cc.boundaries[n].entries[r, k] in (1, -1):
+            if faces[n][k][r] in (1, -1):
                 pairs.append((n, r, k))
                 remove(n - 1, r)
                 remove(n, k)
                 continue
         if live_cofaces[n][k] == 1:
             c = next(c for c in cofaces[n][k] if not dead[n + 1][c])
-            if cc.boundaries[n + 1].entries[k, c] in (1, -1):
+            if faces[n + 1][c][k] in (1, -1):
                 pairs.append((n + 1, k, c))
                 remove(n, k)
                 remove(n + 1, c)
@@ -465,7 +481,8 @@ def check_unit_pairing(cc: ChainComplexData, pairs) -> list[list[int]]:
     end = len(pairs)
     steps = [[end] * s for s in cc.basis_sizes()]
     for t, (n, r, c) in enumerate(pairs):
-        if not 1 <= n <= cc.max_dim or cc.boundaries[n].entries.get((r, c)) not in (1, -1):
+        columns = cc.boundaries[n] if 1 <= n <= cc.max_dim else ()
+        if not 0 <= c < len(columns) or columns[c].get(r) not in (1, -1):
             raise ArithmeticError(f"unit pairing: pair {t} is not a +-1 entry of a boundary")
         for m, k in ((n - 1, r), (n, c)):
             if steps[m][k] != end:
@@ -474,24 +491,26 @@ def check_unit_pairing(cc: ChainComplexData, pairs) -> list[list[int]]:
     for n in range(1, cc.max_dim + 1):
         below, here = steps[n - 1], steps[n]
         column_late, row_late = set(), set()
-        for r, c in cc.boundaries[n].entries:
-            t, u = here[c], below[r]
-            # pair t lies in boundary n exactly when column c is its upper
-            # cell, and pair u exactly when row r is its lower cell
-            if t < end and pairs[t][0] == n and u > t:
-                column_late.add(t)
-            if u < end and pairs[u][0] == n and t > u:
-                row_late.add(u)
+        for c, column in enumerate(cc.boundaries[n]):
+            t = here[c]
+            for r in column:
+                u = below[r]
+                # pair t lies in boundary n exactly when column c is its upper
+                # cell, and pair u exactly when row r is its lower cell
+                if t < end and pairs[t][0] == n and u > t:
+                    column_late.add(t)
+                if u < end and pairs[u][0] == n and t > u:
+                    row_late.add(u)
         if column_late & row_late:
             raise ArithmeticError(f"unit pairing: pair {min(column_late & row_late)} is not acyclic")
     return steps
 
 
-def _unpaired(sm: SparseMatrix, row_steps, col_steps, end: int) -> SparseMatrix:
-    """The block of sm on the rows and columns whose step is end, renumbered."""
+def _unpaired(columns, row_steps, col_steps, end: int) -> SparseMatrix:
+    """The block on the rows and columns whose step is end, renumbered, column by column."""
     rows = {r: i for i, r in enumerate(r for r, s in enumerate(row_steps) if s == end)}
-    cols = {c: j for j, c in enumerate(c for c, s in enumerate(col_steps) if s == end)}
-    entries = {(rows[r], cols[c]): v for (r, c), v in sm.entries.items() if r in rows and c in cols}
+    cols = [column for column, s in zip(columns, col_steps) if s == end]
+    entries = {(rows[r], j): v for j, column in enumerate(cols) for r, v in column.items() if r in rows}
     return SparseMatrix(len(rows), len(cols), entries)
 
 
@@ -515,20 +534,23 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
     sizes = cc.basis_sizes()
     ranks = [0] * (cc.max_dim + 2)
     factors: list[tuple[int, ...]] = [()] * (cc.max_dim + 2)
-    small = [sm is None or (sm.rows <= _TRANSFORM_LIMIT and sm.cols <= _TRANSFORM_LIMIT) for sm in cc.boundaries]
+    small = [True] + [max(rows, cols) <= _TRANSFORM_LIMIT for rows, cols in zip(sizes, sizes[1:])]
     if not all(small):
         pairs = unit_pairing(cc)
         steps = check_unit_pairing(cc, pairs)
     for n in range(1, cc.max_dim + 1):
-        sm = cc.boundaries[n]
         if small[n]:
-            sf = smith_normal_form(sm, transforms=True, policy=policy)
-            if not verify_transforms(sm, sf):
+            M = [[0] * sizes[n] for _ in range(sizes[n - 1])]
+            for c, column in enumerate(cc.boundaries[n]):
+                for r, v in column.items():
+                    M[r][c] = v
+            sf = smith_normal_form(M, transforms=True, policy=policy)
+            if not verify_transforms(M, sf):
                 raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
             units = ()
         else:
             units = (1,) * sum(1 for m, _, _ in pairs if m == n)
-            sm = _unpaired(sm, steps[n - 1], steps[n], len(pairs))
+            sm = _unpaired(cc.boundaries[n], steps[n - 1], steps[n], len(pairs))
             sf = smith_normal_form(sm, policy=policy)
             if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
                 raise ArithmeticError(f"remainder certificate failed for boundary {n}")
@@ -544,9 +566,9 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
     return HomologyReport(groups, unreliable_top=True)
 
 
-def export_sparse_matrix(sm: SparseMatrix) -> str:
-    """Triplet text: a 'dims R C' header, then one 'row col value' per entry."""
-    lines = [f"dims {sm.rows} {sm.cols}"]
-    for (r, c), v in sorted(sm.entries.items()):
+def export_sparse_matrix(columns, rows: int) -> str:
+    """Triplet text: a 'dims R C' header, then one 'row col value' per entry, sorted."""
+    lines = [f"dims {rows} {len(columns)}"]
+    for r, c, v in sorted((r, c, v) for c, column in enumerate(columns) for r, v in column.items()):
         lines.append(f"{r} {c} {v}")
     return "\n".join(lines) + "\n"

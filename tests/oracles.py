@@ -637,11 +637,13 @@ def pullback_by_rows(p: SimplicialMap, q: SimplicialMap):
     return P, SimplicialMap(P, X, firsts), SimplicialMap(P, Y, seconds)
 
 
-def verify_transforms_by_rows(matrix, sf: SmithForm) -> bool:
-    """Exact check that left * M * right is the diagonal of invariant factors."""
+def verify_transforms_by_rows(M, sf: SmithForm) -> bool:
+    """Exact check that left * M * right is the diagonal of invariant factors.
+
+    Both transforms must also have determinant +-1.
+    """
     if sf.left is None or sf.right is None:
         return False
-    M = matrix.to_dense() if isinstance(matrix, SparseMatrix) else matrix
     R, C = sf.shape
     MV = [[sum(M[i][k] * sf.right[k][j] for k in range(C)) for j in range(C)] for i in range(R)]
     for i in range(R):
@@ -651,7 +653,22 @@ def verify_transforms_by_rows(matrix, sf: SmithForm) -> bool:
             want = sf.factors[i] if i == j and i < len(sf.factors) else 0
             if v != want:
                 return False
-    return True
+    return abs(det_by_expansion(sf.left)) == 1 == abs(det_by_expansion(sf.right))
+
+
+def boundary_matrix(cc, n: int) -> SparseMatrix:
+    """Boundary n of cc as a (row, col) dict, entries column by column."""
+    columns = cc.boundaries[n]
+    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+    return SparseMatrix(len(cc.basis[n - 1]), len(columns), entries)
+
+
+def det_by_expansion(T) -> int:
+    """Determinant of a square integer matrix by Laplace expansion along the first row."""
+    if not T:
+        return 1
+    minors = ([row[:j] + row[j + 1 :] for row in T[1:]] for j in range(len(T)))
+    return sum((-1) ** j * v * det_by_expansion(m) for j, (v, m) in enumerate(zip(T[0], minors)) if v)
 
 
 def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
@@ -665,8 +682,10 @@ def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
     ranks = [0] * (cc.max_dim + 2)
     factors: list[tuple[int, ...]] = [()] * (cc.max_dim + 2)
     for n in range(1, cc.max_dim + 1):
-        sm = cc.boundaries[n]
+        sm = boundary_matrix(cc, n)
         small = sm.rows <= 200 and sm.cols <= 200
+        if small:
+            sm = sm.to_dense()
         sf = smith_normal_form(sm, transforms=small, policy=policy)
         if small:
             if not verify_transforms(sm, sf):

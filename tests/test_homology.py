@@ -29,7 +29,7 @@ from csx.homology import (
     verify_transforms,
 )
 from csx.simpset import build_C, build_S, build_SC, build_delta
-from oracles import homology_report_by_boundary, verify_transforms_by_rows
+from oracles import boundary_matrix, det_by_expansion, homology_report_by_boundary, verify_transforms_by_rows
 
 # invariant factors computed from determinant divisors:
 # d1 = gcd of entries, d2 = gcd of 2x2 minors, d3 = |det|
@@ -127,10 +127,14 @@ def test_sweep_matches_certified_dense(sm, p):
     assert rank_mod_p(sm, p) == sum(1 for f in dense.factors if f % p)
 
 
-def _rp3_boundary_2():
-    """The 2-boundary of the degree-2 bundle over the tetrahedron boundary (RP^3)."""
+def _rp3_complex():
+    """The chains of the degree-2 bundle over the tetrahedron boundary (RP^3)."""
     decor = decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 1)))
-    return normalized_complex(total_space(decor).total).boundaries[2]
+    return normalized_complex(total_space(decor).total)
+
+
+def _rp3_boundary_2():
+    return boundary_matrix(_rp3_complex(), 2)
 
 
 def test_sparse_path_certifies_torsion_remainder():
@@ -146,17 +150,15 @@ def test_sparse_path_certifies_torsion_remainder():
 def test_homology_report_certifies_torsion_above_transform_limit(monkeypatch):
     # the RP^3 2-boundary plus a 200x200 identity block: over the certified
     # size, so the torsion comes out of the sparse path's remainder
-    d2 = _rp3_boundary_2()
-    k = 200
-    entries = dict(d2.entries)
-    entries.update({(d2.rows + i, d2.cols + i): 1 for i in range(k)})
-    big = SparseMatrix(d2.rows + k, d2.cols + k, entries)
-    basis = [[0], list(range(big.rows)), list(range(big.cols))]
-    cc = ChainComplexData(2, basis, [None, SparseMatrix(1, big.rows), big])
+    rp3 = _rp3_complex()
+    rows, k = len(rp3.basis[1]), 200
+    big = rp3.boundaries[2] + [{rows + i: 1} for i in range(k)]
+    basis = [[0], list(range(rows + k)), list(range(len(big)))]
+    cc = ChainComplexData(2, basis, [None, [{} for _ in range(rows + k)], big])
     rep = homology_report(cc)
     rank = 13 + k
-    assert rep.groups[1] == (big.rows - rank, (2,))
-    assert rep.groups[2] == (big.cols - rank, ())
+    assert rep.groups[1] == (rows + k - rank, (2,))
+    assert rep.groups[2] == (len(big) - rank, ())
 
     def forged(matrix, **kwargs):
         sf = smith_normal_form(matrix, **kwargs)
@@ -170,7 +172,7 @@ def test_homology_report_certifies_torsion_above_transform_limit(monkeypatch):
 
 
 def test_sparse_group_boundary_is_all_units():
-    sm = normalized_complex(build_S(6)).boundaries[6]
+    sm = boundary_matrix(normalized_complex(build_S(6)), 6)
     assert (sm.rows, sm.cols) == (309, 2119)
     sf = smith_normal_form(sm)
     assert sf.factors == (1,) * 265
@@ -213,8 +215,7 @@ def test_unknown_policy_rejected():
 
 
 def test_export_sparse_matrix_format():
-    sm = SparseMatrix(2, 3, {(0, 1): -4, (1, 0): 7})
-    text = export_sparse_matrix(sm)
+    text = export_sparse_matrix([{1: 7}, {0: -4}, {}], 2)
     assert text == "dims 2 3\n0 1 -4\n1 0 7\n"
 
 
@@ -248,12 +249,30 @@ def test_boundary_composites_vanish():
     for X in (build_SC(4), build_delta(2, 4)):
         cc = normalized_complex(X)
         for n in range(2, X.max_dim + 1):
-            outer, inner = cc.boundaries[n - 1], cc.boundaries[n]
+            outer, inner = boundary_matrix(cc, n - 1), boundary_matrix(cc, n)
             dense_o = outer.to_dense()
             dense_i = inner.to_dense()
             for i in range(outer.rows):
                 for j in range(inner.cols):
                     assert sum(dense_o[i][k] * dense_i[k][j] for k in range(outer.cols)) == 0
+
+
+@pytest.mark.parametrize(
+    "outer, inner, vanishes",
+    [
+        # an edge from vertex 1 to vertex 0 bounding a 2-cell on its own
+        ([{0: 1, 1: -1}], [{0: 1}], False),
+        # two parallel edges: their difference is a cycle, their sum is not
+        ([{0: 1, 1: -1}, {0: 1, 1: -1}], [{0: 1, 1: -1}], True),
+        ([{0: 1, 1: -1}, {0: 1, 1: -1}], [{0: 1, 1: -1}, {0: 1, 1: 1}], False),
+    ],
+)
+def test_composite_boundary_guard(outer, inner, vanishes):
+    if vanishes:
+        homology._assert_composite_zero(outer, inner)
+    else:
+        with pytest.raises(ValueError, match="boundary of boundary is nonzero"):
+            homology._assert_composite_zero(outer, inner)
 
 
 def test_homology_report_json_and_pretty():
@@ -276,7 +295,6 @@ def test_verify_transforms_matches_row_loop():
         M = [[rng.randrange(-5, 6) for _ in range(C)] for _ in range(R)]
         sf = smith_normal_form(M, transforms=True)
         assert verify_transforms(M, sf) is verify_transforms_by_rows(M, sf) is True
-        assert verify_transforms(SparseMatrix.from_dense(M), sf)
         for which in ("left", "right"):
             T = [row[:] for row in getattr(sf, which)]
             row = rng.choice(T)
@@ -321,6 +339,39 @@ def test_verify_transforms_rejects_a_ragged_matrix():
     assert not verify_transforms([[1, 0], [0]], sf)
 
 
+def _times(A, B):
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+
+
+def test_verify_transforms_rejects_transforms_that_are_not_unimodular():
+    # zero transforms map any matrix onto the empty diagonal
+    zero = [[0, 0], [0, 0]]
+    assert not verify_transforms([[1, 5], [7, 0]], SmithForm((2, 2), (), zero, zero))
+    # M has rank 1, so the second row of U * M * V vanishes whatever U's second
+    # row is, and the second column of M * V already vanishes
+    M = [[2, 4], [1, 2]]
+    sf = smith_normal_form(M, transforms=True)
+    assert sf.factors == (1,) and verify_transforms(M, sf)
+    forgeries = [
+        SmithForm(sf.shape, sf.factors, [sf.left[0], [0, 0]], sf.right),
+        SmithForm(sf.shape, sf.factors, [sf.left[0], [2 * v for v in sf.left[1]]], sf.right),
+        SmithForm(sf.shape, sf.factors, sf.left, [[row[0], 0] for row in sf.right]),
+    ]
+    for forged in forgeries:
+        assert _times(_times(forged.left, M), forged.right) == [[1, 0], [0, 0]]
+        assert not verify_transforms(M, forged)
+        assert not verify_transforms_by_rows(M, forged)
+
+
+def test_det_matches_laplace_expansion():
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randrange(0, 6)
+        # mostly zeros, so that pivots are often missing and rows swap
+        T = [[rng.choice((0, 0, 0, 1, -1, 2, -3)) for _ in range(n)] for _ in range(n)]
+        assert homology._det(T) == det_by_expansion(T), T
+
+
 # ---------------------------------------------------------------------------
 # the unit pairing and its certificate
 
@@ -329,15 +380,17 @@ def _tiny(entries) -> ChainComplexData:
     """One boundary from dimension 1 to 0, given by its entries."""
     rows = 1 + max((r for r, _ in entries), default=0)
     cols = 1 + max((c for _, c in entries), default=0)
-    basis = [list(range(rows)), list(range(cols))]
-    return ChainComplexData(1, basis, [None, SparseMatrix(rows, cols, dict(entries))])
+    columns = [{} for _ in range(cols)]
+    for (r, c), v in entries.items():
+        columns[c][r] = v
+    return ChainComplexData(1, [list(range(rows)), list(range(cols))], [None, columns])
 
 
 def test_unit_pairing_is_certified_and_pairs_units_only():
     cc = normalized_complex(build_SC(6))
     pairs = homology.unit_pairing(cc)
     steps = homology.check_unit_pairing(cc, pairs)
-    assert pairs and all(cc.boundaries[n].entries[r, c] in (1, -1) for n, r, c in pairs)
+    assert pairs and all(cc.boundaries[n][c][r] in (1, -1) for n, r, c in pairs)
     assert sorted(steps[n - 1][r] for n, r, _ in pairs) == list(range(len(pairs)))
     # a 2 is no unit, so the one cell and its face stay
     assert homology.unit_pairing(_tiny({(0, 0): 2})) == []
