@@ -274,22 +274,32 @@ def _combine(terms, width: int) -> list[int]:
 def _det(T) -> int:
     """Determinant of a square integer matrix by fraction-free (Bareiss) elimination.
 
-    Each updated entry is a minor of T (rows swapped as pivoting needs), so
-    every division by the previous pivot is exact.
+    Step k replaces each later row by (row * pivot - a * top) // prev, a its
+    entry in column k; entries stay minors of T, so the division is exact.
+    With positive pivots, most steps on _dense_snf's transforms have pivot
+    == prev, and then only the rows with a != 0 change.
     """
-    A = [row[:] for row in T]
+    A = [list(row) for row in T]
     sign, prev = 1, 1
     for k in range(len(A)):
-        swap = next((i for i in range(k, len(A)) if A[i][k]), None)
-        if swap is None:
+        i = next((i for i in range(k, len(A)) if A[i][k]), None)
+        if i is None:
             return 0
-        if swap != k:
-            A[k], A[swap] = A[swap], A[k]
+        if i != k:
+            A[k], A[i] = A[i], A[k]
             sign = -sign
-        pivot, top = A[k][k], A[k]
-        for i in range(k + 1, len(A)):
-            a = A[i][k]
-            A[i] = [(x * pivot - a * y) // prev for x, y in zip(A[i], top)]
+        top = A[k]
+        if top[k] < 0:
+            top, sign = [-x for x in top], -sign
+        pivot = top[k]
+        nonzero = [(j, top[j]) for j in range(k + 1, len(top)) if top[j]]
+        for row in A[k + 1 :]:
+            a = row[k]
+            if pivot != prev:
+                row[k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+            elif a:
+                for j, y in nonzero:
+                    row[j] -= a * y // prev
         prev = pivot
     return sign * prev
 
