@@ -291,12 +291,12 @@ def _det(T) -> int:
         top = A[k]
         if top[k] < 0:
             top, sign = [-x for x in top], -sign
-        pivot = top[k]
-        nonzero = [(j, top[j]) for j in range(k + 1, len(top)) if top[j]]
+        pivot, rest = top[k], top[k + 1 :]
+        nonzero = [(j, y) for j, y in enumerate(rest, k + 1) if y]
         for row in A[k + 1 :]:
             a = row[k]
             if pivot != prev:
-                row[k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1 :], top[k + 1 :])]
+                row[k + 1 :] = [(x * pivot - a * y) // prev for x, y in zip(row[k + 1 :], rest)]
             elif a:
                 for j, y in nonzero:
                     row[j] -= a * y // prev
