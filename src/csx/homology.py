@@ -1,13 +1,15 @@
 """Exact integer homology of truncated simplicial sets.
 
 Chains are normalized: one generator per nondegenerate simplex, degenerate
-faces dropped.  Boundary matrices are reduced to Smith normal form over the
-integers with arbitrary-precision arithmetic; an optional checked mode fails
-loudly if any intermediate entry would leave the signed 64-bit range.
+faces dropped.  Coreductions with aces shrink them to a Morse complex, whose
+boundaries are reduced to Smith normal form over the integers with
+arbitrary-precision arithmetic; an optional checked mode fails loudly if any
+intermediate entry would leave the signed 64-bit range.
 """
 
 from __future__ import annotations
 
+from array import array
 from operator import add
 
 from .simpset import TruncatedSimplicialSet, assert_valid, nondegenerate_list
@@ -370,8 +372,6 @@ def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     boundaries: list[list[dict[int, int]] | None] = [None]
     for n in range(1, X.max_dim + 1):
         columns = []
-        # rows go in by face index: the sweep's pivot choices, and so its
-        # speed, follow the insertion order
         below = positions[n - 1]
         for face_row in zip(*(map(face.__getitem__, basis[n]) for face in X.faces[n])):
             column: dict[int, int] = {}
@@ -391,14 +391,14 @@ def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     return ChainComplexData(X.max_dim, basis, boundaries)
 
 
-def _assert_composite_zero(outer: list[dict[int, int]], inner: list[dict[int, int]]):
+def _assert_composite_zero(outer: list[dict[int, int]], inner: list[dict[int, int]], error=ValueError):
     for column in inner:
         sums: dict[int, int] = {}
         for r, v in column.items():
             for r2, v2 in outer[r].items():
                 sums[r2] = sums.get(r2, 0) + v * v2
         if any(sums.values()):
-            raise ValueError("boundary of boundary is nonzero")
+            raise error("boundary of boundary is nonzero")
 
 
 class HomologyReport:
@@ -420,159 +420,151 @@ class HomologyReport:
         return " + ".join(parts) if parts else "0"
 
 
-_TRANSFORM_LIMIT = 200
+def unit_pairing(cc: ChainComplexData) -> list[tuple[int, int | None, int]]:
+    """Coreductions with aces: every cell of the complex, in removal order.
 
-
-def unit_pairing(cc: ChainComplexData) -> list[tuple[int, int, int]]:
-    """Cells paired off by coreductions and reductions, in removal order.
-
-    A cell whose only live face has coefficient +-1 is removed with that
-    face (a coreduction), and a cell whose only live coface has coefficient
-    +-1 with that coface (a reduction).  Candidates come off a stack, so the
-    cells a removal frees are tried first; on SC8 that paired 1.7 times as
-    many cells as a FIFO queue.  A pair (n, row, col) is a +-1 entry of
-    boundary n.  Nothing here is trusted: check_unit_pairing certifies it.
+    A cell whose only live face has coefficient +-1 goes with that face as
+    the step (n, row, col), a coreduction.  Candidates are the cells a
+    removal leaves with one live face, taken from a stack.  When it runs
+    dry, the first live cell of the lowest live dimension (it has no live
+    face) goes alone as the step (n, None, col), an ace (Mrozek-Batko,
+    Coreduction homology algorithm, 2009).  check_unit_pairing certifies it.
     """
     sizes, top, faces = cc.basis_sizes(), cc.max_dim, cc.boundaries
-    cofaces = [[[] for _ in range(s)] for s in sizes]
+    cofaces = [[array("i") for _ in range(s)] for s in sizes[:-1]]
     for n in range(1, top + 1):
         cf = cofaces[n - 1]
         for c, column in enumerate(faces[n]):
             for r in column:
                 cf[r].append(c)
-    live_faces = [[0] * sizes[0]] + [list(map(len, level)) for level in faces[1:]]
-    live_cofaces = [list(map(len, level)) for level in cofaces]
+    live = [[0] * sizes[0]] + [list(map(len, level)) for level in faces[1:]]
     dead = [bytearray(s) for s in sizes]
-    stack = [(n, k) for n in range(top + 1) for k in range(sizes[n]) if 1 in (live_faces[n][k], live_cofaces[n][k])]
-    pairs = []
+    stack, order = [], []
 
     def remove(m, j):
         dead[m][j] = 1
-        for near, adjacent, counts in ((m + 1, cofaces, live_faces), (m - 1, faces, live_cofaces)):
-            if 0 <= near <= top:
-                gone, count = dead[near], counts[near]
-                for k in adjacent[m][j]:
-                    if not gone[k]:
-                        count[k] -= 1
-                        if count[k] == 1:
-                            stack.append((near, k))
+        if m < top:
+            gone, count = dead[m + 1], live[m + 1]
+            for k in cofaces[m][j]:
+                if not gone[k]:
+                    count[k] -= 1
+                    if count[k] == 1:
+                        stack.append((m + 1, k))
 
-    while stack:
-        n, k = stack.pop()
-        if dead[n][k]:
-            continue
-        if live_faces[n][k] == 1:
-            r = next(r for r in faces[n][k] if not dead[n - 1][r])
-            if faces[n][k][r] in (1, -1):
-                pairs.append((n, r, k))
-                remove(n - 1, r)
-                remove(n, k)
+    n = k = 0
+    while n <= top:
+        while stack:
+            m, c = stack.pop()
+            if dead[m][c] or live[m][c] != 1:
                 continue
-        if live_cofaces[n][k] == 1:
-            c = next(c for c in cofaces[n][k] if not dead[n + 1][c])
-            if faces[n + 1][c][k] in (1, -1):
-                pairs.append((n + 1, k, c))
-                remove(n, k)
-                remove(n + 1, c)
-    return pairs
+            column = faces[m][c]
+            r = next(r for r in column if not dead[m - 1][r])
+            if column[r] in (1, -1):
+                order.append((m, r, c))
+                remove(m - 1, r)
+                remove(m, c)
+        # every cell below dimension n, and below k in dimension n, is dead
+        if k == sizes[n]:
+            n, k = n + 1, 0
+        elif dead[n][k]:
+            k += 1
+        else:
+            order.append((n, None, k))
+            remove(n, k)
+    return order
 
 
-def check_unit_pairing(cc: ChainComplexData, pairs) -> list[list[int]]:
-    """Certify a unit pairing; return the step each cell was removed at.
+def check_unit_pairing(cc: ChainComplexData, order) -> None:
+    """Certify a removal order of coreductions with aces; raise ArithmeticError if not.
 
-    Every pair (n, row, col) must be a +-1 entry of boundary n, no cell may
-    be in two pairs, and the other entries of the pair's column, or of its
-    row, must lie in cells of earlier pairs.  Then each removal is a
-    unimodular change of basis without fill-in, and as consecutive
-    boundaries compose to zero it splits the pair off and leaves every other
-    entry as it was.  Cells in no pair get step len(pairs).  Raises
-    ArithmeticError otherwise; costs O(nnz).
+    Each step is a pair (n, row, col) on a +-1 entry of boundary n, or an
+    ace (n, None, col).  Every cell goes exactly once, and each face of a
+    pair's col other than its row, and of an ace, goes at an earlier step.
+    The steps then fall along every gradient path, so the pairs are an
+    acyclic matching whose critical cells are the aces.  Costs O(nnz).
     """
-    end = len(pairs)
-    steps = [[end] * s for s in cc.basis_sizes()]
-    for t, (n, r, c) in enumerate(pairs):
-        columns = cc.boundaries[n] if 1 <= n <= cc.max_dim else ()
-        if not 0 <= c < len(columns) or columns[c].get(r) not in (1, -1):
-            raise ArithmeticError(f"unit pairing: pair {t} is not a +-1 entry of a boundary")
-        for m, k in ((n - 1, r), (n, c)):
-            if steps[m][k] != end:
+    sizes = cc.basis_sizes()
+    steps = [[-1] * s for s in sizes]
+    for t, (n, r, c) in enumerate(order):
+        cells = sizes[n] if 0 <= n <= cc.max_dim else 0
+        if not 0 <= c < cells or r is not None and (n == 0 or cc.boundaries[n][c].get(r) not in (1, -1)):
+            raise ArithmeticError(f"unit pairing: step {t} is not a cell, or not a +-1 entry of a boundary")
+        for m, k in ((n, c),) if r is None else ((n - 1, r), (n, c)):
+            if steps[m][k] != -1:
                 raise ArithmeticError(f"unit pairing: cell {k} of dimension {m} is used twice")
             steps[m][k] = t
+    for n, level in enumerate(steps):
+        if -1 in level:
+            raise ArithmeticError(f"unit pairing: cell {level.index(-1)} of dimension {n} is never removed")
     for n in range(1, cc.max_dim + 1):
-        below, here = steps[n - 1], steps[n]
-        column_late, row_late = set(), set()
+        below = steps[n - 1]
         for c, column in enumerate(cc.boundaries[n]):
-            t = here[c]
-            for r in column:
-                u = below[r]
-                # pair t lies in boundary n exactly when column c is its upper
-                # cell, and pair u exactly when row r is its lower cell
-                if t < end and pairs[t][0] == n and u > t:
-                    column_late.add(t)
-                if u < end and pairs[u][0] == n and t > u:
-                    row_late.add(u)
-        if column_late & row_late:
-            raise ArithmeticError(f"unit pairing: pair {min(column_late & row_late)} is not acyclic")
-    return steps
+            t = steps[n][c]
+            # a partner's step is t itself, any other face's must be smaller
+            if order[t][0] == n and any(below[r] > t for r in column):
+                fault = f"ace {t} still has a live face" if order[t][1] is None else f"pair {t} is not acyclic"
+                raise ArithmeticError(f"unit pairing: {fault}")
 
 
-def _unpaired(columns, row_steps, col_steps, end: int) -> SparseMatrix:
-    """The block on the rows and columns whose step is end, renumbered, column by column."""
-    rows = {r: i for i, r in enumerate(r for r, s in enumerate(row_steps) if s == end)}
-    cols = [column for column, s in zip(columns, col_steps) if s == end]
-    entries = {(rows[r], j): v for j, column in enumerate(cols) for r, v in column.items() if r in rows}
-    return SparseMatrix(len(rows), len(cols), entries)
+def _morse_rows(columns, pairs, rows, cols, policy) -> list[dict[int, int]]:
+    """The rows of a Morse boundary, by coflow; row i is {j: entry}.
+
+    columns is boundary n, pairs its (row, col) pairs in removal order, rows
+    and cols the critical cells of dimensions n - 1 and n.  For critical e,
+    phi(e) = 1 and, pair by pair, phi(r) = -eps * sum of boundary(c)_r' *
+    phi(r') over the faces r' != r of c, eps = boundary(c)_r; other cells
+    have phi 0.  Entry (e, c) is then the sum of boundary(c)_r * phi(r): the
+    gradient paths from c to e (Forman, Morse theory for cell complexes).
+    """
+    out = []
+    for e in rows:
+        phi = {e: 1}
+        for r, c in pairs:
+            column = columns[c]
+            s = sum([v * phi[r2] for r2, v in column.items() if r2 in phi])
+            if s:
+                phi[r] = -column[r] * s
+        _check_range(phi.values(), policy)
+        sums = (sum([v * phi[r] for r, v in columns[c].items() if r in phi]) for c in cols)
+        out.append({j: s for j, s in enumerate(sums) if s})
+    return out
 
 
 def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyReport:
-    """Betti numbers and torsion from Smith forms of the boundary matrices.
+    """Betti numbers and torsion from the Morse complex of coreductions with aces.
 
-    Matrices up to 200x200 are reduced with certificates and re-verified
-    exactly.  If any is larger, the cells of the whole complex are first
-    paired off by coreductions and reductions on +-1 entries (unit_pairing),
-    and check_unit_pairing certifies in O(nnz) that each pair is a +-1
-    entry, no cell is used twice, and the other entries of each pair's
-    column or row lie in cells removed earlier.  This needs consecutive
-    boundaries to compose to zero, which normalized_complex asserts.  A
-    larger boundary then has rank its pair count plus the rank of its block
-    on unpaired cells, and that block's torsion.  The block goes through the
-    sparse path: the certificate of the remainder left by unit elimination
-    is re-verified, and the block's rank is cross-checked over a large prime
-    field.  The top dimension lacks the incoming boundary and is flagged
-    unreliable.
+    unit_pairing's certified order leaves the aces as the critical cells of
+    an acyclic matching, whose Morse complex has the homology of cc.  Its
+    boundaries must compose to zero.  Each goes through the sparse Smith
+    form; the certificate of the remainder, which holds all torsion, is
+    re-verified, and the rank is cross-checked over a large prime field.
+    The top dimension lacks the incoming boundary and is flagged unreliable.
     """
-    sizes = cc.basis_sizes()
-    ranks = [0] * (cc.max_dim + 2)
-    factors: list[tuple[int, ...]] = [()] * (cc.max_dim + 2)
-    small = [True] + [max(rows, cols) <= _TRANSFORM_LIMIT for rows, cols in zip(sizes, sizes[1:])]
-    if not all(small):
-        pairs = unit_pairing(cc)
-        steps = check_unit_pairing(cc, pairs)
-    for n in range(1, cc.max_dim + 1):
-        if small[n]:
-            M = [[0] * sizes[n] for _ in range(sizes[n - 1])]
-            for c, column in enumerate(cc.boundaries[n]):
-                for r, v in column.items():
-                    M[r][c] = v
-            sf = smith_normal_form(M, transforms=True, policy=policy)
-            if not verify_transforms(M, sf):
-                raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
-            units = ()
+    top = cc.max_dim
+    order = unit_pairing(cc)
+    check_unit_pairing(cc, order)
+    critical, pairs = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
+    for n, r, c in order:
+        if r is None:
+            critical[n].append(c)
         else:
-            units = (1,) * sum(1 for m, _, _ in pairs if m == n)
-            sm = _unpaired(cc.boundaries[n], steps[n - 1], steps[n], len(pairs))
-            sf = smith_normal_form(sm, policy=policy)
-            if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
-                raise ArithmeticError(f"remainder certificate failed for boundary {n}")
-            if rank_mod_p(sm) != sf.rank:
-                raise ArithmeticError(f"rank cross-check failed for boundary {n}")
-        ranks[n] = len(units) + sf.rank
-        factors[n] = units + sf.factors
-    groups = []
-    for k in range(cc.max_dim + 1):
-        betti = sizes[k] - ranks[k] - ranks[k + 1]
-        torsion = tuple(d for d in factors[k + 1] if d > 1)
-        groups.append((betti, torsion))
+            pairs[n].append((r, c))
+    ranks, factors, below = [0] * (top + 2), [()] * (top + 2), []
+    for n in range(1, top + 1):
+        rows = _morse_rows(cc.boundaries[n], pairs[n], critical[n - 1], critical[n], policy)
+        # the rows of a boundary are the columns of its coboundary
+        _assert_composite_zero(rows, below, ArithmeticError)
+        below = rows
+        entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+        sm = SparseMatrix(len(critical[n - 1]), len(critical[n]), entries)
+        sf = smith_normal_form(sm, policy=policy)
+        if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
+            raise ArithmeticError(f"remainder certificate failed for boundary {n}")
+        if rank_mod_p(sm) != sf.rank:
+            raise ArithmeticError(f"rank cross-check failed for boundary {n}")
+        ranks[n], factors[n] = sf.rank, sf.factors
+    torsion = [tuple(d for d in f if d > 1) for f in factors]
+    groups = [(len(critical[k]) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(top + 1)]
     return HomologyReport(groups, unreliable_top=True)
 
 

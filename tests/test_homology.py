@@ -15,6 +15,7 @@ from csx.bundles import (
     boundary_delta,
     complete_semisimplicial,
     decorate_from_cochain,
+    sphere_cochain_degree,
     total_space,
 )
 from csx.homology import (
@@ -148,8 +149,8 @@ def test_sparse_path_certifies_torsion_remainder():
 
 
 def test_homology_report_certifies_torsion_above_transform_limit(monkeypatch):
-    # the RP^3 2-boundary plus a 200x200 identity block: over the certified
-    # size, so the torsion comes out of the sparse path's remainder
+    # the RP^3 2-boundary plus a 200x200 identity block, which coreductions
+    # pair off: the torsion comes out of the remainder of a Morse boundary
     rp3 = _rp3_complex()
     rows, k = len(rp3.basis[1]), 200
     big = rp3.boundaries[2] + [{rows + i: 1} for i in range(k)]
@@ -388,13 +389,16 @@ def _tiny(entries) -> ChainComplexData:
 
 def test_unit_pairing_is_certified_and_pairs_units_only():
     cc = normalized_complex(build_SC(6))
-    pairs = homology.unit_pairing(cc)
-    steps = homology.check_unit_pairing(cc, pairs)
+    order = homology.unit_pairing(cc)
+    homology.check_unit_pairing(cc, order)
+    pairs = [(n, r, c) for n, r, c in order if r is not None]
     assert pairs and all(cc.boundaries[n][c][r] in (1, -1) for n, r, c in pairs)
-    assert sorted(steps[n - 1][r] for n, r, _ in pairs) == list(range(len(pairs)))
-    # a 2 is no unit, so the one cell and its face stay
-    assert homology.unit_pairing(_tiny({(0, 0): 2})) == []
-    assert homology.unit_pairing(_tiny({(0, 0): -1})) == [(1, 0, 0)]
+    # a pair removes two cells, an ace one
+    assert len(order) + len(pairs) == sum(cc.basis_sizes())
+    # an edge from vertex 1 to vertex 0: the ace at vertex 0 frees the edge.
+    # With a 2 at vertex 1 it is no unit, so the edge and vertex 1 stay aces
+    assert homology.unit_pairing(_tiny({(0, 0): 1, (1, 0): -1})) == [(0, None, 0), (1, 1, 0)]
+    assert homology.unit_pairing(_tiny({(0, 0): 1, (1, 0): 2})) == [(0, None, 0), (0, None, 1), (1, None, 0)]
 
 
 def test_check_unit_pairing_rejects_a_pair_of_coefficient_two():
@@ -405,9 +409,13 @@ def test_check_unit_pairing_rejects_a_pair_of_coefficient_two():
         homology.check_unit_pairing(cc, [(2, 0, 0)])
 
 
-@pytest.mark.parametrize("pair", [(1, -1, 1), (1, 1, -1), (1, 2, 1), (1, 1, 2)])
+@pytest.mark.parametrize(
+    "pair",
+    [(1, -1, 1), (1, 1, -1), (1, 2, 1), (1, 1, 2), (1, None, -1), (1, None, 2), (2, None, 0), (-1, None, 0)],
+)
 def test_check_unit_pairing_rejects_ids_out_of_range(pair):
-    # a 2x2 identity: -1 read as the last row or column would find a 1 there
+    # a 2x2 identity: -1 read as the last row or column would find a 1 there.
+    # An ace (n, None, col) must name a cell as well
     cc = _tiny({(0, 0): 1, (1, 1): 1})
     with pytest.raises(ArithmeticError, match="not a \\+-1 entry"):
         homology.check_unit_pairing(cc, [pair])
@@ -415,32 +423,90 @@ def test_check_unit_pairing_rejects_ids_out_of_range(pair):
 
 def test_check_unit_pairing_rejects_a_cell_used_twice():
     cc = _tiny({(0, 0): 1, (0, 1): -1})
-    homology.check_unit_pairing(cc, [(1, 0, 0)])
+    homology.check_unit_pairing(cc, [(1, 0, 0), (1, None, 1)])
     with pytest.raises(ArithmeticError, match="cell 0 of dimension 0 is used twice"):
         homology.check_unit_pairing(cc, [(1, 0, 0), (1, 0, 1)])
+    with pytest.raises(ArithmeticError, match="cell 1 of dimension 1 is used twice"):
+        homology.check_unit_pairing(cc, [(1, 0, 0), (1, None, 1), (1, None, 1)])
+
+
+def test_check_unit_pairing_rejects_a_cell_never_removed():
+    cc = _tiny({(0, 0): 1, (0, 1): -1})
+    with pytest.raises(ArithmeticError, match="cell 1 of dimension 1 is never removed"):
+        homology.check_unit_pairing(cc, [(1, 0, 0)])
+
+
+def test_check_unit_pairing_rejects_an_ace_with_a_live_face():
+    cc = _tiny({(0, 0): 1, (0, 1): -1})
+    with pytest.raises(ArithmeticError, match="ace 1 still has a live face"):
+        homology.check_unit_pairing(cc, [(1, None, 1), (1, None, 0), (0, None, 0)])
+    with pytest.raises(ArithmeticError, match="ace 0 still has a live face"):
+        homology.check_unit_pairing(cc, [(1, None, 1), (1, 0, 0)])
+
+
+def _last_pair_first(order):
+    t = max(t for t, (_, r, _) in enumerate(order) if r is not None)
+    return [order[t]] + order[:t] + order[t + 1 :]
 
 
 def test_check_unit_pairing_rejects_the_last_pair_moved_to_the_front():
     cc = normalized_complex(build_SC(6))
-    pairs = homology.unit_pairing(cc)
-    homology.check_unit_pairing(cc, pairs)
+    order = homology.unit_pairing(cc)
+    homology.check_unit_pairing(cc, order)
     with pytest.raises(ArithmeticError, match="pair 0 is not acyclic"):
-        homology.check_unit_pairing(cc, pairs[-1:] + pairs[:-1])
-    # a square [[1, 1], [1, 1]]: either pair alone leaves a live 1 beside it
+        homology.check_unit_pairing(cc, _last_pair_first(order))
+    # a square [[1, 1], [1, 1]]: its two pairs close a gradient cycle, so the
+    # first leaves a live 1 beside it
     square = _tiny({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
     with pytest.raises(ArithmeticError, match="pair 0 is not acyclic"):
-        homology.check_unit_pairing(square, [(1, 0, 0)])
+        homology.check_unit_pairing(square, [(1, 0, 0), (1, 1, 1)])
 
 
 def test_homology_report_rejects_a_forged_pairing(monkeypatch):
     cc = normalized_complex(build_SC(7))
-    pairs = homology.unit_pairing(cc)
-    monkeypatch.setattr(homology, "unit_pairing", lambda cc: pairs[-1:] + pairs[:-1])
+    order = homology.unit_pairing(cc)
+    monkeypatch.setattr(homology, "unit_pairing", lambda cc: _last_pair_first(order))
     with pytest.raises(ArithmeticError, match="not acyclic"):
         homology_report(cc)
-    monkeypatch.setattr(homology, "unit_pairing", lambda cc: pairs + [pairs[0]])
+    monkeypatch.setattr(homology, "unit_pairing", lambda cc: order + [order[0]])
     with pytest.raises(ArithmeticError, match="used twice"):
         homology_report(cc)
+
+
+def test_homology_report_rejects_a_morse_boundary_of_boundary_that_is_not_zero(monkeypatch):
+    # RP^3 has one critical cell in each dimension and Morse boundaries 0, 2, 0;
+    # adding 1 to each makes the first two compose to 3
+    morse_rows = homology._morse_rows
+
+    def forged(columns, pairs, rows, cols, policy):
+        out = morse_rows(columns, pairs, rows, cols, policy)
+        if out and cols:
+            out[0][0] = out[0].get(0, 0) + 1
+        return out
+
+    cc = _rp3_complex()
+    assert homology_report(cc).groups[:4] == [(1, ()), (0, (2,)), (0, ()), (1, ())]
+    monkeypatch.setattr(homology, "_morse_rows", forged)
+    with pytest.raises(ArithmeticError, match="boundary of boundary is nonzero"):
+        homology_report(cc)
+
+
+def test_boundary3_bundles_go_through_coreductions_with_aces():
+    # S^2 x S^1 (e = 0) and RP^3 (|e| = 2) need a critical cell in each of
+    # dimensions 0 to 3; S^3 (|e| = 1) needs two, and all but one of its
+    # cochains get there
+    minimal = 0
+    for bits in product((0, 1), repeat=4):
+        cochain = TwoCochain(bits)
+        cc = normalized_complex(total_space(decorate_from_cochain(boundary_delta(3), cochain), 6).total)
+        critical = [0] * 7
+        for n, r, _ in homology.unit_pairing(cc):
+            critical[n] += r is None
+        assert critical in ([1, 0, 0, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0]), bits
+        if critical[1] == 0:
+            assert abs(sphere_cochain_degree(cochain)) == 1, bits
+            minimal += 1
+    assert minimal == 7
 
 
 def _random_face_only(seed: int):
@@ -471,10 +537,7 @@ def _equivalence_cases():
         yield f"E{g}", E_of(g).total
 
 
-def test_homology_report_matches_the_per_boundary_loop(monkeypatch):
+def test_homology_report_matches_the_per_boundary_loop():
     for name, X in _equivalence_cases():
         cc = normalized_complex(X)
-        want = homology_report_by_boundary(cc).groups
-        for limit in (0, 3, 200):
-            monkeypatch.setattr(homology, "_TRANSFORM_LIMIT", limit)
-            assert homology_report(cc).groups == want, (name, limit)
+        assert homology_report(cc).groups == homology_report_by_boundary(cc).groups, name
