@@ -587,6 +587,7 @@ def _emit(cfg: RunConfig, report: dict) -> None:
         Path(cfg.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
+        sys.stdout.flush()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -660,6 +661,7 @@ def main(argv=None) -> int:
             overflow=args.overflow,
         )
         report, code = _COMMANDS[args.command](cfg, args)
+        _emit(cfg, report)
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
@@ -667,9 +669,11 @@ def main(argv=None) -> int:
         print(f"error: 64-bit overflow under checked policy: {e}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as e:
+        if isinstance(e, BrokenPipeError):
+            # the reader is gone: send the interpreter's last flush of stdout nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _emit(cfg, report)
     return code
 
 

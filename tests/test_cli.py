@@ -154,6 +154,22 @@ def test_out_writes_file(capsys, tmp_path):
     assert rep["total"] == [1, 2, 3]
 
 
+def test_out_into_a_missing_directory_is_an_output_error(capsys, tmp_path):
+    code = main(["enumerate", "C", "--max-dim", "2", "--out", str(tmp_path / "missing" / "x.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_a_reader_that_closes_early_is_an_output_error():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    argv = [sys.executable, "-m", "csx.cli", "enumerate", "SC", "--max-dim", "3"]
+    out = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True)
+    os.close(write_end)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
+
 def test_json_output_is_byte_identical(capsys):
     _, first = run(capsys, "check", "crossed", "--max-dim", "3", "--format", "json")
     _, second = run(capsys, "check", "crossed", "--max-dim", "3", "--format", "json")
