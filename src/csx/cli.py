@@ -145,7 +145,7 @@ def _build_E(max_dim: int, args):
     from . import bundles
 
     if not args.g:
-        raise ValueError("enumerate E needs --g")
+        raise ValueError(f"{args.command} E needs --g")
     g = _parse_word(args.g)
     return bundles.E_of(g, max_dim).total, {"g": list(g)}
 
@@ -171,7 +171,7 @@ _OBJECTS = {
 }
 _ENUMERATE_TARGETS = ("S", "C", "SC", "delta", "twisted", "E")
 _IDENTITY_TARGETS = ("S", "C", "SC", "delta", "twisted")
-_HOMOLOGY_TARGETS = ("S", "C", "SC", "delta", "bundle")
+_HOMOLOGY_TARGETS = ("S", "C", "SC", "delta", "twisted", "E", "bundle")
 
 
 def _build_object(name: str, accepted, what: str, cfg: RunConfig, args):
@@ -435,13 +435,16 @@ def _child_value(sent: bytes, status: int):
 def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
     """Run the suite named: identity audits, then crossed relations, then lemmas.
 
-    For check all, the crossed sweep (no object built, its own seeded rng)
-    runs in a forked child while this process runs the other suites, with
-    the same records; where os.fork is unavailable it runs here, in turn.
-    The child is read to EOF and reaped on every path.
+    For check all on two or more CPUs, the crossed sweep (no object built,
+    its own seeded rng) runs in a forked child while this process runs the
+    other suites, with the same records; on one CPU, or where os.fork is
+    unavailable, it runs here, in turn.  The child is read to EOF and
+    reaped on every path.
     """
     suite = args.suite
-    child = _fork_call(_check_crossed, cfg) if suite == "all" else None
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    child = _fork_call(_check_crossed, cfg) if suite == "all" and cpus >= 2 else None
     identities, crossed, lemmas = [], [], []
     try:
         if suite in ("identities", "all"):
@@ -550,7 +553,8 @@ def _reject_stray_options(args) -> None:
         groups = [(("target",), identities, "identities suite"), (("n",), on_delta, "delta and twisted identities")]
     elif args.command == "homology":
         subject, groups = f"homology {args.target}", [
-            (("n",), args.target == "delta", "delta target"),
+            (("n",), args.target in ("delta", "twisted"), "delta and twisted targets"),
+            (("g",), args.target == "E", "E target"),
             (("decoration", "base", "cochain"), args.target == "bundle", "bundle target"),
         ]
     else:
@@ -621,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ph = sub.add_parser("homology", help="exact integer homology of a truncation")
     ph.add_argument("target", choices=_HOMOLOGY_TARGETS)
-    ph.add_argument("--n", type=int, default=None, help="simplex dimension for the delta target (default 2)")
+    ph.add_argument("--g", default=None, help="permutation word for the E target, comma-separated values")
+    ph.add_argument("--n", type=int, default=None, help="simplex dimension for delta/twisted (default 2)")
     ph.add_argument("--decoration", default=None, help="decoration JSON file (bundle target)")
     ph.add_argument("--base", default=None, help=f"builtin base: {', '.join(sorted(_BASES))}")
     ph.add_argument("--cochain", nargs="*", default=None, help="2-simplex values as id:value")

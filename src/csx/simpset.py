@@ -57,25 +57,15 @@ class CircularPermutation:
         return len(self.word) - 1
 
 
-def _zero_first(f: Word) -> Word:
-    """The rotation of the word f that starts with the value 0."""
-    j = f.index(0)
-    return f[j:] + f[:j]
-
-
 def quotient_circ(f: Word) -> CircularPermutation:
-    """The rotation class of a permutation word."""
-    return CircularPermutation(_zero_first(f))
+    """The rotation class of a permutation word: its rotation that starts with 0."""
+    j = f.index(0)
+    return CircularPermutation(f[j:] + f[:j])
 
 
 def sc_face(i: int, c: CircularPermutation) -> CircularPermutation:
     """Delete the bead i, close the value gap, re-rotate to 0-first."""
     return quotient_circ(face_perm(i, c.word))
-
-
-def _circular_words(n: int) -> list[Word]:
-    """The 0-first words of degree n in lexicographic order."""
-    return [(0,) + rest for rest in permutations(range(1, n + 1))]
 
 
 def _unchecked_circular(word: Word) -> CircularPermutation:
@@ -91,7 +81,7 @@ def _unchecked_circular(word: Word) -> CircularPermutation:
 
 def all_circular(n: int) -> list[CircularPermutation]:
     """All rotation classes of degree n, lexicographic by canonical word."""
-    return list(map(_unchecked_circular, _circular_words(n)))
+    return [_unchecked_circular((0,) + rest) for rest in permutations(range(1, n + 1))]
 
 
 class TruncatedSimplicialSet:
@@ -102,14 +92,22 @@ class TruncatedSimplicialSet:
     of ids, one per index i, each as long as the level (an empty level holds
     n + 1 empty tuples).  degeneracies[n][i][k] is the id in dimension n+1
     of the i-th degeneracy, stored for n < max_dim; None for face-only
-    objects.  Rows, one per simplex, exist only in the JSON form.
+    objects.  Rows, one per simplex, exist only in the JSON form.  Given
+    counts, the level sizes, payloads is a function of n giving level n's
+    payloads; the levels are made on first read and kept.
     """
 
-    def __init__(self, max_dim, payloads, faces, degeneracies):
-        self.max_dim = max_dim
-        self.payloads = payloads
-        self.faces = faces
-        self.degeneracies = degeneracies
+    def __init__(self, max_dim, payloads, faces, degeneracies, counts=None):
+        self.max_dim, self.faces, self.degeneracies = max_dim, faces, degeneracies
+        if counts is None:
+            self.payloads, counts = payloads, map(len, payloads)
+        else:
+            self._produce = payloads
+        self._counts = tuple(counts)
+
+    @cached_property
+    def payloads(self) -> list[tuple]:
+        return [tuple(self._produce(n)) for n in range(self.max_dim + 1)]
 
     @cached_property
     def _index(self) -> list[dict]:
@@ -120,7 +118,7 @@ class TruncatedSimplicialSet:
         return self.degeneracies is not None
 
     def simplex_count(self, n: int) -> int:
-        return len(self.payloads[n])
+        return self._counts[n]
 
     def payload(self, n: int, k: int):
         return self.payloads[n][k]
@@ -458,13 +456,13 @@ def _degeneracy_columns(ids, top: int):
 def build_S(max_dim: int) -> TruncatedSimplicialSet:
     """All permutation words, with the crossed face/degeneracy operators.
 
-    Each level's tables are computed from the columns of the level below.
+    Each level's tables are computed from the columns of the level below;
+    the words are produced on first read.
     """
     ids = [list(range(factorial(n + 1))) for n in range(max_dim + 1)]
     faces = [None, *_face_columns(ids, max_dim)]
     degeneracies = list(_degeneracy_columns(ids, max_dim - 1))
-    payloads = [tuple(all_perms(n)) for n in range(max_dim + 1)]
-    return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
+    return TruncatedSimplicialSet(max_dim, all_perms, faces, degeneracies, map(len, ids))
 
 
 @lru_cache(maxsize=32)
@@ -476,6 +474,16 @@ def build_C(max_dim: int) -> TruncatedSimplicialSet:
     )
 
 
+def _rotations(n: int, ids) -> tuple[int, ...]:
+    """By S(n) id, the SC id of the word's 0-first rotation: the quotient map at degree n.
+
+    ids lists the ids of SC(n).  A word x 0 y rotates to 0 y x, the class
+    ranked as y x among the arrangements of 1..n.
+    """
+    rank = dict(zip(permutations(range(1, n + 1)), ids))
+    return tuple(rank[w[j + 1 :] + w[:j]] for w in permutations(range(n + 1)) for j in (w.index(0),))
+
+
 @lru_cache(maxsize=32)
 def build_SC(max_dim: int) -> TruncatedSimplicialSet:
     """Rotation classes of permutation words; the quotient of build_S.
@@ -484,41 +492,33 @@ def build_SC(max_dim: int) -> TruncatedSimplicialSet:
     of S(n - 1).  Face and degeneracy i >= 1 keep the 0 in front and act on
     t as face and degeneracy i - 1 of S(n - 1), computed from the columns of
     the level below; degeneracy 0 inserts 1 after the 0, which keeps the id.
-    Only face 0 deletes the 0 and rotates the word back to 0-first, once per
-    word.  Each word is then wrapped as a CircularPermutation, unchecked.
+    Face 0 deletes the 0, leaving word k of S(n - 1), so its column is the
+    rotation table of degree n - 1.  The classes are produced on first read.
     """
-    words = [_circular_words(n) for n in range(max_dim + 1)]
-    ids = [list(range(len(level))) for level in words]
-
-    def zero_face(n):
-        index = dict(zip(words[n - 1], ids[n - 1]))
-        return tuple(index[_zero_first(face_perm(0, w))] for w in words[n])
-
+    ids = [list(range(factorial(n))) for n in range(max_dim + 1)]
     faces, degeneracies = [None], []
     if max_dim:
-        # (0, 1) has (0,) as face 1, and (0,) has (0, 1) as degeneracy 0
-        faces.append((zero_face(1), (0,)))
+        # (0, 1) has (0,) as both faces, and (0,) has (0, 1) as degeneracy 0
+        faces.append(((0,), (0,)))
         degeneracies.append(((0,),))
     s_faces = _face_columns(ids[1:], max_dim - 1)
-    faces += ((zero_face(n), *cols) for n, cols in enumerate(s_faces, start=2))
+    faces += ((_rotations(n - 1, ids[n - 1]), *cols) for n, cols in enumerate(s_faces, start=2))
     s_degeneracies = _degeneracy_columns(ids[1:], max_dim - 2)
     degeneracies += ((tuple(ids[n]), *cols) for n, cols in enumerate(s_degeneracies, start=1))
-    payloads = [tuple(map(_unchecked_circular, level)) for level in words]
-    return TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
+    return TruncatedSimplicialSet(max_dim, all_circular, faces, degeneracies, map(len, ids))
 
 
 @lru_cache(maxsize=32)
 def quotient_map(max_dim: int) -> SimplicialMap:
     """The projection sending a word to its rotation class.
 
-    Each word is rotated to start at 0 and looked up among the plain words
-    of SC.  Built and checked once per depth; every caller shares the one map.
+    Its table at degree n is the rotation table, which SC holds as face 0
+    of degree n + 1; only the top degree's is built here.  Built and checked
+    once per depth; every caller shares the one map.
     """
     S, SC = build_S(max_dim), build_SC(max_dim)
-    table = []
-    for words, classes in zip(S.payloads, SC.payloads):
-        index = {c.word: k for k, c in enumerate(classes)}
-        table.append(tuple(map(index.__getitem__, map(_zero_first, words))))
+    table = [SC.faces[n][0] for n in range(1, max_dim + 1)]
+    table.append(_rotations(max_dim, range(factorial(max_dim))))
     return SimplicialMap(S, SC, table)
 
 
@@ -597,7 +597,7 @@ def _payload_order(level) -> list[int]:
 def pullback(p: SimplicialMap, q: SimplicialMap):
     """The levelwise fiber product of p: X -> Z and q: Y -> Z.
 
-    Returns the product object (payload pairs) and its two projections.
+    Returns the product object (payload pairs, made on first read) and its two projections.
     Pairs get ids in lexicographic order of their payloads: pair (a, b) is
     start[a] + rank[b], where start[a] counts the pairs whose first payload
     precedes a's and rank[b] is b's place, in payload order, in its fiber
@@ -649,11 +649,11 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
         degeneracies = [
             table(X.degeneracies[n], Y.degeneracies[n], n, n + 1) for n in range(max_dim)
         ]
-    payloads = []
-    for n in range(max_dim + 1):
-        xs, ys = X.payloads[n], Y.payloads[n]
-        payloads.append(tuple((xs[a], ys[b]) for a, b in zip(firsts[n], seconds[n])))
-    P = TruncatedSimplicialSet(max_dim, payloads, faces, degeneracies)
+
+    def pairs(n):
+        return zip(map(X.payloads[n].__getitem__, firsts[n]), map(Y.payloads[n].__getitem__, seconds[n]))
+
+    P = TruncatedSimplicialSet(max_dim, pairs, faces, degeneracies, map(len, firsts))
     return P, SimplicialMap(P, X, firsts), SimplicialMap(P, Y, seconds)
 
 

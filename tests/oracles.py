@@ -211,6 +211,26 @@ def sc_degeneracy(i: int, c: CircularPermutation) -> CircularPermutation:
     return quotient_circ(degeneracy_perm(i, c.word))
 
 
+def build_S_by_words(max_dim: int) -> TruncatedSimplicialSet:
+    """All permutation words, tabulated by from_rules on the crossed operators."""
+    return from_rules(
+        max_dim,
+        [all_perms(n) for n in range(max_dim + 1)],
+        lambda n, w, i: face_perm(i, w),
+        lambda n, w, i: degeneracy_perm(i, w),
+    )
+
+
+def build_SC_by_words(max_dim: int) -> TruncatedSimplicialSet:
+    """The rotation classes of all words, tabulated by from_rules on the classes."""
+    return from_rules(
+        max_dim,
+        [{quotient_circ(w) for w in all_perms(n)} for n in range(max_dim + 1)],
+        lambda n, c, i: sc_face(i, c),
+        lambda n, c, i: sc_degeneracy(i, c),
+    )
+
+
 def sc_is_degenerate(c: CircularPermutation) -> bool:
     """True iff some bead i is followed circularly by the bead i+1."""
     w = c.word

@@ -23,6 +23,12 @@ from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules
 import oracles
 
 
+@pytest.fixture(autouse=True)
+def two_cpus(monkeypatch):
+    """check all forks its crossed sweep on two or more CPUs; here it sees two on any host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
 def hopf_decoration() -> dict:
     """The JSON form of the degree-1 decoration of the tetrahedron boundary."""
     return decoration_to_json(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))))
@@ -100,6 +106,25 @@ def test_homology_bundle_by_cochain(capsys):
     )
     assert code == 0
     assert rep["groups"][:4] == ["Z", "0", "0", "Z"]
+
+
+@pytest.mark.parametrize(
+    "argv, groups",
+    [
+        (["E", "--g", "0,2,1", "--max-dim", "4"], ["Z", "Z", "0", "0"]),
+        (["twisted", "--n", "2", "--max-dim", "5"], ["Z", "Z", "0", "0", "0"]),
+    ],
+    ids=["E021", "twisted2"],
+)
+def test_homology_of_a_circle_bundle_over_a_simplex_is_a_circle(capsys, argv, groups):
+    code, rep = run_json(capsys, "homology", *argv)
+    assert code == 0
+    assert rep["groups"][:-1] == groups and rep["unreliable_top"] is True
+
+
+def test_homology_of_E_needs_a_word(capsys):
+    assert main(["homology", "E"]) == 2
+    assert capsys.readouterr().err == "error: homology E needs --g\n"
 
 
 @pytest.mark.parametrize(
@@ -246,13 +271,14 @@ def test_bundle_options_on_another_homology_target_are_input_errors(capsys, targ
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["homology", "S", "--n", "5"], "homology S does not take --n (delta target only)"),
+        (["homology", "S", "--n", "5"], "homology S does not take --n (delta and twisted targets only)"),
         (["check", "crossed", "--target", "S"], "check crossed does not take --target (identities suite only)"),
         (["enumerate", "S", "--g", "1,0"], "enumerate S does not take --g (E target only)"),
         (
             ["check", "identities", "--target", "S", "--n", "4"],
             "check identities S does not take --n (delta and twisted identities only)",
         ),
+        (["homology", "SC", "--g", "0,1"], "homology SC does not take --g (E target only)"),
     ],
 )
 def test_per_target_options_elsewhere_are_input_errors(capsys, argv, message):
@@ -270,6 +296,7 @@ def test_per_target_options_elsewhere_are_input_errors(capsys, argv, message):
         ["check", "identities", "--target", "twisted", "--n", "1"],
         ["enumerate", "twisted", "--n", "1"],
         ["homology", "delta", "--n", "1"],
+        ["homology", "twisted", "--n", "1"],
     ],
 )
 def test_simplex_dimension_where_it_applies_is_accepted(capsys, argv):
@@ -404,6 +431,8 @@ def test_damaged_decoration_is_a_result_or_an_input_error(edits):
     obj = hopf_decoration()
     for pick, edit in edits:
         spots = list(_paths(obj))
+        if not spots:  # earlier deletions emptied the object; it is checked as it is
+            break
         owner, key = spots[pick % len(spots)]
         if edit == "delete":
             del owner[key]
@@ -602,6 +631,24 @@ def test_check_all_without_fork_runs_the_sweep_in_process(capsys, monkeypatch, f
         monkeypatch.delattr(os, "fork")
     else:
         monkeypatch.setattr(os, "fork", fork)
+    assert main(["check", "all", "--max-dim", "6", "--seed", "7", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert out.encode("utf-8") == (Path(__file__).parent / "golden" / "check_all_6_seed7.json").read_bytes()
+    _assert_no_child()
+
+
+def _fork_on_one_cpu():
+    raise AssertionError("check all forked on one CPU")
+
+
+@pytest.mark.parametrize("cpus", ["affinity", "cpu_count"])
+def test_check_all_on_one_cpu_runs_the_sweep_in_process(capsys, monkeypatch, cpus):
+    if cpus == "affinity":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _fork_on_one_cpu)
     assert main(["check", "all", "--max-dim", "6", "--seed", "7", "--format", "json"]) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (Path(__file__).parent / "golden" / "check_all_6_seed7.json").read_bytes()

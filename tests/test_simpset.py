@@ -15,6 +15,7 @@ from csx.bundles import (
     decorate_from_cochain,
     total_space,
 )
+from csx.homology import homology_report, normalized_complex
 from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse
 from csx.simpset import (
     CircularPermutation,
@@ -46,6 +47,8 @@ from csx.simpset import (
 )
 from oracles import (
     audit_identities_by_rows,
+    build_S_by_words,
+    build_SC_by_words,
     evaluate_operator,
     map_check_by_rows,
     map_from_payload_fn,
@@ -173,23 +176,37 @@ def test_audit_catches_corruption():
 @pytest.mark.parametrize("max_dim", range(8))
 def test_word_tables_match_payload_rules(max_dim):
     # the payload-level rules the rank builders replaced
-    S = from_rules(
-        max_dim,
-        [all_perms(n) for n in range(max_dim + 1)],
-        lambda n, w, i: face_perm(i, w),
-        lambda n, w, i: degeneracy_perm(i, w),
-    )
-    SC = from_rules(
-        max_dim,
-        [{quotient_circ(w) for w in all_perms(n)} for n in range(max_dim + 1)],
-        lambda n, c, i: sc_face(i, c),
-        lambda n, c, i: sc_degeneracy(i, c),
-    )
+    S, SC = build_S_by_words(max_dim), build_SC_by_words(max_dim)
     for built, oracle in ((build_S(max_dim), S), (build_SC(max_dim), SC)):
         assert built.payloads == oracle.payloads
         assert built.faces == oracle.faces
         assert built.degeneracies == oracle.degeneracies
     assert all(isinstance(c, CircularPermutation) for level in build_SC(max_dim).payloads for c in level)
+
+
+@pytest.mark.parametrize("max_dim", range(7))
+def test_S_and_SC_make_their_payloads_on_first_read(max_dim):
+    # fresh objects: the cached ones may have been read by other tests
+    for build, oracle in ((build_S, build_S_by_words), (build_SC, build_SC_by_words)):
+        X = build.__wrapped__(max_dim)
+        assert "payloads" not in vars(X)
+        assert X.payloads == oracle(max_dim).payloads and X.payloads is X.payloads
+
+
+@pytest.mark.parametrize("build, max_dim", [(build_SC, 7), (build_S, 6)], ids=["SC7", "S6"])
+def test_audit_and_homology_never_make_the_words(build, max_dim):
+    X = build.__wrapped__(max_dim)
+    assert_valid(X)
+    groups = homology_report(normalized_complex(X)).groups
+    assert "payloads" not in vars(X) and "_index" not in vars(X)
+    assert len(groups) == max_dim + 1
+
+
+@pytest.mark.parametrize("max_dim", range(7))
+def test_quotient_map_shares_its_rotation_tables_with_face_0_of_SC(max_dim):
+    # test_quotient_map_matches_payload_route checks the tables word by word
+    q = quotient_map(max_dim)
+    assert all(q.table[n] is q.target.faces[n + 1][0] for n in range(max_dim))
 
 
 def _corrupted(X, edit):
@@ -330,6 +347,15 @@ def test_pullback_matches_payload_rules_over_yoneda_maps():
             y = yoneda(SC, n, SC.id_of(n, quotient_circ(g)))
             assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_payload(y, q))
             assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_rows(y, q))
+
+
+def test_pullback_makes_its_payload_pairs_on_first_read():
+    SC, q = build_SC(4), quotient_map(4)
+    for g in all_perms(3):
+        y = yoneda(SC, 3, SC.id_of(3, quotient_circ(g)))
+        P, _, _ = pullback(y, q)
+        assert "payloads" not in vars(P)
+        assert P.payloads == pullback_by_payload(y, q)[0].payloads
 
 
 def test_pullback_matches_payload_rules_on_unsorted_ids():
@@ -767,6 +793,35 @@ def test_tables_hold_one_column_per_index_and_survive_json(build):
             assert_columns(X.degeneracies[n], n)
     Y = sset_from_json(sset_to_json(X))
     assert Y.faces == X.faces and Y.degeneracies == X.degeneracies
+
+
+def _loop_pullback():
+    X = sset_from_json(LOOP)
+    f = SimplicialMap(X, X, _identity(X))
+    return pullback(f, f)[0]
+
+
+COUNTED_OBJECTS = {
+    **LAYOUT_OBJECTS,
+    "S0": lambda: build_S.__wrapped__(0),
+    "SC0": lambda: build_SC.__wrapped__(0),
+    "C0": lambda: build_C(0),
+    "delta2_0": lambda: build_delta(2, 0),
+    "S4_fresh": lambda: build_S.__wrapped__(4),
+    "SC5_fresh": lambda: build_SC.__wrapped__(5),
+    "boundary3": lambda: boundary_delta(3),
+    "loop": lambda: sset_from_json(LOOP),
+    "loop_pullback": _loop_pullback,
+    "yoneda_pullback": lambda: pullback(yoneda(build_SC(3), 2, 1), quotient_map(3))[0],
+    "completed_boundary3_0": lambda: complete_semisimplicial(boundary_delta(3), 0),
+}
+
+
+@pytest.mark.parametrize("build", COUNTED_OBJECTS.values(), ids=COUNTED_OBJECTS.keys())
+def test_simplex_count_is_the_length_of_each_payload_level(build):
+    X = build()
+    counts = [X.simplex_count(n) for n in range(X.max_dim + 1)]
+    assert counts == [len(level) for level in X.payloads]
 
 
 def test_edge_levels_single_simplex_errors_match_row_loops():
