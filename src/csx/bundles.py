@@ -33,7 +33,6 @@ from .simpset import (
     build_delta,
     from_id_pairs,
     from_rules,
-    in_payload_order,
     is_json_int,
     json_field,
     on_delta,
@@ -58,8 +57,7 @@ TWISTED = CircularPermutation((0, 2, 1))
 
 
 def _subset_base(max_dim: int, subsets_by_dim) -> TruncatedSimplicialSet:
-    payload_lists = [sorted(subsets_by_dim[m]) for m in range(max_dim + 1)]
-    return from_rules(max_dim, payload_lists, lambda n, s, i: s[:i] + s[i + 1 :])
+    return from_rules(max_dim, subsets_by_dim, lambda n, s, i: s[:i] + s[i + 1 :])
 
 
 def solid_delta(n: int) -> TruncatedSimplicialSet:
@@ -82,16 +80,15 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
     Simplices in dimension m are pairs (eta, b) of a monotone surjection
     eta: [m] ->> [k] and a base simplex b of dimension k; (identity, b)
     recovers the original simplices, everything else is degenerate.  Ids
-    follow the lexicographic order of the pairs: one block of ids per eta,
-    with b in the base's payload order inside it.  Degeneracy i of (eta, b)
-    repeats eta[i]; face i drops it, and when that loses the value v = eta[i]
-    the surjection is squeezed and b replaced by its face v.  So every table
+    are lexicographic in (eta, base id): one block of ids per eta, with the
+    base's ids in order inside it.  Degeneracy i of (eta, b) repeats eta[i];
+    face i drops it, and when that loses the value v = eta[i] the
+    surjection is squeezed and b replaced by its face v.  So every table
     column of a block is a block of the adjacent dimension, read through a
     face column of the base in the second case.
     """
     if base.has_degeneracies:
         raise ValueError("expected a face-only base")
-    base = in_payload_order(base)
     counts = [base.simplex_count(k) for k in range(base.max_dim + 1)]
     etas, starts, ids = [], [], []
     for m in range(max_dim + 1):
@@ -279,9 +276,9 @@ def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None) -> boo
 
     The pullback of the quotient along the classifying map of the rotation
     class of g must reproduce E_of(g) verbatim: same payload lists, same
-    face and degeneracy tables.  Both constructions number simplices in
-    payload order, so table equality is the whole comparison.  bundle, if
-    given, is E_of(g, max_dim) built by the caller.
+    face and degeneracy tables.  Both number simplices lexicographically by
+    their (Delta[n] id, S id) pairs, so table equality is the whole
+    comparison.  bundle, if given, is E_of(g, max_dim) built by the caller.
     """
     n = len(g) - 1
     if max_dim is None:

@@ -93,10 +93,11 @@ def _parse_cochain_items(items, count: int) -> tuple[int, ...]:
     values = [0] * count
     given = set()
     for item in items or ():
-        head, sep, tail = item.partition(":")
-        if not sep:
-            raise ValueError(f"bad cochain item {item!r}; expected id:value")
-        k, v = int(head), int(tail)
+        head, _, tail = item.partition(":")
+        try:
+            k, v = int(head), int(tail)
+        except ValueError:
+            raise ValueError(f"bad cochain item {item!r}; expected id:value with integer id and value") from None
         if not count:
             raise ValueError(f"cochain item {item!r}: the base has no 2-simplices")
         if not 0 <= k < count:

@@ -404,8 +404,11 @@ def _assert_composite_zero(outer: list[dict[int, int]], inner: list[dict[int, in
 class HomologyReport:
     """Integer homology in each dimension: free rank plus torsion orders."""
 
-    def __init__(self, groups: list[tuple[int, tuple[int, ...]]], unreliable_top: bool = True):
-        self.groups, self.unreliable_top = groups, unreliable_top
+    # the top dimension of a truncation lacks the boundaries from one dimension up
+    unreliable_top = True
+
+    def __init__(self, groups: list[tuple[int, tuple[int, ...]]]):
+        self.groups = groups
 
     def to_json(self) -> dict:
         return {
@@ -565,7 +568,7 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
         ranks[n], factors[n] = sf.rank, sf.factors
     torsion = [tuple(d for d in f if d > 1) for f in factors]
     groups = [(len(critical[k]) - ranks[k] - ranks[k + 1], torsion[k + 1]) for k in range(top + 1)]
-    return HomologyReport(groups, unreliable_top=True)
+    return HomologyReport(groups)
 
 
 def export_sparse_matrix(columns, rows: int) -> str:

@@ -35,7 +35,8 @@ def cyclic_word(n: int, k: int) -> Word:
 
 
 def all_perms(n: int) -> list[Word]:
-    return sorted(permutations(range(n + 1)))
+    """All words of degree n, lexicographic."""
+    return list(permutations(range(n + 1)))
 
 
 def face_perm(i: int, f: Word) -> Word:

@@ -1,8 +1,10 @@
 """Truncated simplicial sets built from explicit face and degeneracy tables.
 
-Simplices in each dimension get dense integer ids assigned in lexicographic
-order of their payloads.  A truncation never stores anything above max_dim;
-identities are only audited where both sides exist.
+Simplices in each dimension get dense integer ids, and the ids are the
+order: from_rules sorts its payloads, S, SC and Delta[n] are ranked, and
+every construction numbers its output lexicographically by its inputs'
+ids.  A truncation never stores anything above max_dim; identities are
+only audited where both sides exist.
 """
 
 from __future__ import annotations
@@ -282,16 +284,16 @@ class SimplicialMap:
     def fibers(self) -> list[tuple[dict[int, list[int]], list[int]]]:
         """Per dimension, the source ids over each target id and each id's place in its fiber.
 
-        Fibers list their ids in payload order.  Computed once per map, so a
-        map shared by many pullbacks is grouped once.
+        Fibers list their ids in order.  Computed once per map, so a map
+        shared by many pullbacks is grouped once.
         """
         out = []
-        for n, image in enumerate(self.table):
+        for image in self.table:
             fibers: dict[int, list[int]] = {}
-            rank = [0] * len(image)
-            for b in _payload_order(self.source.payloads[n]):
-                fiber = fibers.setdefault(image[b], [])
-                rank[b] = len(fiber)
+            rank = []
+            for b, z in enumerate(image):
+                fiber = fibers.setdefault(z, [])
+                rank.append(len(fiber))
                 fiber.append(b)
             out.append((fibers, rank))
         return out
@@ -522,34 +524,14 @@ def quotient_map(max_dim: int) -> SimplicialMap:
     return SimplicialMap(S, SC, table)
 
 
-def in_payload_order(X: TruncatedSimplicialSet) -> TruncatedSimplicialSet:
-    """X itself when its ids follow payload order, else a renumbered copy."""
-    orders = [_payload_order(level) for level in X.payloads]
-    if all(order == list(range(len(order))) for order in orders):
-        return X
-    ranks = [inverse(order) for order in orders]
-
-    def renumbered(tables, n, target):
-        at_rank = ranks[target].__getitem__
-        return tuple(tuple(map(at_rank, map(col.__getitem__, orders[n]))) for col in tables[n])
-
-    faces = [None] + [renumbered(X.faces, n, n - 1) for n in range(1, X.max_dim + 1)]
-    degeneracies = None
-    if X.has_degeneracies:
-        degeneracies = [renumbered(X.degeneracies, n, n + 1) for n in range(X.max_dim)]
-    payloads = [tuple(map(level.__getitem__, order)) for level, order in zip(X.payloads, orders)]
-    return TruncatedSimplicialSet(X.max_dim, payloads, faces, degeneracies)
-
-
 def from_id_pairs(A, B, pair_lists, pulled=None):
     """Tabulate pairs (a, b) of ids of A and B through from_rules.
 
     pair_lists[n] holds the pairs of dimension n.  Face or degeneracy i of
     (a, b) is (that of a at i, that of b at pulled[n][a][i]), or at i when
-    pulled is None.  A and B must number their ids in payload order, so that
-    sorting the id pairs sorts the payload pairs; each id pair is then
-    replaced by its payload pair, keeping its id.  Returns the object and
-    the tables of its two coordinates, per dimension.
+    pulled is None.  Ids are lexicographic in id pairs, as from_rules sorts
+    them; each id pair is then replaced by its payload pair, keeping its id.
+    Returns the object and the tables of its two coordinates, per dimension.
     """
 
     def rule(a_tables, b_tables):
@@ -575,12 +557,11 @@ def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
     G must carry permutation-word payloads (build_S or build_C).  The i-th
     face acts as face i on the word and as face h^-1(i) on x;
     degeneracies act the same way.  The tables are built on id pairs, with
-    the inverse of each word of G tabulated once; ids follow the payload
-    order of the pairs even when those of X do not follow X's.
+    the inverse of each word of G tabulated once; ids are lexicographic in
+    id pairs.
     """
     if G.max_dim != X.max_dim:
         raise ValueError("factors must share a truncation level")
-    G, X = in_payload_order(G), in_payload_order(X)
     pair_lists = [
         [(a, b) for a in range(G.simplex_count(n)) for b in range(X.simplex_count(n))]
         for n in range(G.max_dim + 1)
@@ -589,24 +570,19 @@ def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
     return from_id_pairs(G, X, pair_lists, pulled)[0]
 
 
-def _payload_order(level) -> list[int]:
-    """The ids of one level sorted by payload; linear time on a sorted level."""
-    return sorted(range(len(level)), key=level.__getitem__)
-
-
 def pullback(p: SimplicialMap, q: SimplicialMap):
     """The levelwise fiber product of p: X -> Z and q: Y -> Z.
 
     Returns the product object (payload pairs, made on first read) and its two projections.
-    Pairs get ids in lexicographic order of their payloads: pair (a, b) is
-    start[a] + rank[b], where start[a] counts the pairs whose first payload
-    precedes a's and rank[b] is b's place, in payload order, in its fiber
-    over Z.  A face or degeneracy of (a, b) is the pair of the components'
-    faces or degeneracies, so each table column is a column of such sums,
-    read off the columns of X and Y at the pairs' coordinates.  The
-    projections are the coordinate tables, and a pair is determined by its
-    two coordinates, so an entry of P's tables is right exactly when both
-    projections commute with it: their construction-time checks certify P.
+    Pairs get ids in lexicographic order of their id pairs: pair (a, b) is
+    start[a] + rank[b], where start[a] counts the pairs whose first id is
+    below a and rank[b] is b's place, in id order, in its fiber over Z.  A
+    face or degeneracy of (a, b) is the pair of the components' faces or
+    degeneracies, so each table column is a column of such sums, read off
+    the columns of X and Y at the pairs' coordinates.  The projections are
+    the coordinate tables, and a pair is determined by its two coordinates,
+    so an entry of P's tables is right exactly when both projections
+    commute with it: their construction-time checks certify P.
     """
     X, Y = p.source, q.source
     Z, W = p.target, q.target
@@ -618,12 +594,10 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     starts, ranks, firsts, seconds = [], [], [], []
     for n in range(max_dim + 1):
         fibers, rank = q.fibers[n]
-        image = p.table[n]
-        start = [0] * X.simplex_count(n)
-        first, second = [], []
-        for a in _payload_order(X.payloads[n]):
-            start[a] = len(second)
-            fiber = fibers.get(image[a], ())
+        start, first, second = [], [], []
+        for a, z in enumerate(p.table[n]):
+            start.append(len(second))
+            fiber = fibers.get(z, ())
             first += [a] * len(fiber)
             second += fiber
         starts.append(start)

@@ -7,8 +7,9 @@ sweep the library now runs on blocks of ids, the per-boundary homology
 loop the library now runs after pairing off unit cells, the boundary
 entries summed in a (row, col) dict where the library keeps columns, an
 order-theoretic notion or a word or map helper the library itself never
-needs, or a renumbering that gives the routes ids out of payload order to
-agree on.  None of them is used by csx.
+needs, or a renumbering that gives the routes ids out of payload order,
+with the payload-keyed views they are then compared by.  None of them is
+used by csx.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from csx.simpset import (
     CircularPermutation,
     SimplicialMap,
     TruncatedSimplicialSet,
-    _payload_order,
     build_S,
     build_SC,
     build_delta,
@@ -401,6 +401,41 @@ def pullback_tables(result) -> tuple:
     return P.payloads, P.faces, P.degeneracies, proj1.table, proj2.table
 
 
+def payload_view(X) -> list[dict]:
+    """Per level, each simplex's payload mapped to its faces' and degeneracies' payloads.
+
+    Two objects have equal views exactly when they differ only in the
+    numbering of their ids; a level with a repeated payload has no view.
+    """
+    view = []
+    for n, level in enumerate(X.payloads):
+        degenerate = X.has_degeneracies and n < X.max_dim
+        by_payload = {
+            p: (
+                tuple(face_payload(X, n, p, i) for i in range(n + 1)) if n else (),
+                tuple(degeneracy_payload(X, n, p, i) for i in range(n + 1)) if degenerate else (),
+            )
+            for p in level
+        }
+        assert len(by_payload) == len(level), f"repeated payloads in dimension {n}"
+        view.append(by_payload)
+    return view
+
+
+def map_view(f: SimplicialMap) -> list[dict]:
+    """Per level, each source payload mapped to its image's payload."""
+    return [
+        {f.source.payload(n, k): f.target.payload(n, z) for k, z in enumerate(image)}
+        for n, image in enumerate(f.table)
+    ]
+
+
+def pullback_view(result) -> tuple:
+    """A fiber product and both its projections, read by payload."""
+    P, proj1, proj2 = result
+    return payload_view(P), map_view(proj1), map_view(proj2)
+
+
 def bundle_tables(bundle) -> tuple:
     """Everything a bundle total space consists of: payloads, tables, both maps."""
     E = bundle.total
@@ -597,12 +632,12 @@ def pullback_by_rows(p: SimplicialMap, q: SimplicialMap):
     """The levelwise fiber product of p: X -> Z and q: Y -> Z.
 
     Returns the product object (payload pairs) and its two projections.
-    Pairs get ids in lexicographic order of their payloads: pair (a, b) is
-    start[a] + rank[b], where start[a] counts the pairs whose first payload
-    precedes a's and rank[b] is b's place, in payload order, in its fiber
-    over Z.  A face or degeneracy of (a, b) is the pair of the components'
-    faces or degeneracies, so each table entry is one such sum read off the
-    rows of X and Y.  The projections are the coordinate tables, and a pair
+    Pairs get ids in lexicographic order of their id pairs: pair (a, b) is
+    start[a] + rank[b], where start[a] counts the pairs whose first id is
+    below a and rank[b] is b's place, in id order, in its fiber over Z.  A
+    face or degeneracy of (a, b) is the pair of the components' faces or
+    degeneracies, so each table entry is one such sum read off the rows of
+    X and Y.  The projections are the coordinate tables, and a pair
     is determined by its two coordinates, so an entry of P's tables is right
     exactly when both projections commute with it: their construction-time
     checks certify P.
@@ -617,12 +652,10 @@ def pullback_by_rows(p: SimplicialMap, q: SimplicialMap):
     starts, ranks, firsts, seconds = [], [], [], []
     for n in range(max_dim + 1):
         fibers, rank = q.fibers[n]
-        image = p.table[n]
-        start = [0] * X.simplex_count(n)
-        first, second = [], []
-        for a in _payload_order(X.payloads[n]):
-            start[a] = len(second)
-            fiber = fibers.get(image[a], ())
+        start, first, second = [], [], []
+        for a, z in enumerate(p.table[n]):
+            start.append(len(second))
+            fiber = fibers.get(z, ())
             first += [a] * len(fiber)
             second += fiber
         starts.append(start)
@@ -722,7 +755,7 @@ def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
         betti = sizes[k] - ranks[k] - ranks[k + 1]
         torsion = tuple(d for d in factors[k + 1] if d > 1)
         groups.append((betti, torsion))
-    return HomologyReport(groups, unreliable_top=True)
+    return HomologyReport(groups)
 
 
 def boundary_triplets(X: TruncatedSimplicialSet, n: int) -> str:

@@ -5,6 +5,7 @@ from itertools import product
 
 import pytest
 
+from csx import bundles, simpset
 from csx.bundles import (
     FLAT,
     TWISTED,
@@ -51,6 +52,7 @@ from oracles import (
     evaluate_operator,
     pullback_by_payload,
     pullback_tables,
+    payload_view,
     shuffled_ids,
     sset_tables,
 )
@@ -104,10 +106,14 @@ def test_completion_matches_payload_rules(make_base, max_dim):
 
 @pytest.mark.parametrize("max_dim", range(7))
 def test_completion_matches_payload_rules_on_unsorted_ids(max_dim):
+    # one block per surjection, the base's ids in order inside it; read by payload, the routes agree
     base, _ = shuffled_ids(solid_delta(3), seed=7)
     assert any(list(level) != sorted(level) for level in base.payloads)
     completed = complete_semisimplicial(base, max_dim)
-    assert sset_tables(completed) == sset_tables(complete_semisimplicial_by_payload(base, max_dim))
+    assert payload_view(completed) == payload_view(complete_semisimplicial_by_payload(base, max_dim))
+    for level in completed.payloads:
+        keys = [(eta, base.id_of(eta[-1], b)) for eta, b in level]
+        assert keys == sorted(keys)
     assert audit_identities(completed) == []
 
 
@@ -336,6 +342,17 @@ def test_total_space_tables_match_payload_rules(bits):
     assert dec.table == decoration_map_by_payload(decor, completed).table
     q = quotient_map(5)
     assert pullback_tables(pullback(dec, q)) == pullback_tables(pullback_by_payload(dec, q))
+
+
+def test_total_space_never_makes_the_words_of_S(monkeypatch):
+    # a fresh S and quotient map: the cached ones may have been read by other tests
+    S = build_S.__wrapped__(6)
+    monkeypatch.setattr(simpset, "build_S", lambda max_dim: S)
+    q = quotient_map.__wrapped__(6)
+    monkeypatch.setattr(bundles, "quotient_map", lambda max_dim: q)
+    bundle = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((1, 0, 1, 0))), 6)
+    assert bundle.classifying.target is S
+    assert "payloads" not in vars(S)
 
 
 @pytest.mark.parametrize("bits", [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 1)])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from csx import cli
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json, total_space
 from csx.cli import RunConfig, effective_cap, main
-from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules
+from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules, payload_str, sset_to_json
 
 import oracles
 
@@ -170,6 +170,29 @@ def test_bundle_decoration_file(capsys, tmp_path):
     assert rep["groups"][:4] == ["Z", "Z", "Z", "Z"]
 
 
+def test_bundle_decoration_file_with_shuffled_base_rows(capsys, tmp_path):
+    # the total space follows the file's rows; its groups and the square do not depend on them
+    bits = (1, 0, 1, 0)
+    decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
+    base, orders = oracles.shuffled_ids(decor.base, seed=4)
+    obj = {
+        "base": sset_to_json(base),
+        "assignment": [
+            {"dim": n, "values": [payload_str(decor.value(n, k)) for k in order]}
+            for n, order in enumerate(orders)
+        ],
+    }
+    path = tmp_path / "decor.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    code, rep = run_json(capsys, "bundle", "--decoration", str(path))
+    assert code == 0 and rep["pullback_square"] == "commutes"
+    assert rep["groups"][:-1] == ["Z", "Z/2", "0", "Z"]
+    assert rep["chern_cochain"] == [bits[k] for k in orders[2]] != list(bits)
+    vertices = obj["base"]["dims"][0]["payloads"]
+    assert vertices != sorted(vertices)
+    assert rep["total_space"]["dims"][0]["payloads"] == [f"((0)x({v}))x(0)" for v in vertices]
+
+
 def test_out_writes_file(capsys, tmp_path):
     target = tmp_path / "report.json"
     code = main(["enumerate", "C", "--max-dim", "2", "--format", "json", "--out", str(target)])
@@ -223,6 +246,10 @@ def test_exit_codes_for_bad_input(capsys):
     [
         ("boundary3", ["1:1", "1:0"], "cochain id 1 given twice"),
         ("point", ["0:1"], "cochain item '0:1': the base has no 2-simplices"),
+        *(
+            ("boundary3", [item], f"bad cochain item {item!r}; expected id:value with integer id and value")
+            for item in ("x:1", "1:y", ":1", "oops")
+        ),
     ],
 )
 @pytest.mark.parametrize("command", ["bundle", "homology"])

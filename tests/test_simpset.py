@@ -55,6 +55,8 @@ from oracles import (
     pullback_by_payload,
     pullback_by_rows,
     pullback_tables,
+    pullback_view,
+    payload_view,
     sc_degeneracy,
     sc_is_degenerate,
     shuffled_ids,
@@ -359,14 +361,19 @@ def test_pullback_makes_its_payload_pairs_on_first_read():
 
 
 def test_pullback_matches_payload_rules_on_unsorted_ids():
+    # ids follow the sources' ids, not payload order; read by payload, the routes agree
     q = quotient_map(4)
     S, orders = shuffled_ids(q.source, seed=5)
     assert any(list(level) != sorted(level) for level in S.payloads)
     table = [tuple(q.table[n][k] for k in order) for n, order in enumerate(orders)]
     shuffled = SimplicialMap(S, q.target, table)
     for p, r in ((shuffled, shuffled), (shuffled, q), (q, shuffled)):
-        assert pullback_tables(pullback(p, r)) == pullback_tables(pullback_by_payload(p, r))
-        assert pullback_tables(pullback(p, r)) == pullback_tables(pullback_by_rows(p, r))
+        P, p1, p2 = result = pullback(p, r)
+        assert pullback_view(result) == pullback_view(pullback_by_payload(p, r))
+        assert pullback_tables(result) == pullback_tables(pullback_by_rows(p, r))
+        for n in range(P.max_dim + 1):
+            pairs = list(zip(p1.table[n], p2.table[n]))
+            assert pairs == sorted(pairs)
 
 
 @pytest.mark.parametrize(
@@ -379,10 +386,15 @@ def test_twisted_product_matches_payload_rules(G, X):
 
 
 def test_twisted_product_matches_payload_rules_on_unsorted_ids():
+    # ids are lexicographic in the factors' ids; read by payload, the routes agree
     X, _ = shuffled_ids(build_delta(2, 3), seed=11)
     assert any(list(level) != sorted(level) for level in X.payloads)
     G = build_C(3)
-    assert sset_tables(twisted_product(G, X)) == sset_tables(twisted_product_by_payload(G, X))
+    T = twisted_product(G, X)
+    assert payload_view(T) == payload_view(twisted_product_by_payload(G, X))
+    for n, level in enumerate(T.payloads):
+        pairs = [(G.id_of(n, h), X.id_of(n, x)) for h, x in level]
+        assert pairs == sorted(pairs)
 
 
 def test_pullback_rejects_mismatched_maps():
