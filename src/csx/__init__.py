@@ -6,9 +6,9 @@ the structural claims (pullback route, order reorientation, crossed
 relations) and computes exact integer homology via Smith normal form.
 
 The top level holds the names of the README's Library section; everything
-else is imported from its module (csx.simpset, csx.bundles, csx.homology,
-csx.perms, csx.delta, csx.cli).  The two bundle comparisons load
-csx.bundles on first access.
+else is imported from its module (csx.simpset, csx.constructions, csx.bundles,
+csx.homology, csx.perms, csx.delta, csx.cli, csx.checks).  The two bundle
+comparisons load csx.bundles on first access.
 """
 
 from .homology import homology_report, normalized_complex

@@ -13,6 +13,16 @@ from functools import lru_cache
 from itertools import chain, combinations, combinations_with_replacement, groupby, repeat
 from operator import itemgetter
 
+from .constructions import (
+    from_id_pairs,
+    is_json_int,
+    json_field,
+    on_delta,
+    reorient_upsilon,
+    sset_from_json,
+    twisted_product,
+    yoneda,
+)
 from .delta import peel
 from .perms import (
     Word,
@@ -31,21 +41,13 @@ from .simpset import (
     build_S,
     build_SC,
     build_delta,
-    from_id_pairs,
     from_rules,
-    is_json_int,
-    json_field,
-    on_delta,
     payload_str,
     pullback,
     quotient_circ,
     quotient_map,
-    reorient_upsilon,
     sc_face,
-    sset_from_json,
     sset_to_json,
-    twisted_product,
-    yoneda,
 )
 
 FLAT = CircularPermutation((0, 1, 2))
@@ -232,7 +234,7 @@ def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpa
 def _acted(g: Word, max_dim: int) -> list[list[Word]]:
     """act(xi)(g) for every simplex xi of build_delta(n, max_dim), per dimension, by id.
 
-    Each word is one face_perm or degeneracy_perm of another (simpset.on_delta).
+    Each word is one face_perm or degeneracy_perm of another (constructions.on_delta).
     """
     return on_delta(
         len(g) - 1,

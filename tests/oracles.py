@@ -20,7 +20,8 @@ from itertools import product
 from operator import add
 
 from csx.bundles import BundleTotalSpace
-from csx.cli import _check_result
+from csx.checks import _check_result
+from csx.constructions import sset_from_json
 from csx.homology import (
     HomologyReport,
     SmithForm,
@@ -51,7 +52,6 @@ from csx.simpset import (
     nondegenerate_list,
     quotient_circ,
     sc_face,
-    sset_from_json,
     sset_to_json,
 )
 
@@ -776,10 +776,10 @@ def boundary_triplets(X: TruncatedSimplicialSet, n: int) -> str:
 # ---------------------------------------------------------------------------
 # the crossed sweep word by word
 #
-# cli._check_crossed checks the exhaustive degrees on blocks of ids; this is
+# checks._check_crossed checks the exhaustive degrees on blocks of ids; this is
 # the loop whose case counts and first counterexample it must match.  It
 # reads face_perm and degeneracy_perm from this module, so a test forging
-# them must patch them here as well as in csx.cli.
+# them must patch them here as well as in csx.checks.
 
 
 def check_crossed_by_words(cfg) -> list[dict]:

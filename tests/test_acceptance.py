@@ -18,6 +18,7 @@ from csx.bundles import (
     upsilon_comparison,
 )
 from csx.cli import main
+from csx.constructions import twisted_product
 from csx.homology import (
     homology_report,
     normalized_complex,
@@ -32,7 +33,6 @@ from csx.simpset import (
     build_delta,
     nondegenerate_list,
     quotient_map,
-    twisted_product,
 )
 from oracles import boundary_matrix, pulled_index
 

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csx.checks
 from csx import cli
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json, total_space
 from csx.cli import RunConfig, effective_cap, main
@@ -341,7 +342,7 @@ def test_draw_is_random_sample_over_the_same_stream(seed):
     ours, theirs = random.Random(seed), random.Random(seed)
     for _ in range(20):
         for n in range(cli.HARD_CAP + 1):
-            assert cli._draw(ours, n) == tuple(theirs.sample(range(n + 1), n + 1))
+            assert csx.checks._draw(ours, n) == tuple(theirs.sample(range(n + 1), n + 1))
             assert ours.getstate() == theirs.getstate()
 
 
@@ -473,13 +474,13 @@ def _checks_by_name(rep) -> dict:
 
 
 def test_check_crossed_catches_a_forged_degeneracy_at_degree_3(capsys, monkeypatch):
-    real = cli.degeneracy_perm
+    real = csx.checks.degeneracy_perm
 
     def forged(i, f):
         out = real(i, f)
         return out[::-1] if f == (0, 2, 1, 3) and i == 0 else out
 
-    monkeypatch.setattr(cli, "degeneracy_perm", forged)
+    monkeypatch.setattr(csx.checks, "degeneracy_perm", forged)
     code, rep = run_json(capsys, "check", "crossed", "--max-dim", "6")
     checks = _checks_by_name(rep)
     assert code == 1 and not rep["pass"]
@@ -488,13 +489,13 @@ def test_check_crossed_catches_a_forged_degeneracy_at_degree_3(capsys, monkeypat
 
 
 def test_check_crossed_catches_a_forged_face_at_degree_5(capsys, monkeypatch):
-    real = cli.face_perm
+    real = csx.checks.face_perm
 
     def forged(i, f):
         out = real(i, f)
         return out[::-1] if len(f) == 6 else out
 
-    monkeypatch.setattr(cli, "face_perm", forged)
+    monkeypatch.setattr(csx.checks, "face_perm", forged)
     code, rep = run_json(capsys, "check", "crossed", "--max-dim", "6")
     checks = _checks_by_name(rep)
     assert code == 1 and not rep["pass"]
@@ -576,7 +577,7 @@ def _assert_no_child():
 
 
 def test_check_all_runs_the_crossed_sweep_in_a_child(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_check_crossed", lambda cfg: [cli._check_result(f"pid {os.getpid()}", 0, None)])
+    monkeypatch.setattr(csx.checks, "_check_crossed", lambda cfg: [csx.checks._check_result(f"pid {os.getpid()}", 0, None)])
     code, rep = run_json(capsys, "check", "all", "--max-dim", "3")
     names = [c["name"] for c in rep["checks"]]
     assert code == 0
@@ -590,13 +591,13 @@ def test_check_all_catches_a_forged_face_at_degree_5_in_the_child(capsys, monkey
     argv = ("check", "all", "--max-dim", "6")
     real_code, real = run_json(capsys, *argv)
     assert real_code == 0
-    real_face = cli.face_perm
+    real_face = csx.checks.face_perm
 
     def forged(i, f):
         out = real_face(i, f)
         return out[::-1] if len(f) == 6 else out
 
-    monkeypatch.setattr(cli, "face_perm", forged)
+    monkeypatch.setattr(csx.checks, "face_perm", forged)
     code, rep = run_json(capsys, *argv)
     _assert_no_child()
     checks = _checks_by_name(rep)
@@ -612,7 +613,7 @@ def test_an_input_error_in_the_child_exits_2(capsys, monkeypatch):
     def boom(cfg):
         raise ValueError("boom")
 
-    monkeypatch.setattr(cli, "_check_crossed", boom)
+    monkeypatch.setattr(csx.checks, "_check_crossed", boom)
     assert main(["check", "all", "--max-dim", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: boom\n" and captured.out == ""
@@ -623,7 +624,7 @@ def test_an_internal_error_in_the_child_stays_a_traceback(capsys, monkeypatch):
     def bug(cfg):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(cli, "_check_crossed", bug)
+    monkeypatch.setattr(csx.checks, "_check_crossed", bug)
     with pytest.raises(RuntimeError, match="^bug$") as info:
         main(["check", "all", "--max-dim", "3"])
     # the child's own traceback comes along as the cause
@@ -632,7 +633,7 @@ def test_an_internal_error_in_the_child_stays_a_traceback(capsys, monkeypatch):
 
 
 def test_a_child_that_sends_nothing_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "_check_crossed", lambda cfg: os._exit(5))
+    monkeypatch.setattr(csx.checks, "_check_crossed", lambda cfg: os._exit(5))
     with pytest.raises(RuntimeError, match=r"wait status 1280\)$"):
         main(["check", "all", "--max-dim", "3"])
     _assert_no_child()
@@ -642,7 +643,7 @@ def test_a_failing_parent_suite_still_reaps_the_child(capsys, monkeypatch):
     def bug(cfg, target, args):
         raise RuntimeError("parent")
 
-    monkeypatch.setattr(cli, "_check_identities", bug)
+    monkeypatch.setattr(csx.checks, "_check_identities", bug)
     with pytest.raises(RuntimeError, match="^parent$"):
         main(["check", "all", "--max-dim", "3"])
     _assert_no_child()
@@ -686,7 +687,7 @@ def test_check_all_on_one_cpu_runs_the_sweep_in_process(capsys, monkeypatch, cpu
 def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
     for max_dim in range(7):
         cfg = RunConfig(command="check", max_dim=max_dim, seed=seed)
-        assert cli._check_crossed(cfg) == oracles.check_crossed_by_words(cfg)
+        assert csx.checks._check_crossed(cfg) == oracles.check_crossed_by_words(cfg)
 
 
 @pytest.mark.parametrize(
@@ -715,16 +716,16 @@ def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
 def test_crossed_sweep_reports_the_word_by_word_counterexample(monkeypatch, rel, faults):
     # two planted faults in one degree: the block sweep must still report the
     # first case the word-by-word loop meets
-    real = getattr(cli, rel)
+    real = getattr(csx.checks, rel)
 
     def forged(i, f):
         out = real(i, f)
         return out[::-1] if (f, i) in faults else out
 
-    for module in (cli, oracles):
+    for module in (csx.checks, oracles):
         monkeypatch.setattr(module, rel, forged)
     cfg = RunConfig(command="check", max_dim=6, seed=3)
-    got = cli._check_crossed(cfg)
+    got = csx.checks._check_crossed(cfg)
     assert got == oracles.check_crossed_by_words(cfg)
     bad = next(c for c in got if c["name"] == f"crossed:{rel.split('_')[0]}")
     assert bad["counterexample"].startswith(f"n={len(faults[0][0]) - 1} ")

@@ -15,6 +15,14 @@ from csx.bundles import (
     decorate_from_cochain,
     total_space,
 )
+from csx.constructions import (
+    delta_steps,
+    from_id_pairs,
+    reorient_upsilon,
+    sset_from_json,
+    twisted_product,
+    yoneda,
+)
 from csx.homology import homology_report, normalized_complex
 from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse
 from csx.simpset import (
@@ -29,8 +37,6 @@ from csx.simpset import (
     build_S,
     build_SC,
     build_delta,
-    delta_steps,
-    from_id_pairs,
     dumps_canonical,
     from_rules,
     nondegenerate_list,
@@ -38,12 +44,8 @@ from csx.simpset import (
     pullback,
     quotient_circ,
     quotient_map,
-    reorient_upsilon,
     sc_face,
-    sset_from_json,
     sset_to_json,
-    twisted_product,
-    yoneda,
 )
 from oracles import (
     audit_identities_by_rows,
