@@ -377,6 +377,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _reject_stray_options(args)
+        # a simplex dimension or word degree above the cap would build past it
+        cap, degree = effective_cap(), args.g.count(",") if getattr(args, "g", None) else 0
+        for what, value in (("--n", getattr(args, "n", None) or 0), ("the degree of --g", degree)):
+            if value > cap:
+                raise CapExceeded(f"{what} {value} exceeds cap {cap}")
         if getattr(args, "n", 2) is None:
             args.n = 2  # the default simplex dimension; None told that --n was not given
         args.max_dim_set = args.max_dim is not None

@@ -1,10 +1,11 @@
 """Exact integer homology of truncated simplicial sets.
 
 Chains are normalized: one generator per nondegenerate simplex, degenerate
-faces dropped.  Coreductions with aces shrink them to a Morse complex, whose
-boundaries are reduced to Smith normal form over the integers with
-arbitrary-precision arithmetic; an optional checked mode fails loudly if any
-intermediate entry would leave the signed 64-bit range.
+faces dropped.  Coreductions with aces shrink them to a Morse complex, each
+of whose boundaries gets its invariant factors from a certified echelon
+basis of its column lattice (smith_normal_form), with arbitrary-precision
+arithmetic; an optional checked mode fails loudly if any intermediate entry
+would leave the signed 64-bit range.
 """
 
 from __future__ import annotations
@@ -18,38 +19,16 @@ INT64_MAX = 2**63 - 1
 _CROSSCHECK_PRIME = 2**31 - 1
 
 
-class SparseMatrix:
-    """Integer matrix as a {(row, col): value} dict of its nonzero entries."""
-
-    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int] | None = None):
-        self.rows, self.cols, self.entries = rows, cols, {} if entries is None else entries
-
-    def to_dense(self) -> list[list[int]]:
-        M = [[0] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            M[r][c] = v
-        return M
-
-    @classmethod
-    def from_dense(cls, M: list[list[int]]) -> "SparseMatrix":
-        rows = len(M)
-        cols = len(M[0]) if rows else 0
-        entries = {(r, c): v for r, row in enumerate(M) for c, v in enumerate(row) if v}
-        return cls(rows, cols, entries)
-
-
 class SmithForm:
     """Invariant factors plus optional unimodular certificates.
 
     When present, left and right satisfy left * M * right == diag(factors)
-    extended by zeros to the shape of M.  A sparse reduction that leaves a
-    nonempty block after unit elimination keeps that block as remainder and
-    its certified Smith form as remainder_form; all torsion lives there.
+    extended by zeros to the shape of M.  Without them the factors were
+    certified on an echelon basis of M's column lattice (smith_normal_form).
     """
 
-    def __init__(self, shape, factors, left=None, right=None, remainder=None, remainder_form=None):
+    def __init__(self, shape, factors, left=None, right=None):
         self.shape, self.factors, self.left, self.right = shape, factors, left, right
-        self.remainder, self.remainder_form = remainder, remainder_form
 
     @property
     def rank(self) -> int:
@@ -155,109 +134,109 @@ def _dense_snf(M, R, C, policy):
     return SmithForm((R, C), tuple(factors), U, V)
 
 
-def _sweep(entries, policy="bigint", p=None):
-    """Pivot column by column, cheapest columns first; return (pivots, rows left).
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = x*a + y*b a gcd of a and b, possibly negative."""
+    if not b:
+        return a, 1, 0
+    g, x, y = _xgcd(b, a % b)
+    return g, y, x - a // b * y
 
-    Each pass visits the live columns in order of their count at the start
-    of the pass and, in each, pivots on the shortest row whose entry there
-    qualifies: +-1 over the integers, any nonzero entry mod the prime p.
-    Row operations clear the rest of the column, then the pivot row and
-    column are dropped.  Over the integers a unit pivot is a unimodular
-    step, so the invariant factors are one 1 per pivot plus those of the
-    rows left over.  Fill-in can create units in columns already passed, so
-    passes repeat until one finds no pivot.  A pass costs O(nnz) plus the
-    fill-in it makes; picking the globally cheapest pivot each time would
-    cost O(nnz) per pivot.  Counts are not updated within a pass: on the
-    SC9 top boundary that took less time and memory than a heap kept
-    current under fill-in.
+
+def _merge(terms, policy) -> dict[int, int]:
+    """The {column: coefficient} sum of q * combo over the (q, combo) terms."""
+    total: dict[int, int] = {}
+    for q, combo in terms:
+        for c, w in combo.items():
+            total[c] = total.get(c, 0) + q * w
+    _check_range(total.values(), policy)
+    return {c: w for c, w in total.items() if w}
+
+
+def _echelon(matrix, policy):
+    """An echelon basis of the column lattice of matrix, as (vector, combo) pairs.
+
+    The vectors have distinct leading rows, in order; each is the integer
+    combination combo, a {column: coefficient} dict, of the columns.  Each
+    column is cleared at the leading rows so far, top down: by a multiple of
+    the basis vector where its lead divides the entry, else by a unimodular
+    extended-gcd step, which shrinks the lead; a column left nonzero joins
+    the basis.  Combinations stay term lists until stored: most columns clear.
     """
-    rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {}
-    for (r, c), v in entries.items():
-        if p is not None:
-            v %= p
-            if not v:
+    basis: dict[int, tuple[list[int], dict[int, int]]] = {}
+    for c, column in enumerate(zip(*matrix)):
+        v, terms = list(column), [(1, {c: 1})]
+        for p in range(len(v)):
+            if not (b := v[p]):
                 continue
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, set()).add(r)
-    pivots = 0
-    progress = True
-    while progress:
-        progress = False
-        for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
-            hits = cols.get(c)
-            if hits is None:
-                continue
-            candidates = hits if p is not None else [r for r in hits if rows[r][c] in (1, -1)]
-            if not candidates:
-                continue
-            r = min(candidates, key=lambda r: (len(rows[r]), r))
-            prow = rows.pop(r)
-            # a unit is its own inverse
-            inv = prow[c] if p is None else pow(prow[c], -1, p)
-            for r2 in list(hits):
-                if r2 == r:
-                    continue
-                row2 = rows[r2]
-                q = row2[c] * inv
-                for c2, v2 in prow.items():
-                    nv = row2.get(c2, 0) - q * v2
-                    if p is not None:
-                        nv %= p
-                    if nv:
-                        row2[c2] = nv
-                        cols[c2].add(r2)
-                    else:
-                        row2.pop(c2, None)
-                        cols[c2].discard(r2)
-                _check_range(row2.values(), policy)
-                if not row2:
-                    del rows[r2]
-            for c2 in prow:
-                hits2 = cols[c2]
-                hits2.discard(r)
-                if not hits2:
-                    del cols[c2]
-            pivots += 1
-            progress = True
-    return pivots, rows
+            if p not in basis:
+                basis[p] = (v, _merge(terms, policy))
+                break
+            u, combo = basis[p]
+            a = u[p]
+            if b % a == 0:
+                q = b // a
+                v = [s - q * t for s, t in zip(v, u)]
+                terms.append((-q, combo))
+            else:
+                g, x, y = _xgcd(a, b)
+                own = _merge(terms, policy)
+                u2 = [x * s + y * t for s, t in zip(u, v)]
+                _check_range(u2, policy)
+                basis[p] = (u2, _merge([(x, combo), (y, own)], policy))
+                v = [b // g * s - a // g * t for s, t in zip(u, v)]
+                terms = [(b // g, combo), (-a // g, own)]
+            _check_range(v, policy)
+    return [basis[p] for p in sorted(basis)]
 
 
-def _sparse_unit_reduce(sm: SparseMatrix, policy):
-    """Strip unit pivots off a sparse matrix; return (count, dense remainder)."""
-    units, rows = _sweep(sm.entries, policy)
-    remaining_rows = sorted(rows)
-    remaining_cols = sorted({c for row in rows.values() for c in row})
-    col_pos = {c: j for j, c in enumerate(remaining_cols)}
-    dense = [[0] * len(remaining_cols) for _ in remaining_rows]
-    for i, r in enumerate(remaining_rows):
-        for c, v in rows[r].items():
-            dense[i][col_pos[c]] = v
-    return units, dense
+def _check_echelon(matrix, basis) -> None:
+    """Raise ArithmeticError unless im matrix == span basis.
+
+    Each basis vector must be its stated combination of the columns, and
+    back-substitution on the leading rows must take every column to zero.
+    """
+    columns = list(zip(*matrix))
+    if not all(0 <= c < len(columns) for _, combo in basis for c in combo):
+        raise ArithmeticError("echelon basis: a combination names no column")
+    for u, combo in basis:
+        if _combine([(w, columns[c]) for c, w in combo.items()], len(matrix)) != u:
+            raise ArithmeticError("echelon basis: a basis vector is not its stated combination")
+    leads = [(next(i for i, x in enumerate(u) if x), u) for u, _ in basis if any(u)]
+    for c, v in enumerate(columns):
+        for p, u in leads:
+            q, r = divmod(v[p], u[p])
+            if r:
+                break
+            if q:
+                v = [s - q * t for s, t in zip(v, u)]
+        if any(v):
+            raise ArithmeticError(f"echelon basis: column {c} is outside its span")
 
 
 def smith_normal_form(matrix, transforms=False, policy="bigint") -> SmithForm:
-    """Smith normal form over the integers.
+    """Smith normal form over the integers of M = matrix, a list of k rows.
 
-    matrix is either a dense list of rows or a SparseMatrix.  With
-    transforms=True the reduction runs densely and returns unimodular
-    certificates; without them the input takes a unit-pivot elimination
-    first and only the remainder is reduced densely, with certificates.
+    With transforms=True M is reduced densely, and the result carries
+    unimodular certificates.  Without them M's columns are reduced to an
+    echelon basis B (_echelon), and im M = span B is certified both ways
+    (_check_echelon).  Then Z^k / im M = Z^k / span B, so M and B have the
+    same rank and invariant factors.  B, k x r with r <= k, is reduced
+    densely and its transforms re-verified.  A failed certificate raises
+    ArithmeticError.
     """
     if policy not in ("bigint", "checked"):
         raise ValueError(f"unknown overflow policy {policy!r}")
-    if isinstance(matrix, SparseMatrix):
-        sm = matrix
-    else:
-        sm = SparseMatrix.from_dense(matrix)
-    _check_range(sm.entries.values(), policy)
+    R, C = len(matrix), len(matrix[0]) if matrix else 0
+    _check_range((v for row in matrix for v in row), policy)
     if transforms:
-        return _dense_snf(sm.to_dense(), sm.rows, sm.cols, policy)
-    units, remainder = _sparse_unit_reduce(sm, policy)
-    if not remainder:
-        return SmithForm((sm.rows, sm.cols), (1,) * units)
-    tail = _dense_snf(remainder, len(remainder), len(remainder[0]), policy)
-    return SmithForm((sm.rows, sm.cols), (1,) * units + tail.factors, remainder=remainder, remainder_form=tail)
+        return _dense_snf(matrix, R, C, policy)
+    basis = _echelon(matrix, policy)
+    _check_echelon(matrix, basis)
+    B = [[u[i] for u, _ in basis] for i in range(R)]
+    sf = _dense_snf(B, R, len(basis), policy)
+    if not verify_transforms(B, sf):
+        raise ArithmeticError("Smith form certificate of the echelon basis failed")
+    return SmithForm((R, C), sf.factors)
 
 
 def _is_square(rows, size: int) -> bool:
@@ -340,9 +319,23 @@ def verify_transforms(matrix, sf: SmithForm) -> bool:
     return abs(_det(sf.left)) == 1 == abs(_det(sf.right))
 
 
-def rank_mod_p(sm: SparseMatrix, p: int = _CROSSCHECK_PRIME) -> int:
-    """Rank over the field with p elements, used as an independent cross-check."""
-    return _sweep(sm.entries, p=p)[0]
+def rank_mod_p(matrix, p: int = _CROSSCHECK_PRIME) -> int:
+    """Rank over F_p of matrix, a list of rows: the cross-check of the integer rank.
+
+    Each row is reduced by the pivot rows so far and kept, scaled to a
+    leading 1, if anything is left.
+    """
+    pivots: list[tuple[int, list[int]]] = []
+    for row in matrix:
+        row = [v % p for v in row]
+        for c, prow in pivots:
+            if f := row[c]:
+                row = [(s - f * t) % p for s, t in zip(row, prow)]
+        lead = next((c for c, v in enumerate(row) if v), None)
+        if lead is not None:
+            inv = pow(row[lead], -1, p)
+            pivots.append((lead, [v * inv % p for v in row]))
+    return len(pivots)
 
 
 class ChainComplexData:
@@ -538,10 +531,11 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
 
     unit_pairing's certified order leaves the aces as the critical cells of
     an acyclic matching, whose Morse complex has the homology of cc.  Its
-    boundaries must compose to zero.  Each goes through the sparse Smith
-    form; the certificate of the remainder, which holds all torsion, is
-    re-verified, and the rank is cross-checked over a large prime field.
-    The top dimension lacks the incoming boundary and is flagged unreliable.
+    boundaries must compose to zero.  Each goes to smith_normal_form on its
+    nonzero columns, which leave rank and invariant factors unchanged, and
+    its rank is cross-checked over a large prime field; any failed check
+    raises ArithmeticError.  The top dimension lacks the incoming boundary
+    and is flagged unreliable.
     """
     top = cc.max_dim
     order = unit_pairing(cc)
@@ -558,12 +552,10 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
         # the rows of a boundary are the columns of its coboundary
         _assert_composite_zero(rows, below, ArithmeticError)
         below = rows
-        entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
-        sm = SparseMatrix(len(critical[n - 1]), len(critical[n]), entries)
-        sf = smith_normal_form(sm, policy=policy)
-        if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
-            raise ArithmeticError(f"remainder certificate failed for boundary {n}")
-        if rank_mod_p(sm) != sf.rank:
+        cols = sorted({j for row in rows for j in row})
+        M = [[row.get(j, 0) for j in cols] for row in rows]
+        sf = smith_normal_form(M, policy=policy)
+        if rank_mod_p(M) != sf.rank:
             raise ArithmeticError(f"rank cross-check failed for boundary {n}")
         ranks[n], factors[n] = sf.rank, sf.factors
     torsion = [tuple(d for d in f if d > 1) for f in factors]

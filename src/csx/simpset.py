@@ -478,11 +478,13 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     the columns of X and Y at the pairs' coordinates.  The projections are
     the coordinate tables, and a pair is determined by its two coordinates,
     so an entry of P's tables is right exactly when both projections
-    commute with it: their construction-time checks certify P.
+    commute with it: their construction-time checks certify P.  Two target
+    objects are one target when their sizes and tables agree; their
+    payloads are not read.
     """
     X, Y = p.source, q.source
     Z, W = p.target, q.target
-    if Z is not W and (Z.payloads, Z.faces, Z.degeneracies) != (W.payloads, W.faces, W.degeneracies):
+    if Z is not W and (Z._counts, Z.faces, Z.degeneracies) != (W._counts, W.faces, W.degeneracies):
         raise ValueError("maps must share a target")
     if X.max_dim != Y.max_dim:
         raise ValueError("sources must share a truncation level")

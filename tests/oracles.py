@@ -4,7 +4,8 @@ Each name here is either a slower, payload-level route to something the
 library computes on table rows, the row-at-a-time loop a check or table
 the library now runs on whole columns replaced, the word-by-word crossed
 sweep the library now runs on blocks of ids, the per-boundary homology
-loop the library now runs after pairing off unit cells, the boundary
+loop the library now runs after pairing off unit cells, the unit-pivot
+sweep the library replaced by an echelon certificate, the boundary
 entries summed in a (row, col) dict where the library keeps columns, an
 order-theoretic notion or a word or map helper the library itself never
 needs, or a renumbering that gives the routes ids out of payload order,
@@ -22,14 +23,7 @@ from operator import add
 from csx.bundles import BundleTotalSpace
 from csx.checks import _check_result
 from csx.constructions import sset_from_json
-from csx.homology import (
-    HomologyReport,
-    SmithForm,
-    SparseMatrix,
-    rank_mod_p,
-    smith_normal_form,
-    verify_transforms,
-)
+from csx.homology import HomologyReport, SmithForm, _check_range, smith_normal_form, verify_transforms
 from csx.delta import MonotoneOp, monotone_ops, peel
 from csx.perms import (
     Word,
@@ -709,53 +703,12 @@ def verify_transforms_by_rows(M, sf: SmithForm) -> bool:
     return abs(det_by_expansion(sf.left)) == 1 == abs(det_by_expansion(sf.right))
 
 
-def boundary_matrix(cc, n: int) -> SparseMatrix:
-    """Boundary n of cc as a (row, col) dict, entries column by column."""
-    columns = cc.boundaries[n]
-    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
-    return SparseMatrix(len(cc.basis[n - 1]), len(columns), entries)
-
-
 def det_by_expansion(T) -> int:
     """Determinant of a square integer matrix by Laplace expansion along the first row."""
     if not T:
         return 1
     minors = ([row[:j] + row[j + 1 :] for row in T[1:]] for j in range(len(T)))
     return sum((-1) ** j * v * det_by_expansion(m) for j, (v, m) in enumerate(zip(T[0], minors)) if v)
-
-
-def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
-    """Homology from each whole boundary on its own, with no unit pairing.
-
-    Boundaries up to 200x200 get the certified dense Smith form; larger ones
-    the sparse sweep, the remainder certificate and the mod-p rank of the
-    whole matrix.
-    """
-    sizes = cc.basis_sizes()
-    ranks = [0] * (cc.max_dim + 2)
-    factors: list[tuple[int, ...]] = [()] * (cc.max_dim + 2)
-    for n in range(1, cc.max_dim + 1):
-        sm = boundary_matrix(cc, n)
-        small = sm.rows <= 200 and sm.cols <= 200
-        if small:
-            sm = sm.to_dense()
-        sf = smith_normal_form(sm, transforms=small, policy=policy)
-        if small:
-            if not verify_transforms(sm, sf):
-                raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
-        else:
-            if sf.remainder and not verify_transforms(sf.remainder, sf.remainder_form):
-                raise ArithmeticError(f"remainder certificate failed for boundary {n}")
-            if rank_mod_p(sm) != sf.rank:
-                raise ArithmeticError(f"rank cross-check failed for boundary {n}")
-        ranks[n] = sf.rank
-        factors[n] = sf.factors
-    groups = []
-    for k in range(cc.max_dim + 1):
-        betti = sizes[k] - ranks[k] - ranks[k + 1]
-        torsion = tuple(d for d in factors[k + 1] if d > 1)
-        groups.append((betti, torsion))
-    return HomologyReport(groups)
 
 
 def boundary_triplets(X: TruncatedSimplicialSet, n: int) -> str:
@@ -771,6 +724,162 @@ def boundary_triplets(X: TruncatedSimplicialSet, n: int) -> str:
     lines = [f"dims {len(rows)} {len(cols)}"]
     lines += [f"{r} {c} {v}" for (r, c), v in sorted(entries.items()) if v]
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# whole boundaries by unit-pivot sweep
+#
+# csx reduces each Morse boundary to a certified echelon basis.  The routes
+# below reduce a whole boundary instead: unit pivots swept off a (row, col)
+# dict, the rows left reduced densely with transforms, and the rank over a
+# prime field by the same sweep.  They stay independent of csx's route, and
+# on whole boundaries of hundreds of rows they are far cheaper than an
+# echelon basis.
+
+
+class SparseMatrix:
+    """Integer matrix as a {(row, col): value} dict of its nonzero entries."""
+
+    def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int] | None = None):
+        self.rows, self.cols, self.entries = rows, cols, {} if entries is None else entries
+
+    def to_dense(self) -> list[list[int]]:
+        M = [[0] * self.cols for _ in range(self.rows)]
+        for (r, c), v in self.entries.items():
+            M[r][c] = v
+        return M
+
+    @classmethod
+    def from_dense(cls, M: list[list[int]]) -> "SparseMatrix":
+        rows = len(M)
+        cols = len(M[0]) if rows else 0
+        entries = {(r, c): v for r, row in enumerate(M) for c, v in enumerate(row) if v}
+        return cls(rows, cols, entries)
+
+
+def boundary_matrix(cc, n: int) -> SparseMatrix:
+    """Boundary n of cc as a (row, col) dict, entries column by column."""
+    columns = cc.boundaries[n]
+    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+    return SparseMatrix(len(cc.basis[n - 1]), len(columns), entries)
+
+
+def sweep(entries, policy="bigint", p=None):
+    """Pivot column by column, cheapest columns first; return (pivots, rows left).
+
+    Each pass visits the live columns in order of their count at the start
+    of the pass and, in each, pivots on the shortest row whose entry there
+    qualifies: +-1 over the integers, any nonzero entry mod the prime p.
+    Row operations clear the rest of the column, then the pivot row and
+    column are dropped.  Over the integers a unit pivot is a unimodular
+    step, so the invariant factors are one 1 per pivot plus those of the
+    rows left over.  Fill-in can create units in columns already passed, so
+    passes repeat until one finds no pivot.
+    """
+    rows: dict[int, dict[int, int]] = {}
+    cols: dict[int, set[int]] = {}
+    for (r, c), v in entries.items():
+        if p is not None:
+            v %= p
+            if not v:
+                continue
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, set()).add(r)
+    pivots = 0
+    progress = True
+    while progress:
+        progress = False
+        for c in sorted(cols, key=lambda c: (len(cols[c]), c)):
+            hits = cols.get(c)
+            if hits is None:
+                continue
+            candidates = hits if p is not None else [r for r in hits if rows[r][c] in (1, -1)]
+            if not candidates:
+                continue
+            r = min(candidates, key=lambda r: (len(rows[r]), r))
+            prow = rows.pop(r)
+            # a unit is its own inverse
+            inv = prow[c] if p is None else pow(prow[c], -1, p)
+            for r2 in list(hits):
+                if r2 == r:
+                    continue
+                row2 = rows[r2]
+                q = row2[c] * inv
+                for c2, v2 in prow.items():
+                    nv = row2.get(c2, 0) - q * v2
+                    if p is not None:
+                        nv %= p
+                    if nv:
+                        row2[c2] = nv
+                        cols[c2].add(r2)
+                    else:
+                        row2.pop(c2, None)
+                        cols[c2].discard(r2)
+                _check_range(row2.values(), policy)
+                if not row2:
+                    del rows[r2]
+            for c2 in prow:
+                hits2 = cols[c2]
+                hits2.discard(r)
+                if not hits2:
+                    del cols[c2]
+            pivots += 1
+            progress = True
+    return pivots, rows
+
+
+def sweep_smith_form(sm: SparseMatrix, policy="bigint"):
+    """Invariant factors by sweep; return (factors, dense remainder, its certified form).
+
+    The remainder is the rows the sweep leaves, on the columns they use;
+    all torsion lives there.  It is None, and so is its form, when the
+    sweep leaves nothing.
+    """
+    units, rows = sweep(sm.entries, policy)
+    if not rows:
+        return (1,) * units, None, None
+    cols = sorted({c for row in rows.values() for c in row})
+    remainder = [[rows[r].get(c, 0) for c in cols] for r in sorted(rows)]
+    form = smith_normal_form(remainder, transforms=True, policy=policy)
+    return (1,) * units + form.factors, remainder, form
+
+
+def rank_mod_p_by_sweep(sm: SparseMatrix, p: int = 2**31 - 1) -> int:
+    """Rank over the field with p elements, by the sweep with any nonzero pivot."""
+    return sweep(sm.entries, p=p)[0]
+
+
+def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
+    """Homology from each whole boundary on its own, with no unit pairing.
+
+    Boundaries up to 200x200 get the certified dense Smith form; larger ones
+    the sweep, the remainder certificate and the mod-p rank by sweep of the
+    whole matrix.
+    """
+    sizes = cc.basis_sizes()
+    ranks = [0] * (cc.max_dim + 2)
+    factors: list[tuple[int, ...]] = [()] * (cc.max_dim + 2)
+    for n in range(1, cc.max_dim + 1):
+        sm = boundary_matrix(cc, n)
+        if sm.rows <= 200 and sm.cols <= 200:
+            M = sm.to_dense()
+            sf = smith_normal_form(M, transforms=True, policy=policy)
+            if not verify_transforms(M, sf):
+                raise ArithmeticError(f"certificate re-verification failed for boundary {n}")
+            factors[n] = sf.factors
+        else:
+            factors[n], remainder, form = sweep_smith_form(sm, policy)
+            if remainder and not verify_transforms(remainder, form):
+                raise ArithmeticError(f"remainder certificate failed for boundary {n}")
+            if rank_mod_p_by_sweep(sm) != len(factors[n]):
+                raise ArithmeticError(f"rank cross-check failed for boundary {n}")
+        ranks[n] = len(factors[n])
+    groups = []
+    for k in range(cc.max_dim + 1):
+        betti = sizes[k] - ranks[k] - ranks[k + 1]
+        torsion = tuple(d for d in factors[k + 1] if d > 1)
+        groups.append((betti, torsion))
+    return HomologyReport(groups)
 
 
 # ---------------------------------------------------------------------------

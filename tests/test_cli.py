@@ -754,6 +754,41 @@ def test_exit_code_for_cap(capsys):
     assert main(["enumerate", "S", "--max-dim", "12"]) == 3
 
 
+_WORD_26 = ",".join(map(str, range(26)))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "delta", "--n", "40", "--max-dim", "6"],
+        ["enumerate", "twisted", "--n", "40", "--max-dim", "6"],
+        ["check", "identities", "--target", "delta", "--n", "10"],
+        ["homology", "E", "--g", _WORD_26, "--max-dim", "4"],
+        ["enumerate", "E", "--g", _WORD_26],
+    ],
+    ids=["homology-delta", "enumerate-twisted", "check-delta", "homology-E", "enumerate-E"],
+)
+def test_n_and_the_degree_of_g_are_capped_before_anything_is_built(capsys, monkeypatch, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a builder was called")
+
+    for name in ("build_delta", "build_C", "build_S"):
+        monkeypatch.setattr(cli, name, refuse)
+    monkeypatch.setattr("csx.bundles.E_of", refuse)
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: --n ") or err.startswith("error: the degree of --g 25 ")
+    assert err.endswith(" exceeds cap 9\n")
+
+
+def test_env_var_lowers_the_cap_on_n_and_g(capsys, monkeypatch):
+    monkeypatch.setenv("CSX_MAX_DIM", "3")
+    assert main(["enumerate", "delta", "--n", "4", "--max-dim", "2"]) == 3
+    assert main(["enumerate", "E", "--g", "1,0,3,2,4", "--max-dim", "2"]) == 3
+    assert main(["enumerate", "delta", "--n", "3", "--max-dim", "2"]) == 0
+    assert main(["enumerate", "E", "--g", "1,3,0,2", "--max-dim", "2"]) == 0
+
+
 def test_env_var_lowers_cap(monkeypatch):
     monkeypatch.setenv("CSX_MAX_DIM", "3")
     assert effective_cap() == 3

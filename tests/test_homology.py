@@ -21,7 +21,6 @@ from csx.bundles import (
 from csx.homology import (
     ChainComplexData,
     SmithForm,
-    SparseMatrix,
     export_sparse_matrix,
     homology_report,
     normalized_complex,
@@ -30,7 +29,15 @@ from csx.homology import (
     verify_transforms,
 )
 from csx.simpset import build_C, build_S, build_SC, build_delta
-from oracles import boundary_matrix, det_by_expansion, homology_report_by_boundary, verify_transforms_by_rows
+from oracles import (
+    SparseMatrix,
+    boundary_matrix,
+    det_by_expansion,
+    homology_report_by_boundary,
+    rank_mod_p_by_sweep,
+    sweep_smith_form,
+    verify_transforms_by_rows,
+)
 
 # invariant factors computed from determinant divisors:
 # d1 = gcd of entries, d2 = gcd of 2x2 minors, d3 = |det|
@@ -55,8 +62,8 @@ def test_snf_edge_shapes():
     assert smith_normal_form([[6]]).factors == (6,)
     assert smith_normal_form([[-6]]).factors == (6,)
     assert smith_normal_form([[2, 0, 0], [0, 3, 0]]).factors == (1, 6)
-    empty = SparseMatrix(0, 5, {})
-    assert smith_normal_form(empty).factors == ()
+    assert smith_normal_form([]).factors == ()
+    assert smith_normal_form([[], []]).factors == ()
 
 
 def test_snf_divisibility_chain():
@@ -81,8 +88,8 @@ def test_snf_sparse_and_dense_agree():
             for _ in range(R)
         ]
         dense = smith_normal_form(M, transforms=True)
-        sparse = smith_normal_form(SparseMatrix.from_dense(M))
-        assert dense.factors == sparse.factors
+        assert smith_normal_form(M).factors == dense.factors
+        assert sweep_smith_form(SparseMatrix.from_dense(M))[0] == dense.factors
         assert verify_transforms(M, dense)
 
 
@@ -97,11 +104,10 @@ def test_snf_sparse_and_dense_agree():
 def test_snf_certified_rank_matches_prime_field_bound(rows):
     sf = smith_normal_form(rows, transforms=True)
     assert verify_transforms(rows, sf)
-    sm = SparseMatrix.from_dense(rows)
     # rank over a big prime never exceeds the integer rank, and equals it
     # unless some invariant factor vanishes mod p (impossible here: factors
     # are far below the prime)
-    assert rank_mod_p(sm) == sf.rank
+    assert rank_mod_p(rows) == sf.rank
 
 
 @st.composite
@@ -117,15 +123,43 @@ def sparse_matrices(draw):
 @given(sparse_matrices(), st.sampled_from([2, 3, 2**31 - 1]))
 @settings(max_examples=100, deadline=None)
 def test_sweep_matches_certified_dense(sm, p):
+    # the echelon route, and the oracle's sweep that the per-boundary loop
+    # uses on whole boundaries
     M = sm.to_dense()
     dense = smith_normal_form(M, transforms=True)
     assert verify_transforms(M, dense)
-    sparse = smith_normal_form(sm)
-    assert sparse.factors == dense.factors
-    if sparse.remainder is not None:
-        assert verify_transforms(sparse.remainder, sparse.remainder_form)
+    assert smith_normal_form(M).factors == dense.factors
+    basis = homology._echelon(M, "bigint")
+    homology._check_echelon(M, basis)
+    assert len(basis) == dense.rank
+    factors, remainder, form = sweep_smith_form(sm)
+    assert factors == dense.factors
+    if remainder is not None:
+        assert verify_transforms(remainder, form)
     # over F_p the rank counts the invariant factors that p does not divide
-    assert rank_mod_p(sm, p) == sum(1 for f in dense.factors if f % p)
+    kept = sum(1 for f in dense.factors if f % p)
+    assert rank_mod_p(M, p) == kept == rank_mod_p_by_sweep(sm, p)
+
+
+def test_echelon_route_on_thirty_rows():
+    # a boundary with many rows: diag(1 x 24, 2, 2, 6, 6, 12) padded to
+    # 30 x 400 and scrambled by unimodular row and column additions, so its
+    # invariant factors are known without another Smith form
+    rng = random.Random(30)
+    k, N = 30, 400
+    factors = (1,) * 24 + (2, 2, 6, 6, 12)
+    M = [[factors[i] if i == j < len(factors) else 0 for j in range(N)] for i in range(k)]
+    for _ in range(1200):
+        i, j = rng.sample(range(N), 2)
+        q = rng.choice((-1, 1, 2))
+        for row in M:
+            row[j] += q * row[i]
+    for _ in range(60):
+        i, j = rng.sample(range(k), 2)
+        M[j] = [a + b for a, b in zip(M[j], M[i])]
+    assert smith_normal_form(M).factors == factors
+    for p in (2, 3, 2**31 - 1):
+        assert rank_mod_p(M, p) == sum(1 for f in factors if f % p)
 
 
 def _rp3_complex():
@@ -139,18 +173,23 @@ def _rp3_boundary_2():
 
 
 def test_sparse_path_certifies_torsion_remainder():
+    # the echelon basis of the whole RP^3 2-boundary holds its torsion
     d2 = _rp3_boundary_2()
-    sf = smith_normal_form(d2)
+    M = d2.to_dense()
+    sf = smith_normal_form(M)
     assert sf.left is None and sf.right is None
     assert sf.factors == (1,) * 12 + (2,)
-    assert sf.remainder and len(sf.remainder) < d2.rows
-    assert sf.remainder_form.factors == (2,)
-    assert verify_transforms(sf.remainder, sf.remainder_form)
+    basis = homology._echelon(M, "bigint")
+    homology._check_echelon(M, basis)
+    assert len(basis) == 13 < d2.cols
+    B = [[u[i] for u, _ in basis] for i in range(d2.rows)]
+    form = smith_normal_form(B, transforms=True)
+    assert form.factors == sf.factors and verify_transforms(B, form)
 
 
 def test_homology_report_certifies_torsion_above_transform_limit(monkeypatch):
     # the RP^3 2-boundary plus a 200x200 identity block, which coreductions
-    # pair off: the torsion comes out of the remainder of a Morse boundary
+    # pair off: the torsion comes out of the echelon basis of a Morse boundary
     rp3 = _rp3_complex()
     rows, k = len(rp3.basis[1]), 200
     big = rp3.boundaries[2] + [{rows + i: 1} for i in range(k)]
@@ -161,39 +200,43 @@ def test_homology_report_certifies_torsion_above_transform_limit(monkeypatch):
     assert rep.groups[1] == (rows + k - rank, (2,))
     assert rep.groups[2] == (len(big) - rank, ())
 
-    def forged(matrix, **kwargs):
-        sf = smith_normal_form(matrix, **kwargs)
-        if sf.remainder:
-            sf.remainder_form.left[0][0] += 1
+    dense_snf = homology._dense_snf
+
+    def forged(M, R, C, policy):
+        sf = dense_snf(M, R, C, policy)
+        if sf.factors:
+            sf.left[0][0] += 1
         return sf
 
-    monkeypatch.setattr(homology, "smith_normal_form", forged)
-    with pytest.raises(ArithmeticError, match="remainder certificate"):
+    monkeypatch.setattr(homology, "_dense_snf", forged)
+    with pytest.raises(ArithmeticError, match="Smith form certificate"):
         homology_report(cc)
 
 
 def test_sparse_group_boundary_is_all_units():
+    # the oracle's sweep on a whole boundary of hundreds of rows
     sm = boundary_matrix(normalized_complex(build_S(6)), 6)
     assert (sm.rows, sm.cols) == (309, 2119)
-    sf = smith_normal_form(sm)
-    assert sf.factors == (1,) * 265
-    assert sf.remainder is None
-    assert rank_mod_p(sm) == 265
+    assert sweep_smith_form(sm) == ((1,) * 265, None, None)
+    assert rank_mod_p_by_sweep(sm) == 265
 
 
 def test_checked_policy_rejects_sparse_fill_in():
-    sm = SparseMatrix.from_dense([[1, 2**62], [2**62, 1]])
+    # clearing the second column by the first leaves 1 - 2**124 in it
+    M = [[1, 2**62], [2**62, 1]]
     with pytest.raises(OverflowError):
-        smith_normal_form(sm, policy="checked")
-    assert smith_normal_form(sm).factors == (1, 2**124 - 1)
+        homology._echelon(M, "checked")
+    with pytest.raises(OverflowError):
+        smith_normal_form(M, policy="checked")
+    assert smith_normal_form(M).factors == (1, 2**124 - 1)
 
 
 def test_rank_mod_p_detects_divisor():
     # the factor 5 dies mod 5 and the mod-p rank drops
     M = [[5]]
     assert smith_normal_form(M).factors == (5,)
-    assert rank_mod_p(SparseMatrix.from_dense(M), p=5) == 0
-    assert rank_mod_p(SparseMatrix.from_dense(M), p=7) == 1
+    assert rank_mod_p(M, p=5) == 0
+    assert rank_mod_p(M, p=7) == 1
 
 
 def test_checked_policy_rejects_oversized_input():
@@ -488,6 +531,53 @@ def test_homology_report_rejects_a_morse_boundary_of_boundary_that_is_not_zero(m
     assert homology_report(cc).groups[:4] == [(1, ()), (0, (2,)), (0, ()), (1, ())]
     monkeypatch.setattr(homology, "_morse_rows", forged)
     with pytest.raises(ArithmeticError, match="boundary of boundary is nonzero"):
+        homology_report(cc)
+
+
+# Forgeries of each part of the echelon certificate, on RP^3, whose one
+# nonzero Morse boundary [[2]] has the basis [2], combination {0: 1}.  Each
+# would report Z/4 in place of Z/2 if it went unchecked.
+
+
+def _doubled(basis):
+    """Twice each basis vector, with twice its combination: the columns fall outside the span."""
+    return [([2 * x for x in u], {c: 2 * w for c, w in combo.items()}) for u, combo in basis]
+
+
+def _miscombined(basis):
+    """Twice each basis vector, with the combination left as it was."""
+    return [([2 * x for x in u], combo) for u, combo in basis]
+
+
+@pytest.mark.parametrize(
+    "forge, message",
+    [(_doubled, "column 0 is outside its span"), (_miscombined, "not its stated combination")],
+    ids=["basis-misses-a-column", "wrong-combination"],
+)
+def test_homology_report_rejects_a_forged_echelon_basis(monkeypatch, forge, message):
+    cc = _rp3_complex()
+    assert homology_report(cc).groups[1] == (0, (2,))
+    echelon = homology._echelon
+    monkeypatch.setattr(homology, "_echelon", lambda M, policy: forge(echelon(M, policy)))
+    with pytest.raises(ArithmeticError, match=message):
+        homology_report(cc)
+
+
+def test_homology_report_rejects_a_forged_transform_of_the_basis(monkeypatch):
+    # U = [[2]] and the factor 4 still give U * [[2]] * V == diag(4); only
+    # the unimodularity of U tells them apart from a Smith form
+    dense_snf = homology._dense_snf
+
+    def forged(M, R, C, policy):
+        sf = dense_snf(M, R, C, policy)
+        if sf.factors:
+            sf.left[0] = [2 * x for x in sf.left[0]]
+            sf.factors = (2 * sf.factors[0],) + sf.factors[1:]
+        return sf
+
+    cc = _rp3_complex()
+    monkeypatch.setattr(homology, "_dense_snf", forged)
+    with pytest.raises(ArithmeticError, match="Smith form certificate"):
         homology_report(cc)
 
 

@@ -418,6 +418,30 @@ def test_pullback_rejects_mismatched_maps():
         pullback(SimplicialMap(S, S, identity), SimplicialMap(flipped, flipped, identity))
 
 
+def test_pullback_decides_a_shared_target_without_its_payloads():
+    # two fresh copies of SC(5), payloads given as a function and never read:
+    # equal sizes and tables make one target, so pulling back reads neither
+    q = quotient_map(5)
+    SC, sizes = q.target, [q.target.simplex_count(n) for n in range(6)]
+
+    def copy(faces):
+        return TruncatedSimplicialSet(5, all_circular, faces, SC.degeneracies, sizes)
+
+    copies = [copy(SC.faces), copy(SC.faces)]
+    result = pullback(*(SimplicialMap(q.source, Z, q.table) for Z in copies))
+    assert not any("payloads" in vars(Z) for Z in copies)
+    assert pullback_tables(result) == pullback_tables(pullback(q, q))
+    # the same sizes on other tables, faces 1 and 2 of the 4-simplices
+    # swapped, each under its identity map
+    d0, d1, d2, *rest = SC.faces[4]
+    assert d1 != d2
+    swapped = copy([*SC.faces[:4], (d0, d2, d1, *rest), SC.faces[5]])
+    identity = [tuple(range(k)) for k in sizes]
+    with pytest.raises(ValueError, match="maps must share a target"):
+        pullback(*(SimplicialMap(Z, Z, identity) for Z in (copies[0], swapped)))
+    assert not any("payloads" in vars(Z) for Z in (*copies, swapped))
+
+
 def test_evaluate_operator_against_composition():
     D = build_delta(2, 4)
     n, k = 2, D.id_of(2, (0, 1, 2))
