@@ -1,16 +1,17 @@
-"""Triangulated circle bundles from circular-permutation decorations.
+"""Triangulated circle bundles from decorations of face-only bases.
 
-A decoration assigns a rotation class to every simplex of a face-only base,
-compatibly with faces.  Pulling the word-to-rotation-class quotient back
-along the decoration yields the bundle's total space; over an n-simplex the
-minimal model E_of(g) can be written down directly and doubles as an
-independent check on the pullback route.
+A decoration is a simplicial map from a face-only base to SC: it gives every
+simplex of the base a rotation class, by SC id, compatibly with faces.
+Pulling the word-to-rotation-class quotient back along it yields the
+bundle's total space; over an n-simplex the minimal model E_of(g) can be
+written down directly and doubles as an independent check on the pullback
+route.  Classes are words only in the JSON form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, groupby, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from operator import itemgetter
 
 from .constructions import (
@@ -23,7 +24,6 @@ from .constructions import (
     twisted_product,
     yoneda,
 )
-from .delta import peel
 from .perms import (
     Word,
     degeneracy_perm,
@@ -36,7 +36,6 @@ from .simpset import (
     CircularPermutation,
     SimplicialMap,
     TruncatedSimplicialSet,
-    all_circular,
     build_C,
     build_S,
     build_SC,
@@ -46,12 +45,11 @@ from .simpset import (
     pullback,
     quotient_circ,
     quotient_map,
-    sc_face,
     sset_to_json,
 )
 
-FLAT = CircularPermutation((0, 1, 2))
-TWISTED = CircularPermutation((0, 2, 1))
+# the SC(2) ids of the classes of (0, 1, 2) and (0, 2, 1)
+FLAT, TWISTED = 0, 1
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +137,31 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
 # decorations
 
 
-def _fits(base, assignment, n: int, k: int, c: CircularPermutation) -> bool:
-    """True iff class c on simplex k of dimension n matches its decorated faces."""
+def _fits(base, SC, assignment, n: int, k: int, c: int) -> bool:
+    """True iff SC class c on simplex k of dimension n matches its decorated faces."""
     return n == 0 or all(
-        sc_face(i, c) == assignment[n - 1][base.face(n, k, i)] for i in range(n + 1)
+        SC.faces[n][i][c] == assignment[n - 1][base.faces[n][i][k]] for i in range(n + 1)
     )
 
 
 class Decoration:
-    """A face-compatible assignment of rotation classes to a face-only base."""
+    """A simplicial map from a face-only base to SC, held as one tuple of SC ids per dimension."""
 
-    def __init__(self, base: TruncatedSimplicialSet, assignment: list[list[CircularPermutation]]):
-        self.base, self.assignment = base, assignment
-        if self.base.has_degeneracies:
+    def __init__(self, base: TruncatedSimplicialSet, assignment):
+        if base.has_degeneracies:
             raise ValueError("decorations live on face-only bases")
-        if len(self.assignment) != self.base.max_dim + 1:
+        if len(assignment) != base.max_dim + 1:
             raise ValueError("assignment must cover every dimension")
+        self.base, self.assignment = base, [tuple(level) for level in assignment]
+        SC = build_SC(base.max_dim)
         for n, level in enumerate(self.assignment):
-            if len(level) != self.base.simplex_count(n):
+            if len(level) != base.simplex_count(n):
                 raise ValueError(f"assignment size mismatch in dimension {n}")
-            for k, c in enumerate(level):
-                if c.degree != n:
-                    raise ValueError(f"degree {c.degree} rotation class on a {n}-simplex")
-                if not _fits(self.base, self.assignment, n, k, c):
-                    raise ValueError(f"face incompatibility at dim {n} id {k}")
+            if not all(0 <= c < SC.simplex_count(n) for c in level):
+                raise ValueError(f"rotation class id out of range in dimension {n}")
+        SimplicialMap(base, SC, self.assignment)
 
-    def value(self, n: int, k: int) -> CircularPermutation:
+    def value(self, n: int, k: int) -> int:
         return self.assignment[n][k]
 
 
@@ -172,29 +169,27 @@ def decoration_map(decor: Decoration, max_dim: int, completed=None) -> Simplicia
     """The simplicial map induced on the degeneracy completion of the base.
 
     The completed simplex (eta, b) goes to eta applied to the class of b.
-    The completion lists its simplices in one block per surjection eta, so
-    each block's image is the column of its b's classes read through the
-    degeneracy columns of SC that eta peels into.
+    The completion lists its simplices in one block per surjection eta.  The
+    identity's block takes the assignment as it is; a block whose eta first
+    repeats a value at places i and i + 1 is degeneracy i of the block of
+    eta with place i removed, so its image is that block's image read
+    through SC's degeneracy column i.
     """
-    base = decor.base
     if completed is None:
-        completed = complete_semisimplicial(base, max_dim)
+        completed = complete_semisimplicial(decor.base, max_dim)
     SC = build_SC(max_dim)
-    class_of = [
-        {bp: SC.id_of(k, c) for bp, c in zip(base.payloads[k], level)}
-        for k, level in enumerate(decor.assignment[: max_dim + 1])
-    ]
-    table = []
-    for level in completed.payloads:
-        column = []
-        for eta, block in groupby(level, key=itemgetter(0)):
-            k = eta[-1]
-            ids = map(class_of[k].__getitem__, map(itemgetter(1), block))
-            for i in peel(eta, k)[1]:
-                ids = map(SC.degeneracies[k][i].__getitem__, ids)
-                k += 1
-            column += ids
-        table.append(tuple(column))
+    table, below = [], {}
+    for m, level in enumerate(completed.payloads):
+        blocks = {}
+        for eta in dict.fromkeys(map(itemgetter(0), level)):
+            if eta[-1] == m:
+                blocks[eta] = decor.assignment[m]
+            else:
+                i = next(j for j in range(m) if eta[j] == eta[j + 1])
+                column = SC.degeneracies[m - 1][i]
+                blocks[eta] = tuple(map(column.__getitem__, below[eta[:i] + eta[i + 1 :]]))
+        table.append(tuple(chain.from_iterable(blocks.values())))
+        below = blocks
     return SimplicialMap(completed, SC, table)
 
 
@@ -387,37 +382,39 @@ def decorate_from_cochain(base: TruncatedSimplicialSet, cochain: TwoCochain) -> 
         raise ValueError("cochain decorations need a base of dimension <= 2")
     if len(cochain.values) != (base.simplex_count(2) if base.max_dim == 2 else 0):
         raise ValueError("cochain length must match the number of 2-simplices")
-    assignment = [all_circular(n) * base.simplex_count(n) for n in range(min(base.max_dim, 1) + 1)]
+    assignment = [(0,) * base.simplex_count(n) for n in range(min(base.max_dim, 1) + 1)]
     if base.max_dim == 2:
-        assignment.append([TWISTED if v else FLAT for v in cochain.values])
+        assignment.append(tuple(TWISTED if v else FLAT for v in cochain.values))
     return Decoration(base, assignment)
 
 
 def extend_decoration(base: TruncatedSimplicialSet, partial: dict) -> Decoration | Obstruction:
     """Greedy dimension-by-dimension extension of a partial assignment.
 
-    partial maps (dim, simplex_id) to a rotation class.  Unassigned
-    simplices get the lexicographically first class compatible with their
+    partial maps (dim, simplex_id) to an SC id.  Unassigned simplices get
+    the first id (SC ids are lexicographic in words) compatible with their
     already-decorated faces; if none exists the blocking simplex is
     reported.  An inconsistent partial assignment raises.
     """
     if base.has_degeneracies:
         raise ValueError("decorations live on face-only bases")
-    assignment: list[list[CircularPermutation | None]] = [
+    SC = build_SC(base.max_dim)
+    assignment: list[list[int | None]] = [
         [None] * base.simplex_count(n) for n in range(base.max_dim + 1)
     ]
     for (n, k), c in partial.items():
-        if not isinstance(c, CircularPermutation) or c.degree != n:
+        if not (is_json_int(c) and 0 <= c < SC.simplex_count(n)):
             raise ValueError(f"bad partial value at dim {n} id {k}")
         assignment[n][k] = c
     for n in range(base.max_dim + 1):
         for k in range(base.simplex_count(n)):
             fixed = assignment[n][k]
             if fixed is not None:
-                if not _fits(base, assignment, n, k, fixed):
+                if not _fits(base, SC, assignment, n, k, fixed):
                     raise ValueError(f"partial assignment incompatible at dim {n} id {k}")
                 continue
-            found = next((c for c in all_circular(n) if _fits(base, assignment, n, k, c)), None)
+            fits = (c for c in range(SC.simplex_count(n)) if _fits(base, SC, assignment, n, k, c))
+            found = next(fits, None)
             if found is None:
                 return Obstruction(n, k)
             assignment[n][k] = found
@@ -441,29 +438,33 @@ def sphere_cochain_degree(cochain: TwoCochain) -> int:
 
 
 def decoration_to_json(decor: Decoration) -> dict:
+    SC = build_SC(decor.base.max_dim)
     return {
         "base": sset_to_json(decor.base),
         "assignment": [
             {
                 "dim": n,
-                "values": [payload_str(c) for c in level],
+                "values": [payload_str(SC.payload(n, c)) for c in level],
             }
             for n, level in enumerate(decor.assignment)
         ],
     }
 
 
-def _parse_circ(s: str) -> CircularPermutation:
+def _parse_circ(s: str, n: int) -> CircularPermutation:
     if not s.startswith("circ:"):
         raise ValueError(f"expected a circ: payload, got {s!r}")
-    return CircularPermutation(tuple(int(v) for v in s[5:].split(",")))
+    c = CircularPermutation(tuple(int(v) for v in s[5:].split(",")))
+    if c.degree != n:
+        raise ValueError(f"degree {c.degree} rotation class on a {n}-simplex")
+    return c
 
 
 def decoration_from_json(obj: dict) -> Decoration:
     """Rebuild a decoration; malformed input of any kind raises ValueError.
 
     Each dimension of the base may be given at most once; dimensions 0 and 1
-    may be left out.
+    may be left out.  Each word is checked and mapped to its SC id.
     """
     if not isinstance(obj, dict):
         raise ValueError("decoration JSON must be an object")
@@ -473,6 +474,7 @@ def decoration_from_json(obj: dict) -> Decoration:
         raw = [raw]
     if not isinstance(raw, list) or not all(isinstance(entry, dict) for entry in raw):
         raise ValueError("assignment must be an object or a list of objects")
+    SC = build_SC(base.max_dim)
     levels = {}
     for entry in raw:
         n, values = json_field(entry, "dim"), json_field(entry, "values")
@@ -484,14 +486,14 @@ def decoration_from_json(obj: dict) -> Decoration:
             raise ValueError(f"assignment dimension {n} outside the base's 0..{base.max_dim}")
         if n in levels:
             raise ValueError(f"assignment gives dimension {n} twice")
-        levels[n] = [_parse_circ(s) for s in values]
+        levels[n] = [SC.id_of(n, _parse_circ(s, n)) for s in values]
     assignment = []
     for n in range(base.max_dim + 1):
         if n in levels:
             assignment.append(levels[n])
         elif n <= 1:
             # dimensions 0 and 1 have a single rotation class
-            assignment.append(all_circular(n) * base.simplex_count(n))
+            assignment.append((0,) * base.simplex_count(n))
         else:
             raise ValueError(f"assignment missing dimension {n}")
     return Decoration(base, assignment)

@@ -112,10 +112,19 @@ _BASES = {
 def _load_bundle(max_dim: int, args):
     """The decoration the arguments name, its builtin base name or None, and its bundle."""
     from . import bundles
+    from .constructions import is_json_int
 
     base_name = None
     if getattr(args, "decoration", None):
         obj = json.loads(Path(args.decoration).read_text(encoding="utf-8"))
+        base = obj.get("base") if isinstance(obj, dict) else None
+        dim, dims = (base.get("max_dim"), base.get("dims")) if isinstance(base, dict) else (None, None)
+        # held to the cap before SC is built at the base's dimension and, without --max-dim,
+        # the bundle two above it; a max_dim its level list contradicts is left to the parser
+        if is_json_int(dim) and isinstance(dims, list) and len(dims) == dim + 1:
+            top, cap = (dim if args.max_dim_set else dim + 2), effective_cap()
+            if top > cap:
+                raise CapExceeded(f"decoration file needs dimension {top}, above cap {cap}")
         decor = bundles.decoration_from_json(obj)
     else:
         base_name = getattr(args, "base", None) or "boundary3"

@@ -1,4 +1,4 @@
-"""Monotone operators between finite ordinals and their factorizations.
+"""Monotone operators between finite ordinals.
 
 The ordinal [n] is the ordered set {0, 1, ..., n}.  Operators are stored by
 their value word: op.values[j] is the image of j.
@@ -48,30 +48,3 @@ def monotone_ops(m: int, n: int) -> list[MonotoneOp]:
         MonotoneOp(m + 1, n + 1, values)
         for values in combinations_with_replacement(range(n + 1), m + 1)
     ]
-
-
-def peel(xi_values, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Split the monotone operator xi: [m] -> [n] into faces and degeneracies.
-
-    xi is given by its value word.  Returns (faces, degeneracies), each in
-    the order of application: first one face per value missing from the
-    image, highest first, then one degeneracy per repeated value.  Applied
-    to a simplex of dimension n they give its image under xi, and every
-    intermediate dimension stays within max(m, n).  Any peeling order gives
-    the same answer by the simplicial identities.
-    """
-    faces = []
-    s_stack = []
-    prev = -1
-    rank = -1  # of prev among the distinct values seen so far
-    for v in xi_values:
-        if v == prev and rank >= 0:
-            s_stack.append(rank)
-        elif prev < v <= n:
-            faces.extend(range(prev + 1, v))
-            prev = v
-            rank += 1
-        else:
-            raise ValueError("not a monotone operator into the simplex dimension")
-    faces.extend(range(prev + 1, n + 1))
-    return tuple(reversed(faces)), tuple(reversed(s_stack))

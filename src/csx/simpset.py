@@ -64,11 +64,6 @@ def quotient_circ(f: Word) -> CircularPermutation:
     return CircularPermutation(f[j:] + f[:j])
 
 
-def sc_face(i: int, c: CircularPermutation) -> CircularPermutation:
-    """Delete the bead i, close the value gap, re-rotate to 0-first."""
-    return quotient_circ(face_perm(i, c.word))
-
-
 def _unchecked_circular(word: Word) -> CircularPermutation:
     """Wrap a 0-first permutation word generated here, without re-checking it.
 

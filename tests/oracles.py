@@ -24,7 +24,7 @@ from csx.bundles import BundleTotalSpace
 from csx.checks import _check_result
 from csx.constructions import sset_from_json
 from csx.homology import HomologyReport, SmithForm, _check_range, smith_normal_form, verify_transforms
-from csx.delta import MonotoneOp, monotone_ops, peel
+from csx.delta import MonotoneOp, monotone_ops
 from csx.perms import (
     Word,
     all_perms,
@@ -45,7 +45,6 @@ from csx.simpset import (
     from_rules,
     nondegenerate_list,
     quotient_circ,
-    sc_face,
     sset_to_json,
 )
 
@@ -200,6 +199,11 @@ class CyclicElement:
         return cls(degree(f), k)
 
 
+def sc_face(i: int, c: CircularPermutation) -> CircularPermutation:
+    """Delete the bead i, close the value gap, re-rotate to 0-first."""
+    return quotient_circ(face_perm(i, c.word))
+
+
 def sc_degeneracy(i: int, c: CircularPermutation) -> CircularPermutation:
     """Insert a bead i+1 circularly right after the bead i."""
     return quotient_circ(degeneracy_perm(i, c.word))
@@ -232,12 +236,39 @@ def sc_is_degenerate(c: CircularPermutation) -> bool:
     return any(w[(w.index(i) + 1) % n] == i + 1 for i in range(n - 1))
 
 
+def peel(xi_values, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Split the monotone operator xi: [m] -> [n] into faces and degeneracies.
+
+    xi is given by its value word.  Returns (faces, degeneracies), each in
+    the order of application: first one face per value missing from the
+    image, highest first, then one degeneracy per repeated value.  Applied
+    to a simplex of dimension n they give its image under xi, and every
+    intermediate dimension stays within max(m, n).  Any peeling order gives
+    the same answer by the simplicial identities.
+    """
+    faces = []
+    s_stack = []
+    prev = -1
+    rank = -1  # of prev among the distinct values seen so far
+    for v in xi_values:
+        if v == prev and rank >= 0:
+            s_stack.append(rank)
+        elif prev < v <= n:
+            faces.extend(range(prev + 1, v))
+            prev = v
+            rank += 1
+        else:
+            raise ValueError("not a monotone operator into the simplex dimension")
+    faces.extend(range(prev + 1, n + 1))
+    return tuple(reversed(faces)), tuple(reversed(s_stack))
+
+
 def apply_operator_word(xi_values: tuple[int, ...], target_size: int, f: Word) -> Word:
     """Contravariant action of the monotone operator xi on the word f.
 
     xi is a monotone map [m] -> [n] given by its value word; f has degree n.
     The word-level face and degeneracy operators are applied along the
-    peeling of xi (delta.peel).
+    peeling of xi, peel(xi).
     """
     assert len(f) == target_size
     faces, degeneracies = peel(xi_values, target_size - 1)
@@ -251,7 +282,7 @@ def apply_operator_word(xi_values: tuple[int, ...], target_size: int, f: Word) -
 def evaluate_operator(X: TruncatedSimplicialSet, xi_values, n: int, k: int) -> tuple[int, int]:
     """Apply the monotone operator xi: [m] -> [n] to simplex k of dimension n.
 
-    Returns (m, id).  The faces and degeneracies come from delta.peel, so
+    Returns (m, id).  The faces and degeneracies come from peel, so
     the truncation is never left.
     """
     faces, degeneracies = peel(xi_values, n)
@@ -292,14 +323,14 @@ def apply_operator_circ(xi_values, target_size: int, c: CircularPermutation) -> 
 
 def decoration_map_by_payload(decor, completed) -> SimplicialMap:
     """The decoration map, each completed simplex (eta, b) sent to eta acting on b's class."""
-    base = decor.base
+    base, SC = decor.base, build_SC(completed.max_dim)
 
     def fn(m, p):
         eta, bp = p
         k = eta[-1]
-        return apply_operator_circ(eta, k + 1, decor.value(k, base.id_of(k, bp)))
+        return apply_operator_circ(eta, k + 1, SC.payload(k, decor.value(k, base.id_of(k, bp))))
 
-    return map_from_payload_fn(completed, build_SC(completed.max_dim), fn)
+    return map_from_payload_fn(completed, SC, fn)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,6 @@ from csx.simpset import (
     pullback,
     quotient_circ,
     quotient_map,
-    sc_face,
 )
 from csx.delta import monotone_ops
 from oracles import (
@@ -53,6 +52,7 @@ from oracles import (
     pullback_by_payload,
     pullback_tables,
     payload_view,
+    sc_face,
     shuffled_ids,
     sset_tables,
 )
@@ -127,16 +127,14 @@ def test_completion_rejects_degeneracy_bases():
 def test_decoration_validation():
     base = boundary_delta(3)
     decorate_from_cochain(base, TwoCochain((0, 0, 0, 0)))  # valid
-    with pytest.raises(ValueError):
-        # a 2-class on a 1-simplex
-        Decoration(
-            base,
-            [
-                [CircularPermutation((0,))] * 4,
-                [FLAT] * 6,
-                [FLAT] * 4,
-            ],
-        )
+    with pytest.raises(ValueError, match="out of range in dimension 1"):
+        # SC(1) has the one class 0
+        Decoration(base, [(0,) * 4, (TWISTED,) * 6, (FLAT,) * 4])
+    with pytest.raises(ValueError, match="size mismatch in dimension 2"):
+        Decoration(base, [(0,) * 4, (0,) * 6, (FLAT,) * 3])
+    with pytest.raises(ValueError, match="does not commute with face"):
+        # every face of the 3-class (0, 1, 2, 3) is flat
+        Decoration(solid_delta(3), [(0,) * 4, (0,) * 6, (TWISTED, FLAT, FLAT, FLAT), (0,)])
     with pytest.raises(ValueError):
         TwoCochain((0, 2, 0, 0))
     with pytest.raises(ValueError):
@@ -163,9 +161,11 @@ def test_sphere_cochain_degree_signs():
 # Extendability over the solid tetrahedron: exactly the boundary cochains
 # whose signed sum vanishes, i.e. the face images of the six 3-classes.
 def test_extension_over_three_cell_oracle():
+    twisted = build_SC(2).payload(2, TWISTED)
+    assert twisted == CircularPermutation((0, 2, 1))
     image = set()
     for c in all_circular(3):
-        image.add(tuple(int(sc_face(i, c) == TWISTED) for i in range(4)))
+        image.add(tuple(int(sc_face(i, c) == twisted) for i in range(4)))
     assert image == {b for b in product((0, 1), repeat=4) if sphere_cochain_degree(TwoCochain(b)) == 0}
 
     base = solid_delta(3)
@@ -182,12 +182,14 @@ def test_extension_over_three_cell_oracle():
 
 
 def test_extend_decoration_rejects_inconsistent_partial():
-    base = solid_delta(2)
-    partial = {(2, 0): TWISTED, (1, 0): CircularPermutation((0, 1))}
-    # the twisted 2-class forbids no 1-class (both faces are the same class),
-    # so corrupt a 0-cell instead: degree mismatch raises
-    with pytest.raises(ValueError):
-        extend_decoration(base, {(0, 0): FLAT})
+    base = solid_delta(3)
+    # every face of the 3-class 0, the word (0, 1, 2, 3), is flat
+    with pytest.raises(ValueError, match="partial assignment incompatible at dim 3 id 0"):
+        extend_decoration(base, {(3, 0): 0, (2, 0): TWISTED})
+    assert isinstance(extend_decoration(base, {(3, 0): 0, (2, 0): FLAT}), Decoration)
+    # SC(0) has the one class 0
+    with pytest.raises(ValueError, match="bad partial value at dim 0 id 0"):
+        extend_decoration(base, {(0, 0): TWISTED})
 
 
 def test_e_of_counts_and_audit():
@@ -331,7 +333,7 @@ def test_decoration_map_restricts_to_assignment():
         ident = tuple(range(n + 1))
         for b in range(base.simplex_count(n)):
             k = comp.id_of(n, (ident, base.payload(n, b)))
-            assert dec.target.payload(n, dec.apply(n, k)) == decor.value(n, b)
+            assert dec.apply(n, k) == decor.value(n, b)
 
 
 @pytest.mark.parametrize("bits", list(product((0, 1), repeat=4)))
@@ -353,6 +355,18 @@ def test_total_space_never_makes_the_words_of_S(monkeypatch):
     bundle = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((1, 0, 1, 0))), 6)
     assert bundle.classifying.target is S
     assert "payloads" not in vars(S)
+
+
+def test_total_space_never_makes_the_classes_of_SC(monkeypatch):
+    # a fresh SC and quotient map: the cached ones may have been read by other tests
+    SC = build_SC.__wrapped__(6)
+    monkeypatch.setattr(simpset, "build_SC", lambda max_dim: SC)
+    monkeypatch.setattr(bundles, "build_SC", lambda max_dim: SC)
+    q = quotient_map.__wrapped__(6)
+    monkeypatch.setattr(bundles, "quotient_map", lambda max_dim: q)
+    bundle = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((1, 0, 1, 0))), 6)
+    assert bundle.pulled_along.target is SC and q.target is SC
+    assert "payloads" not in vars(SC)
 
 
 @pytest.mark.parametrize("bits", [(0, 0, 0, 0), (0, 1, 0, 0), (0, 1, 0, 1)])

@@ -19,7 +19,7 @@ import csx.checks
 from csx import cli
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json, total_space
 from csx.cli import RunConfig, effective_cap, main
-from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules, payload_str, sset_to_json
+from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules, sset_to_json
 
 import oracles
 
@@ -176,11 +176,11 @@ def test_bundle_decoration_file_with_shuffled_base_rows(capsys, tmp_path):
     bits = (1, 0, 1, 0)
     decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
     base, orders = oracles.shuffled_ids(decor.base, seed=4)
+    words = [entry["values"] for entry in decoration_to_json(decor)["assignment"]]
     obj = {
         "base": sset_to_json(base),
         "assignment": [
-            {"dim": n, "values": [payload_str(decor.value(n, k)) for k in order]}
-            for n, order in enumerate(orders)
+            {"dim": n, "values": [words[n][k] for k in order]} for n, order in enumerate(orders)
         ],
     }
     path = tmp_path / "decor.json"
@@ -787,6 +787,26 @@ def test_env_var_lowers_the_cap_on_n_and_g(capsys, monkeypatch):
     assert main(["enumerate", "E", "--g", "1,0,3,2,4", "--max-dim", "2"]) == 3
     assert main(["enumerate", "delta", "--n", "3", "--max-dim", "2"]) == 0
     assert main(["enumerate", "E", "--g", "1,3,0,2", "--max-dim", "2"]) == 0
+
+
+def test_bundle_depth_is_capped_before_anything_is_built(capsys, monkeypatch, tmp_path):
+    # without --max-dim a bundle is built two above its base: a 5-simplex base goes to depth 7
+    from csx import bundles
+
+    path = tmp_path / "solid5.json"
+    decor = bundles.extend_decoration(bundles.solid_delta(5), {})
+    path.write_text(json.dumps(bundles.decoration_to_json(decor)), encoding="utf-8")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("SC was built")
+
+    monkeypatch.setattr(bundles, "build_SC", refuse)
+    monkeypatch.setenv("CSX_MAX_DIM", "6")
+    assert main(["homology", "bundle", "--decoration", str(path)]) == 3
+    assert capsys.readouterr().err == "error: decoration file needs dimension 7, above cap 6\n"
+    monkeypatch.setenv("CSX_MAX_DIM", "4")
+    assert main(["bundle", "--decoration", str(path), "--max-dim", "4"]) == 3
+    assert capsys.readouterr().err == "error: decoration file needs dimension 5, above cap 4\n"
 
 
 def test_env_var_lowers_cap(monkeypatch):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from csx.delta import MonotoneOp, monotone_ops, peel
-from oracles import SetMap, codegeneracy, coface, compose_ops, identity_op, sort_factorization
+from csx.delta import MonotoneOp, monotone_ops
+from oracles import SetMap, codegeneracy, coface, compose_ops, identity_op, peel, sort_factorization
 
 
 def test_setmap_validation():

@@ -44,7 +44,6 @@ from csx.simpset import (
     pullback,
     quotient_circ,
     quotient_map,
-    sc_face,
     sset_to_json,
 )
 from oracles import (
@@ -60,6 +59,7 @@ from oracles import (
     pullback_view,
     payload_view,
     sc_degeneracy,
+    sc_face,
     sc_is_degenerate,
     shuffled_ids,
     sset_tables,
