@@ -43,12 +43,13 @@ class RunConfig:
     """Resolved run parameters shared by every subcommand."""
 
     def __init__(self, command: str, max_dim=6, fmt="text", out=None, seed=0, overflow="bigint"):
+        # max_dim None: the object sets its own depth (a bundle two above its base)
         self.command, self.max_dim, self.fmt = command, max_dim, fmt
         self.out, self.seed, self.overflow = out, seed, overflow
         cap = effective_cap()
-        if self.max_dim > cap:
+        if (max_dim or 0) > cap:
             raise CapExceeded(f"max dim {self.max_dim} exceeds cap {cap}")
-        if self.max_dim < 0:
+        if (max_dim or 0) < 0:
             raise ValueError("max dim must be nonnegative")
 
 
@@ -97,7 +98,7 @@ def _parse_cochain_items(items, count: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-# builtin bases: the csx.bundles builder of each and its dimension.  csx.bundles
+# builtin bases: the csx.bundles builder of each and its argument.  csx.bundles
 # is imported where a bundle is built and its names read at call time, so a
 # process that builds none never loads it.
 _BASES = {
@@ -109,7 +110,7 @@ _BASES = {
 }
 
 
-def _load_bundle(max_dim: int, args):
+def _load_bundle(max_dim: int | None, args):
     """The decoration the arguments name, its builtin base name or None, and its bundle."""
     from . import bundles
     from .constructions import is_json_int
@@ -119,24 +120,28 @@ def _load_bundle(max_dim: int, args):
         obj = json.loads(Path(args.decoration).read_text(encoding="utf-8"))
         base = obj.get("base") if isinstance(obj, dict) else None
         dim, dims = (base.get("max_dim"), base.get("dims")) if isinstance(base, dict) else (None, None)
-        # held to the cap before SC is built at the base's dimension and, without --max-dim,
-        # the bundle two above it; a max_dim its level list contradicts is left to the parser
-        if is_json_int(dim) and isinstance(dims, list) and len(dims) == dim + 1:
-            top, cap = (dim if args.max_dim_set else dim + 2), effective_cap()
-            if top > cap:
-                raise CapExceeded(f"decoration file needs dimension {top}, above cap {cap}")
-        decor = bundles.decoration_from_json(obj)
+        # a max_dim its level list contradicts is left to the parser: -2 holds nothing to the cap
+        dim = dim if is_json_int(dim) and isinstance(dims, list) and len(dims) == dim + 1 else -2
     else:
         base_name = getattr(args, "base", None) or "boundary3"
         if base_name not in _BASES:
             raise ValueError(f"unknown base {base_name!r}; choices: {', '.join(sorted(_BASES))}")
-        builder, dim = _BASES[base_name]
-        base = getattr(bundles, builder)(dim)
+        builder, n = _BASES[base_name]
+        base = getattr(bundles, builder)(n)
+        dim = base.max_dim
+    # held to the cap before SC is built at the base's dimension and, with max_dim None (no
+    # --max-dim), the bundle two above it, the depth total_space then picks
+    top, cap = (dim if max_dim is not None else dim + 2), effective_cap()
+    if top > cap:
+        what = f"base {base_name}" if base_name else "decoration file"
+        raise CapExceeded(f"{what} needs dimension {top}, above cap {cap}")
+    if base_name is None:
+        decor = bundles.decoration_from_json(obj)
+    else:
         count = base.simplex_count(2) if base.max_dim >= 2 else 0
         cochain = bundles.TwoCochain(_parse_cochain_items(getattr(args, "cochain", None), count))
         decor = bundles.decorate_from_cochain(base, cochain)
-    # total_space picks its own depth unless the user set one explicitly
-    return decor, base_name, bundles.total_space(decor, max_dim=max_dim if args.max_dim_set else None)
+    return decor, base_name, bundles.total_space(decor, max_dim=max_dim)
 
 
 def _build_E(max_dim: int, args):
@@ -393,10 +398,11 @@ def main(argv=None) -> int:
                 raise CapExceeded(f"{what} {value} exceeds cap {cap}")
         if getattr(args, "n", 2) is None:
             args.n = 2  # the default simplex dimension; None told that --n was not given
-        args.max_dim_set = args.max_dim is not None
+        # without --max-dim a bundle is built two above its base, which _load_bundle holds to the cap
+        bundle = args.command == "bundle" or args.command == "homology" and args.target == "bundle"
         cfg = RunConfig(
             command=args.command,
-            max_dim=args.max_dim if args.max_dim_set else args.default_dim,
+            max_dim=args.max_dim if args.max_dim is not None or bundle else args.default_dim,
             fmt=args.fmt,
             out=args.out,
             seed=args.seed,

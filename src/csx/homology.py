@@ -11,7 +11,10 @@ would leave the signed 64-bit range.
 from __future__ import annotations
 
 from array import array
-from operator import add
+from bisect import bisect_right
+from collections import deque
+from itertools import chain, compress, count, islice, repeat
+from operator import add, gt, mul, sub
 
 from .simpset import TruncatedSimplicialSet, assert_valid, nondegenerate_list
 
@@ -230,6 +233,8 @@ def smith_normal_form(matrix, transforms=False, policy="bigint") -> SmithForm:
     _check_range((v for row in matrix for v in row), policy)
     if transforms:
         return _dense_snf(matrix, R, C, policy)
+    if not any(map(any, matrix)):
+        return SmithForm((R, C), ())  # rank 0 by inspection
     basis = _echelon(matrix, policy)
     _check_echelon(matrix, basis)
     B = [[u[i] for u, _ in basis] for i in range(R)]
@@ -338,15 +343,45 @@ def rank_mod_p(matrix, p: int = _CROSSCHECK_PRIME) -> int:
     return len(pivots)
 
 
+class SparseColumns:
+    """One boundary, packed by column: the only form a chain complex stores.
+
+    Column c has the entries rows[starts[c]:starts[c + 1]], with coefficients
+    the same slice of values.  Packing takes one {row: coefficient} dict per
+    column into uint32 rows and int8 values, 5 bytes a nonzero; a coefficient
+    outside -128..127 raises OverflowError, never wraps.  (Unsigned arrays
+    take Python ints several times faster than signed ones.)
+    """
+
+    def __init__(self, columns=()):
+        starts, rows, values = self.starts, self.rows, self.values = array("I", [0]), array("I"), array("b")
+        push, add_rows, add_values = starts.append, rows.extend, values.extend
+        for column in columns:
+            add_rows(column)
+            add_values(column.values())
+            push(len(rows))
+
+    def __len__(self) -> int:
+        return len(self.starts) - 1
+
+    def column(self, c: int) -> dict[int, int]:
+        a, b = self.starts[c], self.starts[c + 1]
+        return dict(zip(self.rows[a:b], self.values[a:b]))
+
+    def spread(self, per_column=None):
+        """Each item of per_column (default: the column ids), once per entry of its column."""
+        per_column = range(len(self)) if per_column is None else per_column
+        return chain.from_iterable(map(repeat, per_column, map(sub, self.starts[1:], self.starts)))
+
+
 class ChainComplexData:
     """Normalized chain data: per-dimension bases and boundary columns.
 
-    boundaries[n] maps dimension n to n-1 (None at index 0).  It is a list
-    with one column per basis simplex of dimension n: column c is a
-    {row: coefficient} dict of the nonzero entries of the boundary of c.
+    boundaries[n], a SparseColumns with one column per basis simplex of
+    dimension n, maps dimension n to n-1 (None at index 0).
     """
 
-    def __init__(self, max_dim: int, basis: list[list[int]], boundaries: list[list[dict[int, int]] | None]):
+    def __init__(self, max_dim: int, basis: list[list[int]], boundaries: list[SparseColumns | None]):
         self.max_dim, self.basis, self.boundaries = max_dim, basis, boundaries
 
     def basis_sizes(self) -> list[int]:
@@ -356,42 +391,52 @@ class ChainComplexData:
 def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     """Boundary columns on nondegenerate simplices with signs (-1)^i.
 
-    Composing consecutive boundaries must give zero; that and the identity
-    audit guard against malformed inputs.
+    Each column is summed as a {row: coefficient} dict, must compose to zero
+    with the level below, and is packed; that check and the identity audit
+    guard against malformed inputs.  Only the level below is held as dicts,
+    never the top.
     """
     assert_valid(X)
-    basis = [nondegenerate_list(X, n) for n in range(X.max_dim + 1)]
-    positions = [{k: idx for idx, k in enumerate(level)} for level in basis]
-    boundaries: list[list[dict[int, int]] | None] = [None]
-    for n in range(1, X.max_dim + 1):
-        columns = []
-        below = positions[n - 1]
-        for face_row in zip(*(map(face.__getitem__, basis[n]) for face in X.faces[n])):
-            column: dict[int, int] = {}
-            for i, f in enumerate(face_row):
-                row = below.get(f)
-                if row is None:
-                    continue
-                v = column.get(row, 0) + (1 if i % 2 == 0 else -1)
-                if v:
-                    column[row] = v
+    top, boundaries = X.max_dim, [None]
+    basis = [nondegenerate_list(X, n) for n in range(top + 1)]
+    outer = [{}] * len(basis[0])  # vertices have no faces
+    for n in range(1, top + 1):
+        columns = _composite_zero(outer, _columns(X.faces[n], basis[n], {k: i for i, k in enumerate(basis[n - 1])}))
+        outer = list(columns) if n < top else columns
+        boundaries.append(SparseColumns(outer))
+    return ChainComplexData(top, basis, boundaries)
+
+
+def _columns(faces, cells, below):
+    """The boundary of each cell as a {row: coefficient} dict."""
+    signs = (1, -1) * len(faces)
+    for rows in zip(*(map(below.get, map(face.__getitem__, cells)) for face in faces)):
+        column: dict[int, int] = {}
+        for r, s in zip(rows, signs):
+            if r is not None:
+                if v := column.get(r, 0) + s:
+                    column[r] = v
                 else:
-                    del column[row]
-            columns.append(column)
-        boundaries.append(columns)
-    for n in range(2, X.max_dim + 1):
-        _assert_composite_zero(boundaries[n - 1], boundaries[n])
-    return ChainComplexData(X.max_dim, basis, boundaries)
+                    del column[r]
+        yield column
 
 
-def _assert_composite_zero(outer: list[dict[int, int]], inner: list[dict[int, int]], error=ValueError):
+def _composite_zero(outer: list[dict[int, int]], inner, error=ValueError):
+    """Yield each {row: coefficient} column of inner once outer's columns composed with it give zero.
+
+    The composite is summed into a list of zeros, which it leaves so unless it raises.
+    """
+    pairs = [tuple(column.items()) for column in outer]
+    sums = [0] * (1 + max(map(max, filter(None, outer)), default=-1))
     for column in inner:
-        sums: dict[int, int] = {}
         for r, v in column.items():
-            for r2, v2 in outer[r].items():
-                sums[r2] = sums.get(r2, 0) + v * v2
-        if any(sums.values()):
-            raise error("boundary of boundary is nonzero")
+            for r2, v2 in pairs[r]:
+                sums[r2] += v * v2
+        for r in column:
+            for r2, _ in pairs[r]:
+                if sums[r2]:
+                    raise error("boundary of boundary is nonzero")
+        yield column
 
 
 class HomologyReport:
@@ -416,35 +461,35 @@ class HomologyReport:
         return " + ".join(parts) if parts else "0"
 
 
-def unit_pairing(cc: ChainComplexData) -> list[tuple[int, int | None, int]]:
+def unit_pairing(cc: ChainComplexData) -> tuple[array, array, array]:
     """Coreductions with aces: every cell of the complex, in removal order.
 
     A cell whose only live face has coefficient +-1 goes with that face as
     the step (n, row, col), a coreduction.  Candidates are the cells a
     removal leaves with one live face, taken from a stack.  When it runs
     dry, the first live cell of the lowest live dimension (it has no live
-    face) goes alone as the step (n, None, col), an ace (Mrozek-Batko,
-    Coreduction homology algorithm, 2009).  check_unit_pairing certifies it.
+    face) goes alone as the step (n, -1, col), an ace (Mrozek-Batko,
+    Coreduction homology algorithm, 2009).  The steps come as three flat
+    arrays: the dimensions, the rows and the cols.  check_unit_pairing
+    certifies them.
     """
     sizes, top, faces = cc.basis_sizes(), cc.max_dim, cc.boundaries
-    cofaces = [[array("i") for _ in range(s)] for s in sizes[:-1]]
+    cofaces = [[array("I") for _ in range(s)] for s in sizes[:-1]]
     for n in range(1, top + 1):
-        cf = cofaces[n - 1]
-        for c, column in enumerate(faces[n]):
-            for r in column:
-                cf[r].append(c)
-    live = [[0] * sizes[0]] + [list(map(len, level)) for level in faces[1:]]
+        B = faces[n]
+        deque(map(array.append, map(cofaces[n - 1].__getitem__, B.rows), B.spread()), 0)
+    live = [[0] * sizes[0]] + [list(map(sub, B.starts[1:], B.starts)) for B in faces[1:]]
     dead = [bytearray(s) for s in sizes]
-    stack, order = [], []
+    stack, steps = [], array("I")  # (n, row, col) per step, an ace's row -1 stored as 2**32 - 1
 
     def remove(m, j):
         dead[m][j] = 1
         if m < top:
-            gone, count = dead[m + 1], live[m + 1]
+            gone, alive = dead[m + 1], live[m + 1]
             for k in cofaces[m][j]:
                 if not gone[k]:
-                    count[k] -= 1
-                    if count[k] == 1:
+                    alive[k] -= 1
+                    if alive[k] == 1:
                         stack.append((m + 1, k))
 
     n = k = 0
@@ -453,11 +498,11 @@ def unit_pairing(cc: ChainComplexData) -> list[tuple[int, int | None, int]]:
             m, c = stack.pop()
             if dead[m][c] or live[m][c] != 1:
                 continue
-            column = faces[m][c]
-            r = next(r for r in column if not dead[m - 1][r])
-            if column[r] in (1, -1):
-                order.append((m, r, c))
-                remove(m - 1, r)
+            B, gone = faces[m], dead[m - 1]
+            j = next(j for j in range(B.starts[c], B.starts[c + 1]) if not gone[B.rows[j]])
+            if B.values[j] in (1, -1):
+                steps.extend((m, B.rows[j], c))
+                remove(m - 1, B.rows[j])
                 remove(m, c)
         # every cell below dimension n, and below k in dimension n, is dead
         if k == sizes[n]:
@@ -465,27 +510,28 @@ def unit_pairing(cc: ChainComplexData) -> list[tuple[int, int | None, int]]:
         elif dead[n][k]:
             k += 1
         else:
-            order.append((n, None, k))
+            steps.extend((n, 2**32 - 1, k))
             remove(n, k)
-    return order
+    return steps[0::3], array("i", steps[1::3].tobytes()), steps[2::3]
 
 
 def check_unit_pairing(cc: ChainComplexData, order) -> None:
     """Certify a removal order of coreductions with aces; raise ArithmeticError if not.
 
-    Each step is a pair (n, row, col) on a +-1 entry of boundary n, or an
-    ace (n, None, col).  Every cell goes exactly once, and each face of a
-    pair's col other than its row, and of an ace, goes at an earlier step.
-    The steps then fall along every gradient path, so the pairs are an
-    acyclic matching whose critical cells are the aces.  Costs O(nnz).
+    order is unit_pairing's three arrays.  Each step is a pair (n, row, col)
+    on a +-1 entry of boundary n, or an ace (n, -1, col).  Every cell goes
+    exactly once, and each face of a pair's col other than its row, and of
+    an ace, goes at an earlier step.  The steps then fall along every
+    gradient path, so the pairs are an acyclic matching whose critical cells
+    are the aces.  Costs O(nnz).
     """
-    sizes = cc.basis_sizes()
+    sizes, dims, rows = cc.basis_sizes(), order[0], order[1]
     steps = [[-1] * s for s in sizes]
-    for t, (n, r, c) in enumerate(order):
+    for t, (n, r, c) in enumerate(zip(*order)):
         cells = sizes[n] if 0 <= n <= cc.max_dim else 0
-        if not 0 <= c < cells or r is not None and (n == 0 or cc.boundaries[n][c].get(r) not in (1, -1)):
+        if not 0 <= c < cells or r != -1 and (n == 0 or cc.boundaries[n].column(c).get(r) not in (1, -1)):
             raise ArithmeticError(f"unit pairing: step {t} is not a cell, or not a +-1 entry of a boundary")
-        for m, k in ((n, c),) if r is None else ((n - 1, r), (n, c)):
+        for m, k in ((n, c),) if r == -1 else ((n - 1, r), (n, c)):
             if steps[m][k] != -1:
                 raise ArithmeticError(f"unit pairing: cell {k} of dimension {m} is used twice")
             steps[m][k] = t
@@ -493,36 +539,40 @@ def check_unit_pairing(cc: ChainComplexData, order) -> None:
         if -1 in level:
             raise ArithmeticError(f"unit pairing: cell {level.index(-1)} of dimension {n} is never removed")
     for n in range(1, cc.max_dim + 1):
-        below = steps[n - 1]
-        for c, column in enumerate(cc.boundaries[n]):
-            t = steps[n][c]
-            # a partner's step is t itself, any other face's must be smaller
-            if order[t][0] == n and any(below[r] > t for r in column):
-                fault = f"ace {t} still has a live face" if order[t][1] is None else f"pair {t} is not acyclic"
-                raise ArithmeticError(f"unit pairing: {fault}")
+        B, below, own = cc.boundaries[n], steps[n - 1], steps[n]
+        # the col of step t outlives each face but its partner, which goes at t itself; a cell
+        # that goes as a partner row is bounded by no step
+        last = (t if dims[t] == n else len(dims) for t in own)
+        bad = next(compress(count(), map(gt, map(below.__getitem__, B.rows), B.spread(last))), None)
+        if bad is not None:
+            t = own[bisect_right(B.starts, bad) - 1]
+            fault = f"ace {t} still has a live face" if rows[t] == -1 else f"pair {t} is not acyclic"
+            raise ArithmeticError(f"unit pairing: {fault}")
 
 
 def _morse_rows(columns, pairs, rows, cols, policy) -> list[dict[int, int]]:
     """The rows of a Morse boundary, by coflow; row i is {j: entry}.
 
-    columns is boundary n, pairs its (row, col) pairs in removal order, rows
-    and cols the critical cells of dimensions n - 1 and n.  For critical e,
-    phi(e) = 1 and, pair by pair, phi(r) = -eps * sum of boundary(c)_r' *
-    phi(r') over the faces r' != r of c, eps = boundary(c)_r; other cells
-    have phi 0.  Entry (e, c) is then the sum of boundary(c)_r * phi(r): the
-    gradient paths from c to e (Forman, Morse theory for cell complexes).
+    columns is boundary n, pairs its (row, col) pairs in removal order as
+    two arrays, rows and cols the critical cells of dimensions n - 1 and n.
+    For critical e, phi(e) = 1 and, pair by pair, phi(r) = -eps * sum of
+    boundary(c)_r' * phi(r') over the faces r' != r of c, eps =
+    boundary(c)_r; other cells have phi 0.  Entry (e, c) is then the sum of
+    boundary(c)_r * phi(r): the gradient paths from c to e (Forman, Morse
+    theory for cell complexes).
     """
+    starts, entries, values = columns.starts, columns.rows, columns.values
     out = []
     for e in rows:
         phi = {e: 1}
-        for r, c in pairs:
-            column = columns[c]
-            s = sum([v * phi[r2] for r2, v in column.items() if r2 in phi])
-            if s:
-                phi[r] = -column[r] * s
+        for r, c in zip(*pairs):
+            a, b = starts[c], starts[c + 1]
+            if s := sum(map(mul, values[a:b], map(phi.get, entries[a:b], repeat(0)))):
+                phi[r] = -values[entries.index(r, a, b)] * s
         _check_range(phi.values(), policy)
-        sums = (sum([v * phi[r] for r, v in columns[c].items() if r in phi]) for c in cols)
-        out.append({j: s for j, s in enumerate(sums) if s})
+        products = map(mul, values, map(phi.get, entries, repeat(0)))
+        sums = list(map(sum, map(islice, repeat(products), map(sub, starts[1:], starts))))
+        out.append({j: s for j, c in enumerate(cols) if (s := sums[c])})
     return out
 
 
@@ -540,17 +590,18 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
     top = cc.max_dim
     order = unit_pairing(cc)
     check_unit_pairing(cc, order)
-    critical, pairs = [[] for _ in range(top + 1)], [[] for _ in range(top + 1)]
-    for n, r, c in order:
-        if r is None:
+    critical, pairs = [array("I") for _ in range(top + 1)], [(array("I"), array("I")) for _ in range(top + 1)]
+    for n, r, c in zip(*order):
+        if r == -1:
             critical[n].append(c)
         else:
-            pairs[n].append((r, c))
+            pairs[n][0].append(r)
+            pairs[n][1].append(c)
     ranks, factors, below = [0] * (top + 2), [()] * (top + 2), []
     for n in range(1, top + 1):
         rows = _morse_rows(cc.boundaries[n], pairs[n], critical[n - 1], critical[n], policy)
         # the rows of a boundary are the columns of its coboundary
-        _assert_composite_zero(rows, below, ArithmeticError)
+        deque(_composite_zero(rows, below, ArithmeticError), 0)
         below = rows
         cols = sorted({j for row in rows for j in row})
         M = [[row.get(j, 0) for j in cols] for row in rows]
@@ -563,9 +614,9 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
     return HomologyReport(groups)
 
 
-def export_sparse_matrix(columns, rows: int) -> str:
+def export_sparse_matrix(columns: SparseColumns, rows: int) -> str:
     """Triplet text: a 'dims R C' header, then one 'row col value' per entry, sorted."""
     lines = [f"dims {rows} {len(columns)}"]
-    for r, c, v in sorted((r, c, v) for c, column in enumerate(columns) for r, v in column.items()):
+    for r, c, v in sorted(zip(columns.rows, columns.spread(), columns.values)):
         lines.append(f"{r} {c} {v}")
     return "\n".join(lines) + "\n"

@@ -6,7 +6,8 @@ the library now runs on whole columns replaced, the word-by-word crossed
 sweep the library now runs on blocks of ids, the per-boundary homology
 loop the library now runs after pairing off unit cells, the unit-pivot
 sweep the library replaced by an echelon certificate, the boundary
-entries summed in a (row, col) dict where the library keeps columns, an
+entries summed in a (row, col) dict where the library keeps columns, the
+coreductions on dict columns the library now runs on packed ones, an
 order-theoretic notion or a word or map helper the library itself never
 needs, or a renumbering that gives the routes ids out of payload order,
 with the payload-keyed views they are then compared by.  None of them is
@@ -791,7 +792,7 @@ class SparseMatrix:
 def boundary_matrix(cc, n: int) -> SparseMatrix:
     """Boundary n of cc as a (row, col) dict, entries column by column."""
     columns = cc.boundaries[n]
-    entries = {(r, c): v for c, column in enumerate(columns) for r, v in column.items()}
+    entries = {(r, c): v for r, c, v in zip(columns.rows, columns.spread(), columns.values)}
     return SparseMatrix(len(cc.basis[n - 1]), len(columns), entries)
 
 
@@ -911,6 +912,58 @@ def homology_report_by_boundary(cc, policy: str = "bigint") -> HomologyReport:
         torsion = tuple(d for d in factors[k + 1] if d > 1)
         groups.append((betti, torsion))
     return HomologyReport(groups)
+
+
+# ---------------------------------------------------------------------------
+# coreductions with aces on dict columns
+#
+# homology.unit_pairing reads packed columns and returns its removal order as
+# three flat arrays.  This is the same algorithm on one {row: coefficient}
+# dict per column, returning (n, row, col) triples with row None for an ace:
+# the order the packed layout must reproduce step for step.
+
+
+def unit_pairing_by_dicts(cc) -> list[tuple[int, int | None, int]]:
+    sizes, top = cc.basis_sizes(), cc.max_dim
+    faces = [None] + [[B.column(c) for c in range(len(B))] for B in cc.boundaries[1:]]
+    cofaces = [[[] for _ in range(s)] for s in sizes[:-1]]
+    for n in range(1, top + 1):
+        for c, column in enumerate(faces[n]):
+            for r in column:
+                cofaces[n - 1][r].append(c)
+    live = [[0] * sizes[0]] + [list(map(len, level)) for level in faces[1:]]
+    dead = [bytearray(s) for s in sizes]
+    stack, order = [], []
+
+    def remove(m, j):
+        dead[m][j] = 1
+        if m < top:
+            for k in cofaces[m][j]:
+                if not dead[m + 1][k]:
+                    live[m + 1][k] -= 1
+                    if live[m + 1][k] == 1:
+                        stack.append((m + 1, k))
+
+    n = k = 0
+    while n <= top:
+        while stack:
+            m, c = stack.pop()
+            if dead[m][c] or live[m][c] != 1:
+                continue
+            column = faces[m][c]
+            r = next(r for r in column if not dead[m - 1][r])
+            if column[r] in (1, -1):
+                order.append((m, r, c))
+                remove(m - 1, r)
+                remove(m, c)
+        if k == sizes[n]:
+            n, k = n + 1, 0
+        elif dead[n][k]:
+            k += 1
+        else:
+            order.append((n, None, k))
+            remove(n, k)
+    return order
 
 
 # ---------------------------------------------------------------------------

@@ -809,6 +809,31 @@ def test_bundle_depth_is_capped_before_anything_is_built(capsys, monkeypatch, tm
     assert capsys.readouterr().err == "error: decoration file needs dimension 5, above cap 4\n"
 
 
+def test_a_bundle_without_max_dim_is_capped_at_its_own_depth(capsys, monkeypatch):
+    # boundary3 is 2-dimensional, so without --max-dim its bundle is built two
+    # above it, at depth 4, whatever the default depth of other targets
+    from csx import bundles
+
+    monkeypatch.setenv("CSX_MAX_DIM", "4")
+    assert main(["bundle", "--base", "boundary3", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"]["total"] == [4, 20, 60, 136, 260]
+    for cap in ("4", "5"):
+        monkeypatch.setenv("CSX_MAX_DIM", cap)
+        assert main(["homology", "bundle", "--base", "boundary3", "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["max_dim"] == 4 and report["groups"] == ["Z", "Z", "Z", "Z", "0"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bundle was built")
+
+    for name in ("build_SC", "decorate_from_cochain", "total_space"):
+        monkeypatch.setattr(bundles, name, refuse)
+    monkeypatch.setenv("CSX_MAX_DIM", "3")
+    for argv in (["homology", "bundle", "--base", "boundary3"], ["bundle", "--base", "boundary3"]):
+        assert main(argv) == 3
+        assert capsys.readouterr().err == "error: base boundary3 needs dimension 4, above cap 3\n"
+
+
 def test_env_var_lowers_cap(monkeypatch):
     monkeypatch.setenv("CSX_MAX_DIM", "3")
     assert effective_cap() == 3

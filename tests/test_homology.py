@@ -1,6 +1,8 @@
 """Smith normal form and normalized chain homology."""
 
+import hashlib
 import random
+from array import array
 from itertools import combinations, product
 
 import pytest
@@ -18,9 +20,11 @@ from csx.bundles import (
     sphere_cochain_degree,
     total_space,
 )
+from csx.constructions import twisted_product
 from csx.homology import (
     ChainComplexData,
     SmithForm,
+    SparseColumns,
     export_sparse_matrix,
     homology_report,
     normalized_complex,
@@ -36,6 +40,7 @@ from oracles import (
     homology_report_by_boundary,
     rank_mod_p_by_sweep,
     sweep_smith_form,
+    unit_pairing_by_dicts,
     verify_transforms_by_rows,
 )
 
@@ -54,6 +59,20 @@ def test_snf_transforms_certify():
     sf = smith_normal_form(CLASSIC, transforms=True)
     assert sf.factors == CLASSIC_FACTORS
     assert verify_transforms(CLASSIC, sf)
+
+
+def test_snf_of_a_matrix_with_no_nonzero_entry_does_no_reduction(monkeypatch):
+    # rank 0 and no factors, by inspection: no echelon basis, no dense form
+    def refuse(*args):
+        raise AssertionError("a zero matrix was reduced")
+
+    for name in ("_echelon", "_dense_snf", "_det"):
+        monkeypatch.setattr(homology, name, refuse)
+    for M in ([[0, 0], [0, 0]], [[], []], [[0] * 5]):
+        sf = smith_normal_form(M)
+        assert (sf.shape, sf.factors, sf.rank) == ((len(M), len(M[0])), (), 0)
+    with pytest.raises(AssertionError, match="reduced"):
+        smith_normal_form([[0, 1]])
 
 
 def test_snf_edge_shapes():
@@ -191,10 +210,10 @@ def test_homology_report_certifies_torsion_above_transform_limit(monkeypatch):
     # the RP^3 2-boundary plus a 200x200 identity block, which coreductions
     # pair off: the torsion comes out of the echelon basis of a Morse boundary
     rp3 = _rp3_complex()
-    rows, k = len(rp3.basis[1]), 200
-    big = rp3.boundaries[2] + [{rows + i: 1} for i in range(k)]
+    rows, k, d2 = len(rp3.basis[1]), 200, rp3.boundaries[2]
+    big = SparseColumns([d2.column(c) for c in range(len(d2))] + [{rows + i: 1} for i in range(k)])
     basis = [[0], list(range(rows + k)), list(range(len(big)))]
-    cc = ChainComplexData(2, basis, [None, [{} for _ in range(rows + k)], big])
+    cc = ChainComplexData(2, basis, [None, SparseColumns([{}] * (rows + k)), big])
     rep = homology_report(cc)
     rank = 13 + k
     assert rep.groups[1] == (rows + k - rank, (2,))
@@ -258,8 +277,39 @@ def test_unknown_policy_rejected():
         smith_normal_form([[1]], policy="float")
 
 
+def test_packing_refuses_a_coefficient_outside_int8():
+    assert list(SparseColumns([{3: 127, 0: -128}, {}]).values) == [127, -128]
+    for value in (128, -129, 300):
+        with pytest.raises(OverflowError):
+            SparseColumns([{0: 1}, {2: value}])
+
+
+def _boundary3_bundle():
+    return total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((1, 1, 0, 0))), 5).total
+
+
+def _twisted():
+    return twisted_product(build_C(5), build_delta(2, 5))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_SC(7), lambda: build_S(5), _twisted, _boundary3_bundle],
+    ids=["SC7", "S5", "twisted", "boundary3-bundle"],
+)
+def test_boundaries_are_packed_arrays_with_no_column_dicts(build):
+    cc = normalized_complex(build())
+    assert cc.boundaries[0] is None
+    for n in range(1, cc.max_dim + 1):
+        B = cc.boundaries[n]
+        assert vars(B).keys() == {"starts", "rows", "values"}
+        assert [(type(a), a.typecode) for a in vars(B).values()] == [(array, "I"), (array, "I"), (array, "b")]
+        assert len(B) == len(cc.basis[n]) and B.starts[0] == 0 and B.starts[-1] == len(B.rows) == len(B.values)
+        assert all(0 <= r < len(cc.basis[n - 1]) for r in B.rows) and 0 not in B.values
+
+
 def test_export_sparse_matrix_format():
-    text = export_sparse_matrix([{1: 7}, {0: -4}, {}], 2)
+    text = export_sparse_matrix(SparseColumns([{1: 7}, {0: -4}, {}]), 2)
     assert text == "dims 2 3\n0 1 -4\n1 0 7\n"
 
 
@@ -313,10 +363,10 @@ def test_boundary_composites_vanish():
 )
 def test_composite_boundary_guard(outer, inner, vanishes):
     if vanishes:
-        homology._assert_composite_zero(outer, inner)
+        list(homology._composite_zero(outer, inner))
     else:
         with pytest.raises(ValueError, match="boundary of boundary is nonzero"):
-            homology._assert_composite_zero(outer, inner)
+            list(homology._composite_zero(outer, inner))
 
 
 def test_homology_report_json_and_pretty():
@@ -427,69 +477,89 @@ def _tiny(entries) -> ChainComplexData:
     columns = [{} for _ in range(cols)]
     for (r, c), v in entries.items():
         columns[c][r] = v
-    return ChainComplexData(1, [list(range(rows)), list(range(cols))], [None, columns])
+    return ChainComplexData(1, [list(range(rows)), list(range(cols))], [None, SparseColumns(columns)])
+
+
+def _flat(steps):
+    """A removal order in unit_pairing's form, from (n, row, col) triples, row -1 for an ace."""
+    return tuple(array("i", part) for part in zip(*steps))
+
+
+def _triples(order):
+    return list(zip(*order))
 
 
 def test_unit_pairing_is_certified_and_pairs_units_only():
     cc = normalized_complex(build_SC(6))
     order = homology.unit_pairing(cc)
     homology.check_unit_pairing(cc, order)
-    pairs = [(n, r, c) for n, r, c in order if r is not None]
-    assert pairs and all(cc.boundaries[n][c][r] in (1, -1) for n, r, c in pairs)
+    pairs = [(n, r, c) for n, r, c in _triples(order) if r != -1]
+    assert pairs and all(cc.boundaries[n].column(c)[r] in (1, -1) for n, r, c in pairs)
     # a pair removes two cells, an ace one
-    assert len(order) + len(pairs) == sum(cc.basis_sizes())
+    assert len(order[0]) + len(pairs) == sum(cc.basis_sizes())
     # an edge from vertex 1 to vertex 0: the ace at vertex 0 frees the edge.
     # With a 2 at vertex 1 it is no unit, so the edge and vertex 1 stay aces
-    assert homology.unit_pairing(_tiny({(0, 0): 1, (1, 0): -1})) == [(0, None, 0), (1, 1, 0)]
-    assert homology.unit_pairing(_tiny({(0, 0): 1, (1, 0): 2})) == [(0, None, 0), (0, None, 1), (1, None, 0)]
+    assert _triples(homology.unit_pairing(_tiny({(0, 0): 1, (1, 0): -1}))) == [(0, -1, 0), (1, 1, 0)]
+    assert _triples(homology.unit_pairing(_tiny({(0, 0): 1, (1, 0): 2}))) == [(0, -1, 0), (0, -1, 1), (1, -1, 0)]
+
+
+@pytest.mark.parametrize("name, steps, digest", [("SC7", 1905, "82acfd712760912c"), ("RP3", 30, "515cc6b8c9562b72")])
+def test_flat_removal_order_is_the_order_of_the_dict_columns(name, steps, digest):
+    # the coreductions of the dict-column layout, kept as an oracle, step for
+    # step; the digest pins the order the dict layout gave before packing
+    cc = normalized_complex(build_SC(7)) if name == "SC7" else _rp3_complex()
+    want = unit_pairing_by_dicts(cc)
+    assert len(want) == steps and hashlib.sha256(repr(want).encode()).hexdigest()[:16] == digest
+    assert [(n, None if r == -1 else r, c) for n, r, c in _triples(homology.unit_pairing(cc))] == want
 
 
 def test_check_unit_pairing_rejects_a_pair_of_coefficient_two():
     cc = _tiny({(0, 0): 2})
     with pytest.raises(ArithmeticError, match="not a \\+-1 entry"):
-        homology.check_unit_pairing(cc, [(1, 0, 0)])
+        homology.check_unit_pairing(cc, _flat([(1, 0, 0)]))
     with pytest.raises(ArithmeticError, match="not a \\+-1 entry"):
-        homology.check_unit_pairing(cc, [(2, 0, 0)])
+        homology.check_unit_pairing(cc, _flat([(2, 0, 0)]))
 
 
 @pytest.mark.parametrize(
     "pair",
-    [(1, -1, 1), (1, 1, -1), (1, 2, 1), (1, 1, 2), (1, None, -1), (1, None, 2), (2, None, 0), (-1, None, 0)],
+    [(1, -2, 1), (1, 1, -1), (1, 2, 1), (1, 1, 2), (1, -1, -1), (1, -1, 2), (2, -1, 0), (-1, -1, 0)],
 )
 def test_check_unit_pairing_rejects_ids_out_of_range(pair):
-    # a 2x2 identity: -1 read as the last row or column would find a 1 there.
-    # An ace (n, None, col) must name a cell as well
+    # a 2x2 identity: -1 or -2 read as the last row or column would find a 1
+    # there.  An ace (n, -1, col) must name a cell as well
     cc = _tiny({(0, 0): 1, (1, 1): 1})
     with pytest.raises(ArithmeticError, match="not a \\+-1 entry"):
-        homology.check_unit_pairing(cc, [pair])
+        homology.check_unit_pairing(cc, _flat([pair]))
 
 
 def test_check_unit_pairing_rejects_a_cell_used_twice():
     cc = _tiny({(0, 0): 1, (0, 1): -1})
-    homology.check_unit_pairing(cc, [(1, 0, 0), (1, None, 1)])
+    homology.check_unit_pairing(cc, _flat([(1, 0, 0), (1, -1, 1)]))
     with pytest.raises(ArithmeticError, match="cell 0 of dimension 0 is used twice"):
-        homology.check_unit_pairing(cc, [(1, 0, 0), (1, 0, 1)])
+        homology.check_unit_pairing(cc, _flat([(1, 0, 0), (1, 0, 1)]))
     with pytest.raises(ArithmeticError, match="cell 1 of dimension 1 is used twice"):
-        homology.check_unit_pairing(cc, [(1, 0, 0), (1, None, 1), (1, None, 1)])
+        homology.check_unit_pairing(cc, _flat([(1, 0, 0), (1, -1, 1), (1, -1, 1)]))
 
 
 def test_check_unit_pairing_rejects_a_cell_never_removed():
     cc = _tiny({(0, 0): 1, (0, 1): -1})
     with pytest.raises(ArithmeticError, match="cell 1 of dimension 1 is never removed"):
-        homology.check_unit_pairing(cc, [(1, 0, 0)])
+        homology.check_unit_pairing(cc, _flat([(1, 0, 0)]))
 
 
 def test_check_unit_pairing_rejects_an_ace_with_a_live_face():
     cc = _tiny({(0, 0): 1, (0, 1): -1})
     with pytest.raises(ArithmeticError, match="ace 1 still has a live face"):
-        homology.check_unit_pairing(cc, [(1, None, 1), (1, None, 0), (0, None, 0)])
+        homology.check_unit_pairing(cc, _flat([(1, -1, 1), (1, -1, 0), (0, -1, 0)]))
     with pytest.raises(ArithmeticError, match="ace 0 still has a live face"):
-        homology.check_unit_pairing(cc, [(1, None, 1), (1, 0, 0)])
+        homology.check_unit_pairing(cc, _flat([(1, -1, 1), (1, 0, 0)]))
 
 
 def _last_pair_first(order):
-    t = max(t for t, (_, r, _) in enumerate(order) if r is not None)
-    return [order[t]] + order[:t] + order[t + 1 :]
+    steps = _triples(order)
+    t = max(t for t, (_, r, _) in enumerate(steps) if r != -1)
+    return _flat([steps[t]] + steps[:t] + steps[t + 1 :])
 
 
 def test_check_unit_pairing_rejects_the_last_pair_moved_to_the_front():
@@ -502,7 +572,7 @@ def test_check_unit_pairing_rejects_the_last_pair_moved_to_the_front():
     # first leaves a live 1 beside it
     square = _tiny({(0, 0): 1, (0, 1): 1, (1, 0): 1, (1, 1): 1})
     with pytest.raises(ArithmeticError, match="pair 0 is not acyclic"):
-        homology.check_unit_pairing(square, [(1, 0, 0), (1, 1, 1)])
+        homology.check_unit_pairing(square, _flat([(1, 0, 0), (1, 1, 1)]))
 
 
 def test_homology_report_rejects_a_forged_pairing(monkeypatch):
@@ -511,7 +581,7 @@ def test_homology_report_rejects_a_forged_pairing(monkeypatch):
     monkeypatch.setattr(homology, "unit_pairing", lambda cc: _last_pair_first(order))
     with pytest.raises(ArithmeticError, match="not acyclic"):
         homology_report(cc)
-    monkeypatch.setattr(homology, "unit_pairing", lambda cc: order + [order[0]])
+    monkeypatch.setattr(homology, "unit_pairing", lambda cc: _flat(_triples(order) + _triples(order)[:1]))
     with pytest.raises(ArithmeticError, match="used twice"):
         homology_report(cc)
 
@@ -590,8 +660,8 @@ def test_boundary3_bundles_go_through_coreductions_with_aces():
         cochain = TwoCochain(bits)
         cc = normalized_complex(total_space(decorate_from_cochain(boundary_delta(3), cochain), 6).total)
         critical = [0] * 7
-        for n, r, _ in homology.unit_pairing(cc):
-            critical[n] += r is None
+        for n, r, _ in _triples(homology.unit_pairing(cc)):
+            critical[n] += r == -1
         assert critical in ([1, 0, 0, 1, 0, 0, 0], [1, 1, 1, 1, 0, 0, 0]), bits
         if critical[1] == 0:
             assert abs(sphere_cochain_degree(cochain)) == 1, bits
