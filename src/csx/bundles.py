@@ -5,7 +5,7 @@ simplex of the base a rotation class, by SC id, compatibly with faces.
 Pulling the word-to-rotation-class quotient back along it yields the
 bundle's total space; over an n-simplex the minimal model E_of(g) can be
 written down directly and doubles as an independent check on the pullback
-route.  Classes are words only in the JSON form.
+route.  A decoration reads its classes' words only in its JSON form.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .perms import (
     multiply,
 )
 from .simpset import (
-    CircularPermutation,
     SimplicialMap,
     TruncatedSimplicialSet,
     build_C,
@@ -41,9 +40,7 @@ from .simpset import (
     build_SC,
     build_delta,
     from_rules,
-    payload_str,
     pullback,
-    quotient_circ,
     quotient_map,
     sset_to_json,
 )
@@ -282,7 +279,8 @@ def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None) -> boo
         max_dim = n + 1
     E = (E_of(g, max_dim) if bundle is None else bundle).total
     SC = build_SC(max_dim)
-    y = yoneda(SC, n, SC.id_of(n, quotient_circ(g)), max_dim)
+    j = g.index(0)
+    y = yoneda(SC, n, SC.id_of(n, g[j:] + g[:j]), max_dim)
     P, _, _ = pullback(y, quotient_map(max_dim))
     return E.payloads == P.payloads and E.faces == P.faces and E.degeneracies == P.degeneracies
 
@@ -444,20 +442,23 @@ def decoration_to_json(decor: Decoration) -> dict:
         "assignment": [
             {
                 "dim": n,
-                "values": [payload_str(SC.payload(n, c)) for c in level],
+                "values": ["circ:" + ",".join(map(str, SC.payload(n, c))) for c in level],
             }
             for n, level in enumerate(decor.assignment)
         ],
     }
 
 
-def _parse_circ(s: str, n: int) -> CircularPermutation:
+def _parse_circ(s: str, n: int) -> Word:
+    """The 0-first word of a "circ:" value, checked to be a class of degree n."""
     if not s.startswith("circ:"):
         raise ValueError(f"expected a circ: payload, got {s!r}")
-    c = CircularPermutation(tuple(int(v) for v in s[5:].split(",")))
-    if c.degree != n:
-        raise ValueError(f"degree {c.degree} rotation class on a {n}-simplex")
-    return c
+    word = tuple(int(v) for v in s[5:].split(","))
+    if word[0] != 0 or not is_perm_word(word):
+        raise ValueError(f"not a canonical circular word: {word}")
+    if len(word) != n + 1:
+        raise ValueError(f"degree {len(word) - 1} rotation class on a {n}-simplex")
+    return word
 
 
 def decoration_from_json(obj: dict) -> Decoration:

@@ -42,9 +42,9 @@ class CapExceeded(Exception):
 class RunConfig:
     """Resolved run parameters shared by every subcommand."""
 
-    def __init__(self, command: str, max_dim=6, fmt="text", out=None, seed=0, overflow="bigint"):
+    def __init__(self, max_dim=6, fmt="text", out=None, seed=0, overflow="bigint"):
         # max_dim None: the object sets its own depth (a bundle two above its base)
-        self.command, self.max_dim, self.fmt = command, max_dim, fmt
+        self.max_dim, self.fmt = max_dim, fmt
         self.out, self.seed, self.overflow = out, seed, overflow
         cap = effective_cap()
         if (max_dim or 0) > cap:
@@ -401,7 +401,6 @@ def main(argv=None) -> int:
         # without --max-dim a bundle is built two above its base, which _load_bundle holds to the cap
         bundle = args.command == "bundle" or args.command == "homology" and args.target == "bundle"
         cfg = RunConfig(
-            command=args.command,
             max_dim=args.max_dim if args.max_dim is not None or bundle else args.default_dim,
             fmt=args.fmt,
             out=args.out,

@@ -17,67 +17,11 @@ from operator import add, itemgetter
 
 from .delta import monotone_ops
 from .perms import (
-    Word,
     all_perms,
     cyclic_word,
     degeneracy_perm,
     face_perm,
-    is_perm_word,
 )
-
-
-class CircularPermutation:
-    """A rotation class of permutation words, stored 0-first.
-
-    The class of f collects the right translates f, f.tau, f.tau^2, ...; the
-    canonical word is the rotation whose first letter is 0.  An immutable
-    value: equal, hashed and ordered by its word.
-    """
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: Word):
-        if not word or word[0] != 0 or not is_perm_word(word):
-            raise ValueError(f"not a canonical circular word: {word}")
-        object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"CircularPermutation is immutable; cannot set {name!r}")
-
-    def __eq__(self, other):
-        return self.word == other.word if other.__class__ is self.__class__ else NotImplemented
-
-    def __hash__(self):
-        return hash((self.word,))
-
-    def __lt__(self, other):
-        return self.word < other.word if other.__class__ is self.__class__ else NotImplemented
-
-    @property
-    def degree(self) -> int:
-        return len(self.word) - 1
-
-
-def quotient_circ(f: Word) -> CircularPermutation:
-    """The rotation class of a permutation word: its rotation that starts with 0."""
-    j = f.index(0)
-    return CircularPermutation(f[j:] + f[:j])
-
-
-def _unchecked_circular(word: Word) -> CircularPermutation:
-    """Wrap a 0-first permutation word generated here, without re-checking it.
-
-    The constructor sorts every word it checks; words read from outside the
-    program go through it instead.
-    """
-    c = object.__new__(CircularPermutation)
-    object.__setattr__(c, "word", word)
-    return c
-
-
-def all_circular(n: int) -> list[CircularPermutation]:
-    """All rotation classes of degree n, lexicographic by canonical word."""
-    return [_unchecked_circular((0,) + rest) for rest in permutations(range(1, n + 1))]
 
 
 class TruncatedSimplicialSet:
@@ -317,7 +261,7 @@ def build_delta(n: int, max_dim: int) -> TruncatedSimplicialSet:
     """The standard n-simplex: dimension m holds the monotone maps [m] -> [n]."""
     if n < 0:
         raise ValueError(f"simplex dimension n must be nonnegative, got {n}")
-    payload_lists = [[op.values for op in monotone_ops(m, n)] for m in range(max_dim + 1)]
+    payload_lists = [monotone_ops(m, n) for m in range(max_dim + 1)]
 
     def face_fn(m, vals, i):
         return vals[:i] + vals[i + 1 :]
@@ -413,6 +357,11 @@ def build_C(max_dim: int) -> TruncatedSimplicialSet:
     )
 
 
+def _classes(n: int) -> list[tuple[int, ...]]:
+    """The rotation classes of degree n as 0-first words, lexicographic."""
+    return [(0, *rest) for rest in permutations(range(1, n + 1))]
+
+
 def _rotations(n: int, ids) -> tuple[int, ...]:
     """By S(n) id, the SC id of the word's 0-first rotation: the quotient map at degree n.
 
@@ -444,7 +393,7 @@ def build_SC(max_dim: int) -> TruncatedSimplicialSet:
     faces += ((_rotations(n - 1, ids[n - 1]), *cols) for n, cols in enumerate(s_faces, start=2))
     s_degeneracies = _degeneracy_columns(ids[1:], max_dim - 2)
     degeneracies += ((tuple(ids[n]), *cols) for n, cols in enumerate(s_degeneracies, start=1))
-    return TruncatedSimplicialSet(max_dim, all_circular, faces, degeneracies, map(len, ids))
+    return TruncatedSimplicialSet(max_dim, _classes, faces, degeneracies, map(len, ids))
 
 
 @lru_cache(maxsize=32)
@@ -529,8 +478,6 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
 
 
 def payload_str(p) -> str:
-    if isinstance(p, CircularPermutation):
-        return "circ:" + ",".join(map(str, p.word))
     if isinstance(p, tuple) and all(isinstance(v, int) for v in p):
         return ",".join(map(str, p))
     if isinstance(p, tuple) and len(p) == 2:

@@ -25,7 +25,7 @@ from csx.bundles import BundleTotalSpace
 from csx.checks import _check_result
 from csx.constructions import sset_from_json
 from csx.homology import HomologyReport, SmithForm, _check_range, smith_normal_form, verify_transforms
-from csx.delta import MonotoneOp, monotone_ops
+from csx.delta import monotone_ops
 from csx.perms import (
     Word,
     all_perms,
@@ -37,7 +37,6 @@ from csx.perms import (
     multiply,
 )
 from csx.simpset import (
-    CircularPermutation,
     SimplicialMap,
     TruncatedSimplicialSet,
     build_S,
@@ -45,7 +44,6 @@ from csx.simpset import (
     build_delta,
     from_rules,
     nondegenerate_list,
-    quotient_circ,
     sset_to_json,
 )
 
@@ -96,32 +94,30 @@ class SetMap:
         return self.values[j]
 
 
-def identity_op(n: int) -> MonotoneOp:
-    return MonotoneOp(n + 1, n + 1, tuple(range(n + 1)))
+def identity_op(n: int) -> SetMap:
+    return SetMap(n + 1, n + 1, tuple(range(n + 1)))
 
 
-def coface(n: int, i: int) -> MonotoneOp:
+def coface(n: int, i: int) -> SetMap:
     """The injection [n-1] -> [n] missing the value i."""
     assert 0 <= i <= n
-    return MonotoneOp(n, n + 1, tuple(v for v in range(n + 1) if v != i))
+    return SetMap(n, n + 1, tuple(v for v in range(n + 1) if v != i))
 
 
-def codegeneracy(n: int, i: int) -> MonotoneOp:
+def codegeneracy(n: int, i: int) -> SetMap:
     """The surjection [n+1] -> [n] repeating the value i."""
     assert 0 <= i <= n
-    return MonotoneOp(n + 2, n + 1, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
+    return SetMap(n + 2, n + 1, tuple(min(v, i) if v <= i + 1 else v - 1 for v in range(n + 2)))
 
 
-def compose_ops(outer, inner):
+def compose_ops(outer: SetMap, inner: SetMap) -> SetMap:
     """outer after inner.  Requires inner.target_size == outer.source_size."""
     if inner.target_size != outer.source_size:
         raise ValueError("composition size mismatch")
-    values = tuple(outer.values[v] for v in inner.values)
-    cls = MonotoneOp if isinstance(outer, MonotoneOp) and isinstance(inner, MonotoneOp) else SetMap
-    return cls(inner.source_size, outer.target_size, values)
+    return SetMap(inner.source_size, outer.target_size, tuple(outer.values[v] for v in inner.values))
 
 
-def sort_factorization(phi) -> tuple[MonotoneOp, tuple[int, ...]]:
+def sort_factorization(phi: SetMap) -> tuple[SetMap, tuple[int, ...]]:
     """Factor phi = xi o g with xi monotone and g a bijection of positions.
 
     g is the stable-sort permutation of phi's value word: positions are sent
@@ -134,7 +130,7 @@ def sort_factorization(phi) -> tuple[MonotoneOp, tuple[int, ...]]:
     g = [0] * m
     for rank, j in enumerate(order):
         g[j] = rank
-    xi = MonotoneOp(m, phi.target_size, tuple(sorted(phi.values)))
+    xi = SetMap(m, phi.target_size, tuple(sorted(phi.values)))
     return xi, tuple(g)
 
 
@@ -200,14 +196,20 @@ class CyclicElement:
         return cls(degree(f), k)
 
 
-def sc_face(i: int, c: CircularPermutation) -> CircularPermutation:
+def rotated_to_0(f: Word) -> Word:
+    """The rotation class of a permutation word: its rotation that starts with 0."""
+    j = f.index(0)
+    return f[j:] + f[:j]
+
+
+def sc_face(i: int, c: Word) -> Word:
     """Delete the bead i, close the value gap, re-rotate to 0-first."""
-    return quotient_circ(face_perm(i, c.word))
+    return rotated_to_0(face_perm(i, c))
 
 
-def sc_degeneracy(i: int, c: CircularPermutation) -> CircularPermutation:
+def sc_degeneracy(i: int, c: Word) -> Word:
     """Insert a bead i+1 circularly right after the bead i."""
-    return quotient_circ(degeneracy_perm(i, c.word))
+    return rotated_to_0(degeneracy_perm(i, c))
 
 
 def build_S_by_words(max_dim: int) -> TruncatedSimplicialSet:
@@ -224,17 +226,16 @@ def build_SC_by_words(max_dim: int) -> TruncatedSimplicialSet:
     """The rotation classes of all words, tabulated by from_rules on the classes."""
     return from_rules(
         max_dim,
-        [{quotient_circ(w) for w in all_perms(n)} for n in range(max_dim + 1)],
+        [{rotated_to_0(w) for w in all_perms(n)} for n in range(max_dim + 1)],
         lambda n, c, i: sc_face(i, c),
         lambda n, c, i: sc_degeneracy(i, c),
     )
 
 
-def sc_is_degenerate(c: CircularPermutation) -> bool:
+def sc_is_degenerate(c: Word) -> bool:
     """True iff some bead i is followed circularly by the bead i+1."""
-    w = c.word
-    n = len(w)
-    return any(w[(w.index(i) + 1) % n] == i + 1 for i in range(n - 1))
+    n = len(c)
+    return any(c[(c.index(i) + 1) % n] == i + 1 for i in range(n - 1))
 
 
 def peel(xi_values, n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -312,7 +313,7 @@ def yoneda_by_peeling(X: TruncatedSimplicialSet, n: int, k: int, max_dim=None) -
     return SimplicialMap(D, X, table)
 
 
-def apply_operator_circ(xi_values, target_size: int, c: CircularPermutation) -> CircularPermutation:
+def apply_operator_circ(xi_values, target_size: int, c: Word) -> Word:
     """Contravariant operator action on rotation classes (same peeling as words)."""
     faces, degeneracies = peel(xi_values, target_size - 1)
     for i in faces:
@@ -351,7 +352,7 @@ def complete_semisimplicial_by_payload(base: TruncatedSimplicialSet, max_dim: in
     for m in range(max_dim + 1):
         level = []
         for k in range(min(m, base.max_dim) + 1):
-            etas = [op.values for op in monotone_ops(m, k) if len(set(op.values)) == k + 1]
+            etas = [eta for eta in monotone_ops(m, k) if len(set(eta)) == k + 1]
             for eta in etas:
                 for b in range(base.simplex_count(k)):
                     level.append((eta, base.payload(k, b)))
@@ -521,9 +522,9 @@ def E_of_by_payload(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     for m in range(max_dim + 1):
         level = []
         for xi in monotone_ops(m, n):
-            moved = apply_operator_word(xi.values, n + 1, g)
+            moved = apply_operator_word(xi, n + 1, g)
             for k in range(m + 1):
-                level.append((xi.values, multiply(moved, cyclic_word(m, k))))
+                level.append((xi, multiply(moved, cyclic_word(m, k))))
         payload_lists.append(level)
 
     def face_fn(m, p, i):

@@ -30,14 +30,11 @@ from csx.bundles import (
 from csx.homology import homology_report, normalized_complex
 from csx.perms import all_perms
 from csx.simpset import (
-    CircularPermutation,
-    all_circular,
     audit_identities,
     build_S,
     build_SC,
     nondegenerate_list,
     pullback,
-    quotient_circ,
     quotient_map,
 )
 from csx.delta import monotone_ops
@@ -52,6 +49,7 @@ from oracles import (
     pullback_by_payload,
     pullback_tables,
     payload_view,
+    rotated_to_0,
     sc_face,
     shuffled_ids,
     sset_tables,
@@ -162,9 +160,9 @@ def test_sphere_cochain_degree_signs():
 # whose signed sum vanishes, i.e. the face images of the six 3-classes.
 def test_extension_over_three_cell_oracle():
     twisted = build_SC(2).payload(2, TWISTED)
-    assert twisted == CircularPermutation((0, 2, 1))
+    assert twisted == (0, 2, 1)
     image = set()
-    for c in all_circular(3):
+    for c in build_SC(3).payloads[3]:
         image.add(tuple(int(sc_face(i, c) == twisted) for i in range(4)))
     assert image == {b for b in product((0, 1), repeat=4) if sphere_cochain_degree(TwoCochain(b)) == 0}
 
@@ -243,8 +241,8 @@ def test_operator_action_descends_to_classes():
         for m in range(3):
             for xi in monotone_ops(m, n):
                 for g in all_perms(n):
-                    left = apply_operator_circ(xi.values, n + 1, quotient_circ(g))
-                    right = quotient_circ(apply_operator_word(xi.values, n + 1, g))
+                    left = apply_operator_circ(xi, n + 1, rotated_to_0(g))
+                    right = rotated_to_0(apply_operator_word(xi, n + 1, g))
                     assert left == right
 
 
@@ -255,16 +253,16 @@ def test_table_word_and_class_actions_agree():
         for m in range(5):
             for xi in monotone_ops(m, n):
                 for f in all_perms(n):
-                    moved = apply_operator_word(xi.values, n + 1, f)
-                    assert evaluate_operator(S, xi.values, n, S.id_of(n, f)) == (m, S.id_of(m, moved))
-                for c in all_circular(n):
-                    moved = apply_operator_circ(xi.values, n + 1, c)
-                    assert evaluate_operator(SC, xi.values, n, SC.id_of(n, c)) == (m, SC.id_of(m, moved))
+                    moved = apply_operator_word(xi, n + 1, f)
+                    assert evaluate_operator(S, xi, n, S.id_of(n, f)) == (m, S.id_of(m, moved))
+                for c in SC.payloads[n]:
+                    moved = apply_operator_circ(xi, n + 1, c)
+                    assert evaluate_operator(SC, xi, n, SC.id_of(n, c)) == (m, SC.id_of(m, moved))
     not_monotone = (1, 0)
     with pytest.raises(ValueError):
         apply_operator_word(not_monotone, 3, (0, 1, 2))
     with pytest.raises(ValueError):
-        apply_operator_circ(not_monotone, 3, CircularPermutation((0, 1, 2)))
+        apply_operator_circ(not_monotone, 3, (0, 1, 2))
     with pytest.raises(ValueError):
         evaluate_operator(S, not_monotone, 2, 0)
 

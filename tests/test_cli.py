@@ -346,8 +346,13 @@ def test_draw_is_random_sample_over_the_same_stream(seed):
             assert ours.getstate() == theirs.getstate()
 
 
-# SC wraps the words it generates unchecked; a word read from a file is still checked
-_BAD_WORDS = {"unrotated word": "circ:1,0,2", "repeated letter": "circ:0,2,2", "short word": "circ:0,1"}
+# a class read from a file is checked where it is parsed: (value, the error line)
+_BAD_WORDS = {
+    "unrotated word": ("circ:1,0,2", "error: not a canonical circular word: (1, 0, 2)"),
+    "repeated letter": ("circ:0,2,2", "error: not a canonical circular word: (0, 2, 2)"),
+    "short word": ("circ:0,1", "error: degree 1 rotation class on a 2-simplex"),
+    "no prefix": ("0,1,2", "error: expected a circ: payload, got '0,1,2'"),
+}
 
 
 @pytest.mark.parametrize(
@@ -362,13 +367,16 @@ def test_malformed_decoration_file_is_an_input_error(capsys, tmp_path, case):
     elif case == "int value":
         obj["assignment"][2]["values"][0] = 5
     elif case in _BAD_WORDS:
-        obj["assignment"][2]["values"][1] = _BAD_WORDS[case]
+        obj["assignment"][2]["values"][1] = _BAD_WORDS[case][0]
     else:
         obj = [obj]
     path = tmp_path / "decor.json"
     path.write_text(json.dumps(obj), encoding="utf-8")
     assert main(["bundle", "--decoration", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if case in _BAD_WORDS:
+        assert err == _BAD_WORDS[case][1] + "\n"
 
 
 @pytest.mark.parametrize("case", ["repeated and extra dims", "dim above the base", "bool dim"])
@@ -686,7 +694,7 @@ def test_check_all_on_one_cpu_runs_the_sweep_in_process(capsys, monkeypatch, cpu
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
     for max_dim in range(7):
-        cfg = RunConfig(command="check", max_dim=max_dim, seed=seed)
+        cfg = RunConfig(max_dim=max_dim, seed=seed)
         assert csx.checks._check_crossed(cfg) == oracles.check_crossed_by_words(cfg)
 
 
@@ -724,7 +732,7 @@ def test_crossed_sweep_reports_the_word_by_word_counterexample(monkeypatch, rel,
 
     for module in (csx.checks, oracles):
         monkeypatch.setattr(module, rel, forged)
-    cfg = RunConfig(command="check", max_dim=6, seed=3)
+    cfg = RunConfig(max_dim=6, seed=3)
     got = csx.checks._check_crossed(cfg)
     assert got == oracles.check_crossed_by_words(cfg)
     bad = next(c for c in got if c["name"] == f"crossed:{rel.split('_')[0]}")
@@ -854,7 +862,7 @@ def test_negative_env_cap_is_an_input_error(capsys, monkeypatch):
 
 def test_run_config_validation():
     with pytest.raises(ValueError):
-        RunConfig(command="enumerate", max_dim=-1)
+        RunConfig(max_dim=-1)
 
 
 def test_installed_entry_point():

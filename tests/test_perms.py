@@ -209,7 +209,7 @@ def test_operator_action_dual_route_exhaustive():
         for m in range(0, 4):
             for xi in monotone_ops(m, n):
                 for f in all_perms(n):
-                    assert apply_operator_word(xi.values, n + 1, f) == sorted_route(xi.values, f)
+                    assert apply_operator_word(xi, n + 1, f) == sorted_route(xi, f)
 
 
 @given(st.data())
@@ -221,8 +221,9 @@ def test_operator_action_functorial(data):
     xi = data.draw(st.sampled_from(monotone_ops(m, n)))
     eta = data.draw(st.sampled_from(monotone_ops(l, m)))
     f = data.draw(st.sampled_from(all_perms(n)))
-    two_step = apply_operator_word(eta.values, m + 1, apply_operator_word(xi.values, n + 1, f))
-    one_step = apply_operator_word(compose_ops(xi, eta).values, n + 1, f)
+    two_step = apply_operator_word(eta, m + 1, apply_operator_word(xi, n + 1, f))
+    composite = compose_ops(SetMap(m + 1, n + 1, xi), SetMap(l + 1, m + 1, eta))
+    one_step = apply_operator_word(composite.values, n + 1, f)
     assert two_step == one_step
 
 

@@ -9,10 +9,12 @@ import pytest
 
 from csx.bundles import (
     E_of,
+    _parse_circ,
     TwoCochain,
     boundary_delta,
     complete_semisimplicial,
     decorate_from_cochain,
+    decoration_to_json,
     total_space,
 )
 from csx.constructions import (
@@ -26,11 +28,8 @@ from csx.constructions import (
 from csx.homology import homology_report, normalized_complex
 from csx.perms import all_perms, cyclic_word, degeneracy_perm, face_perm, inverse
 from csx.simpset import (
-    CircularPermutation,
-    _unchecked_circular,
     SimplicialMap,
     TruncatedSimplicialSet,
-    all_circular,
     assert_valid,
     audit_identities,
     build_C,
@@ -42,7 +41,6 @@ from csx.simpset import (
     nondegenerate_list,
     payload_str,
     pullback,
-    quotient_circ,
     quotient_map,
     sset_to_json,
 )
@@ -58,6 +56,7 @@ from oracles import (
     pullback_tables,
     pullback_view,
     payload_view,
+    rotated_to_0,
     sc_degeneracy,
     sc_face,
     sc_is_degenerate,
@@ -73,15 +72,11 @@ DERANGEMENTS = (1, 0, 1, 2, 9, 44, 265, 1854)
 
 
 def test_circular_permutation_canonical_form():
-    c = quotient_circ((2, 0, 1))
-    assert c.word[0] == 0
-    assert quotient_circ((1, 2, 0)) == c
-    assert quotient_circ((0, 1, 2)) == c
-    assert len(set(quotient_circ(g) for g in all_perms(2))) == 2
-    with pytest.raises(ValueError):
-        CircularPermutation((1, 0, 2))  # not rotated to start at 0
-    with pytest.raises(ValueError):
-        CircularPermutation((0, 0, 1))
+    c = rotated_to_0((2, 0, 1))
+    assert c == (0, 1, 2)
+    assert rotated_to_0((1, 2, 0)) == c
+    assert rotated_to_0((0, 1, 2)) == c
+    assert len(set(rotated_to_0(g) for g in all_perms(2))) == 2
 
 
 def test_sc_face_matches_word_quotient():
@@ -89,56 +84,42 @@ def test_sc_face_matches_word_quotient():
 
     for n in (1, 2, 3):
         for g in all_perms(n):
-            c = quotient_circ(g)
+            c = rotated_to_0(g)
             for i in range(n + 1):
-                assert sc_face(i, c) == quotient_circ(face_perm(i, g))
-                assert sc_degeneracy(i, c) == quotient_circ(degeneracy_perm(i, g))
+                assert sc_face(i, c) == rotated_to_0(face_perm(i, g))
+                assert sc_degeneracy(i, c) == rotated_to_0(degeneracy_perm(i, g))
 
 
 def test_all_circular_counts():
-    for n in range(6):
-        classes = all_circular(n)
+    # class k of degree n is (0,) + (word k of S(n - 1), each letter + 1)
+    SC, S = build_SC(6), build_S(5)
+    assert SC.payloads[0] == ((0,),)
+    for n in range(1, 7):
+        assert SC.payloads[n] == tuple((0, *(v + 1 for v in w)) for w in S.payloads[n - 1])
+    for n in range(7):
+        classes = SC.payloads[n]
         assert len(classes) == factorial(n)
         assert len(set(classes)) == len(classes)
 
 
 def test_sc_classes_match_checked_ones():
-    # build_SC and all_circular wrap the words they generate without the
-    # check; each class must equal, hash and print as a checked one
+    # build_SC makes its 0-first words without the check a decoration file's
+    # "circ:" values go through; each class must pass that check unchanged,
+    # and the classes of degree n are the rotation classes of S(n)'s words
     SC = build_SC(5)
     for n, level in enumerate(SC.payloads):
-        checked = tuple(CircularPermutation(c.word) for c in level)
-        assert level == checked and tuple(all_circular(n)) == checked
-        assert list(map(hash, level)) == list(map(hash, checked))
-        assert [payload_str(c) for c in level] == [
-            "circ:" + ",".join(map(str, c.word)) for c in checked
-        ]
-    assert payload_str(SC.payloads[3][1]) == "circ:0,1,3,2"
+        assert all(rotated_to_0(c) == c for c in level)
+        assert set(level) == {rotated_to_0(g) for g in all_perms(n)}
+        assert [_parse_circ("circ:" + payload_str(c), n) for c in level] == list(level)
+    assert payload_str(SC.payloads[3][1]) == "0,1,3,2"
+    # a decoration file writes each class as its 0-first word after "circ:"
+    decor = decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0)))
+    assert [entry["values"] for entry in decoration_to_json(decor)["assignment"]] == [
+        ["circ:0"] * 4,
+        ["circ:0,1"] * 6,
+        ["circ:0,1,2", "circ:0,2,1", "circ:0,1,2", "circ:0,1,2"],
+    ]
 
-
-def test_circular_permutation_is_an_immutable_value():
-    # equality, hash and order all follow the word; the hash is the one a
-    # frozen one-field record gives, so set orders and JSON bytes stay put
-    a, b = CircularPermutation((0, 2, 1)), CircularPermutation((0, 2, 1))
-    assert a == b and a is not b and hash(a) == hash(b) == hash(((0, 2, 1),))
-    assert a != CircularPermutation((0, 1, 2)) and a != (0, 2, 1)
-    assert len({a, b}) == 1
-    words = [(0, 2, 3, 1), (0, 1, 2, 3), (0, 3, 1, 2), (0, 1, 3, 2)]
-    assert [c.word for c in sorted(map(CircularPermutation, words))] == sorted(words)
-    assert min(map(CircularPermutation, words)).word == (0, 1, 2, 3)
-    assert sorted([((1,), a), ((0,), a), ((1,), CircularPermutation((0, 1, 2)))])[1][1].word == (0, 1, 2)
-    assert not hasattr(a, "__dict__")
-    with pytest.raises(AttributeError):
-        a.word = (0, 1, 2)
-    with pytest.raises(AttributeError):
-        a.other = 1
-    assert a.word == (0, 2, 1) and a.degree == 2
-    for bad in [(), (1, 0), (0, 0, 1), (0, 1, 3), [0, 1]]:
-        with pytest.raises(ValueError):
-            CircularPermutation(bad)
-    for word in [(0,), (0, 1), (0, 2, 1), (0, 3, 1, 2)]:
-        c = _unchecked_circular(word)
-        assert c == CircularPermutation(word) and hash(c) == hash(CircularPermutation(word))
 
 def test_builder_counts():
     S = build_S(5)
@@ -185,7 +166,6 @@ def test_word_tables_match_payload_rules(max_dim):
         assert built.payloads == oracle.payloads
         assert built.faces == oracle.faces
         assert built.degeneracies == oracle.degeneracies
-    assert all(isinstance(c, CircularPermutation) for level in build_SC(max_dim).payloads for c in level)
 
 
 @pytest.mark.parametrize("max_dim", range(7))
@@ -288,7 +268,7 @@ def test_quotient_fibers():
 @pytest.mark.parametrize("max_dim", range(7))
 def test_quotient_map_matches_payload_route(max_dim):
     S, SC = build_S(max_dim), build_SC(max_dim)
-    oracle = map_from_payload_fn(S, SC, lambda n, w: quotient_circ(w))
+    oracle = map_from_payload_fn(S, SC, lambda n, w: rotated_to_0(w))
     assert list(quotient_map(max_dim).table) == oracle.table
 
 
@@ -339,7 +319,7 @@ def test_pullback_of_quotient_with_itself():
     for n in range(max_dim + 1):
         for k in range(P.simplex_count(n)):
             a, b = P.payload(n, k)
-            assert quotient_circ(a) == quotient_circ(b)
+            assert rotated_to_0(a) == rotated_to_0(b)
 
 
 def test_pullback_matches_payload_rules_over_yoneda_maps():
@@ -348,7 +328,7 @@ def test_pullback_matches_payload_rules_over_yoneda_maps():
         SC = build_SC(n + 1)
         q = quotient_map(n + 1)
         for g in all_perms(n):
-            y = yoneda(SC, n, SC.id_of(n, quotient_circ(g)))
+            y = yoneda(SC, n, SC.id_of(n, rotated_to_0(g)))
             assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_payload(y, q))
             assert pullback_tables(pullback(y, q)) == pullback_tables(pullback_by_rows(y, q))
 
@@ -356,7 +336,7 @@ def test_pullback_matches_payload_rules_over_yoneda_maps():
 def test_pullback_makes_its_payload_pairs_on_first_read():
     SC, q = build_SC(4), quotient_map(4)
     for g in all_perms(3):
-        y = yoneda(SC, 3, SC.id_of(3, quotient_circ(g)))
+        y = yoneda(SC, 3, SC.id_of(3, rotated_to_0(g)))
         P, _, _ = pullback(y, q)
         assert "payloads" not in vars(P)
         assert P.payloads == pullback_by_payload(y, q)[0].payloads
@@ -425,7 +405,7 @@ def test_pullback_decides_a_shared_target_without_its_payloads():
     SC, sizes = q.target, [q.target.simplex_count(n) for n in range(6)]
 
     def copy(faces):
-        return TruncatedSimplicialSet(5, all_circular, faces, SC.degeneracies, sizes)
+        return TruncatedSimplicialSet(5, lambda n: SC.payloads[n], faces, SC.degeneracies, sizes)
 
     copies = [copy(SC.faces), copy(SC.faces)]
     result = pullback(*(SimplicialMap(q.source, Z, q.table) for Z in copies))
@@ -458,7 +438,7 @@ def test_evaluate_operator_against_composition():
 
 def test_yoneda_hits_every_operator_image():
     SC = build_SC(3)
-    c = SC.id_of(2, quotient_circ((0, 2, 1)))
+    c = SC.id_of(2, (0, 2, 1))
     y = yoneda(SC, 2, c, 3)
     D = y.source
     assert y.apply(2, D.id_of(2, (0, 1, 2))) == c
@@ -602,7 +582,7 @@ def test_map_check_refuses_a_table_shorter_than_its_source_level():
 def test_quotient_map_is_built_once_per_depth():
     q = quotient_map(4)
     assert quotient_map(4) is q
-    fresh = map_from_payload_fn(build_S(4), build_SC(4), lambda n, w: quotient_circ(w))
+    fresh = map_from_payload_fn(build_S(4), build_SC(4), lambda n, w: rotated_to_0(w))
     assert q.table == fresh.table
 
 
@@ -630,8 +610,7 @@ def test_from_id_pairs_edge_levels_and_errors():
 
 def test_payload_str_forms():
     assert payload_str((2, 0, 1)) == "2,0,1"
-    assert payload_str(quotient_circ((1, 2, 0))) == "circ:0,1,2"
-    assert payload_str(((0, 1), quotient_circ((0, 1)))) == "(0,1)x(circ:0,1)"
+    assert payload_str(((0, 1), (1, 0))) == "(0,1)x(1,0)"
 
 
 def test_json_round_trip_preserves_tables():
@@ -662,8 +641,8 @@ def test_dumps_canonical_is_stable():
 
 def test_tau_class_generates_sc_one_dim():
     # dimension 1 of the quotient: a single class through tau
-    assert quotient_circ(tau(1)) == quotient_circ(cyclic_word(1, 0))
-    assert len(all_circular(1)) == 1
+    assert rotated_to_0(tau(1)) == rotated_to_0(cyclic_word(1, 0))
+    assert build_SC(1).payloads[1] == ((0, 1),)
 
 
 # ---------------------------------------------------------------------------
