@@ -11,11 +11,10 @@ route.  A decoration reads its classes' words only in its JSON form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, repeat
+from itertools import chain, combinations, combinations_with_replacement, cycle, repeat
 from operator import itemgetter
 
 from .constructions import (
-    from_id_pairs,
     is_json_int,
     json_field,
     on_delta,
@@ -244,8 +243,8 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     xi: [m] -> [n] and rotations rot; faces and degeneracies act with the
     same index on both coordinates.  The word act(xi)(g) is computed once
     per xi, by one word operator from another xi's, and rotated by slicing;
-    the tables are built on the id pairs of build_delta and build_S,
-    and the projection and classifying maps are their coordinates.  max_dim
+    from_rules tabulates the id pairs of build_delta and build_S, whose
+    coordinates are the projection and classifying maps.  max_dim
     should be at least n + 1 to include the top cells of the bundle.
     """
     n = len(g) - 1
@@ -261,7 +260,18 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
         for j, moved in enumerate(words):
             level += [(j, S.id_of(m, moved[-k:] + moved[:-k])) for k in range(m + 1)]
         pair_lists.append(level)
-    total, on_D, on_S = from_id_pairs(D, S, pair_lists)
+
+    def rule(d_tables, s_tables):
+        return lambda m, p, i: (d_tables[m][i][p[0]], s_tables[m][i][p[1]])
+
+    W = from_rules(max_dim, pair_lists, rule(D.faces, S.faces), rule(D.degeneracies, S.degeneracies))
+    on_D = [tuple(j for j, _ in level) for level in W.payloads]
+    on_S = [tuple(s for _, s in level) for level in W.payloads]
+    payloads = [
+        tuple((ops[j], perms[s]) for j, s in level)
+        for ops, perms, level in zip(D.payloads, S.payloads, W.payloads)
+    ]
+    total = TruncatedSimplicialSet(max_dim, payloads, W.faces, W.degeneracies)
     return BundleTotalSpace(total, D, SimplicialMap(total, D, on_D), SimplicialMap(total, S, on_S))
 
 
@@ -283,11 +293,6 @@ def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None) -> boo
     y = yoneda(SC, n, SC.id_of(n, g[j:] + g[:j]), max_dim)
     P, _, _ = pullback(y, quotient_map(max_dim))
     return E.payloads == P.payloads and E.faces == P.faces and E.degeneracies == P.degeneracies
-
-
-def _pushforward_op(vals: tuple[int, ...], g_inv: Word) -> tuple[int, ...]:
-    # monotone part of the sort factorization of inverse(g) composed with vals
-    return tuple(sorted(g_inv[v] for v in vals))
 
 
 @lru_cache(maxsize=1)
@@ -314,19 +319,17 @@ def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool
     g_inv = inverse(g)
     if bundle is None:
         bundle = E_of(g_inv, max_dim)
-    E, D, S = bundle.total, build_delta(n, max_dim), build_S(max_dim)
+    E, C, D, S = bundle.total, build_C(max_dim), build_delta(n, max_dim), build_S(max_dim)
     X = _twisted_simplex(n, max_dim)
     decor, paired = [], []
-    acted = _acted(g, max_dim)
-    for m, level in enumerate(X.payloads):
-        moved = dict(zip(D.payloads[m], acted[m]))
-        pushed = {xi: _pushforward_op(xi, g_inv) for xi in D.payloads[m]}
-        words = [multiply(h, moved[xi]) for h, xi in level]
+    # simplex k of X is rotation k // |D_m| of C with operator k % |D_m| of D; an
+    # operator is pushed forward to the monotone part of inverse(g) composed with it
+    for m, moved in enumerate(_acted(g, max_dim)):
+        pushed = [tuple(sorted(map(g_inv.__getitem__, xi))) for xi in D.payloads[m]]
+        words = [multiply(h, w) for h in C.payloads[m] for w in moved]
         decor.append(tuple(S.id_of(m, w) for w in words))
         try:
-            paired.append(
-                tuple(E.id_of(m, (pushed[xi], inverse(w))) for (_, xi), w in zip(level, words))
-            )
+            paired.append(tuple(E.id_of(m, (xi, inverse(w))) for xi, w in zip(cycle(pushed), words)))
         except KeyError:
             return False
     Y = reorient_upsilon(X, SimplicialMap(X, S, decor))
@@ -453,7 +456,10 @@ def _parse_circ(s: str, n: int) -> Word:
     """The 0-first word of a "circ:" value, checked to be a class of degree n."""
     if not s.startswith("circ:"):
         raise ValueError(f"expected a circ: payload, got {s!r}")
-    word = tuple(int(v) for v in s[5:].split(","))
+    try:
+        word = tuple(int(v) for v in s[5:].split(","))
+    except ValueError:
+        raise ValueError(f"bad rotation class {s!r}; expected circ: and comma-separated ints") from None
     if word[0] != 0 or not is_perm_word(word):
         raise ValueError(f"not a canonical circular word: {word}")
     if len(word) != n + 1:

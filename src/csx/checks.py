@@ -1,12 +1,11 @@
 """The audits of csx check, loaded only by it.  No import of csx.cli, which under
-python -m csx.cli would load the CLI twice: the CLI passes in its object builder.
+python -m csx.cli would load the CLI twice: the CLI passes in its object builders.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from functools import partial
 from itertools import chain
 from math import factorial
 from operator import itemgetter
@@ -22,8 +21,10 @@ def _check_result(name: str, cases: int, counterexample: str | None) -> dict:
     return {"name": name, "cases": cases, "pass": counterexample is None, "counterexample": counterexample}
 
 
-def _check_identities(cfg, target: str, build) -> dict:
-    X, _ = build(target, _IDENTITY_TARGETS, "identities target", cfg)
+def _check_identities(args, target: str, objects) -> dict:
+    if target not in _IDENTITY_TARGETS:
+        raise ValueError(f"unknown identities target {target!r}")
+    X, _ = objects[target](args.max_dim, args)
     bad = audit_identities(X)
     cases = sum(X.simplex_count(m) for m in range(X.max_dim + 1))
     return _check_result(f"identities:{target}", cases, bad[0] if bad else None)
@@ -113,17 +114,17 @@ def _crossed_sampled(op, n: int, rng):
     return first
 
 
-def _check_crossed(cfg) -> list[dict]:
+def _check_crossed(args) -> list[dict]:
     # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
     # 4 every pair of words is checked on blocks of ids, with the ids of h.f
     # tabulated once per degree for both relations; above, seeded samples.
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     products = {}
     out = []
     for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
         cases = 0
         counterexample = None
-        for n in range(1, cfg.max_dim + 1):
+        for n in range(1, args.max_dim + 1):
             if n <= 4:
                 words = all_perms(n)
                 if n not in products:
@@ -145,7 +146,7 @@ def _check_crossed(cfg) -> list[dict]:
     return out
 
 
-def _check_lemmas(cfg, suite: str) -> list[dict]:
+def _check_lemmas(args, suite: str) -> list[dict]:
     """The pullback and upsilon lemmas the suite names, sharing one E(g) per word.
 
     Both lemmas walk the same words: every word through degree 3, and two
@@ -166,10 +167,10 @@ def _check_lemmas(cfg, suite: str) -> list[dict]:
         )
         if suite in (key, "all")
     ]
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     cases = [0] * len(lemmas)
     found = [None] * len(lemmas)
-    for n in range(min(cfg.max_dim - 1, 4) + 1):
+    for n in range(min(args.max_dim - 1, 4) + 1):
         live = [k for k, bad in enumerate(found) if bad is None]
         if not live:
             break
@@ -251,11 +252,11 @@ def _child_value(sent: bytes, status: int):
     return value
 
 
-def cmd_check(cfg, args, build) -> tuple[dict, int]:
+def cmd_check(args, objects) -> tuple[dict, int]:
     """Run the suite named: identity audits, then crossed relations, then lemmas.
 
-    cfg is the CLI's RunConfig, and build(name, accepted, what, cfg, args)
-    its builder of the objects the identity audits read.
+    args are the CLI's parsed arguments, and objects maps each object the
+    identity audits read to its builder of (max_dim, args).
 
     For check all on two or more CPUs, the crossed sweep (no object built,
     its own seeded rng) runs in a forked child while this process runs the
@@ -266,16 +267,16 @@ def cmd_check(cfg, args, build) -> tuple[dict, int]:
     suite = args.suite
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    child = _fork_call(_check_crossed, cfg) if suite == "all" and cpus >= 2 else None
+    child = _fork_call(_check_crossed, args) if suite == "all" and cpus >= 2 else None
     identities, crossed, lemmas = [], [], []
     try:
         if suite in ("identities", "all"):
             targets = [args.target] if suite == "identities" and args.target else _IDENTITY_TARGETS
-            identities = [_check_identities(cfg, t, partial(build, args=args)) for t in targets]
+            identities = [_check_identities(args, t, objects) for t in targets]
         if suite == "crossed" or suite == "all" and child is None:
-            crossed = _check_crossed(cfg)
+            crossed = _check_crossed(args)
         if suite in ("lemma", "upsilon", "all"):
-            lemmas = _check_lemmas(cfg, suite)
+            lemmas = _check_lemmas(args, suite)
     finally:
         if child:
             sent, status = _reap(child)
@@ -288,8 +289,8 @@ def cmd_check(cfg, args, build) -> tuple[dict, int]:
     report = {
         "command": "check",
         "suite": suite,
-        "max_dim": cfg.max_dim,
-        "seed": cfg.seed,
+        "max_dim": args.max_dim,
+        "seed": args.seed,
         "checks": checks,
         "pass": ok,
     }

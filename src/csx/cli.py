@@ -39,20 +39,6 @@ class CapExceeded(Exception):
     pass
 
 
-class RunConfig:
-    """Resolved run parameters shared by every subcommand."""
-
-    def __init__(self, max_dim=6, fmt="text", out=None, seed=0, overflow="bigint"):
-        # max_dim None: the object sets its own depth (a bundle two above its base)
-        self.max_dim, self.fmt = max_dim, fmt
-        self.out, self.seed, self.overflow = out, seed, overflow
-        cap = effective_cap()
-        if (max_dim or 0) > cap:
-            raise CapExceeded(f"max dim {self.max_dim} exceeds cap {cap}")
-        if (max_dim or 0) < 0:
-            raise ValueError("max dim must be nonnegative")
-
-
 def effective_cap() -> int:
     """The hard truncation cap, lowered (never raised) by CSX_MAX_DIM."""
     cap = HARD_CAP
@@ -165,8 +151,8 @@ def _build_bundle(max_dim: int, args):
 
 
 # Every object the CLI builds by name: a builder from (max_dim, args) to the
-# object and the keys it adds to the report.  Each subcommand accepts a subset;
-# check's is in csx.checks.
+# object and the keys it adds to the report.  enumerate accepts all but the
+# bundle; check's subset is in csx.checks.
 _OBJECTS = {
     "S": lambda max_dim, args: (build_S(max_dim), {}),
     "C": lambda max_dim, args: (build_C(max_dim), {}),
@@ -176,15 +162,6 @@ _OBJECTS = {
     "E": _build_E,
     "bundle": _build_bundle,
 }
-_ENUMERATE_TARGETS = ("S", "C", "SC", "delta", "twisted", "E")
-_HOMOLOGY_TARGETS = ("S", "C", "SC", "delta", "twisted", "E", "bundle")
-
-
-def _build_object(name: str, accepted, what: str, cfg: RunConfig, args):
-    """Build the named object if this subcommand accepts it; return (X, report keys)."""
-    if name not in accepted:
-        raise ValueError(f"unknown {what} {name!r}")
-    return _OBJECTS[name](cfg.max_dim, args)
 
 
 # ---------------------------------------------------------------------------
@@ -198,17 +175,17 @@ def _counts(X) -> dict:
     }
 
 
-def cmd_enumerate(cfg: RunConfig, args) -> tuple[dict, int]:
-    X, keys = _build_object(args.which, _ENUMERATE_TARGETS, "object", cfg, args)
-    report = {"command": "enumerate", "which": args.which, "max_dim": cfg.max_dim, **keys}
+def cmd_enumerate(args) -> tuple[dict, int]:
+    X, keys = _OBJECTS[args.which](args.max_dim, args)
+    report = {"command": "enumerate", "which": args.which, "max_dim": args.max_dim, **keys}
     report.update(_counts(X))
     return report, 0
 
 
-def cmd_check(cfg: RunConfig, args) -> tuple[dict, int]:
+def cmd_check(args) -> tuple[dict, int]:
     from . import checks
 
-    return checks.cmd_check(cfg, args, _build_object)
+    return checks.cmd_check(args, _OBJECTS)
 
 
 def _dump_matrices(cc, directory: str) -> list[str]:
@@ -222,12 +199,12 @@ def _dump_matrices(cc, directory: str) -> list[str]:
     return written
 
 
-def cmd_homology(cfg: RunConfig, args) -> tuple[dict, int]:
-    X, keys = _build_object(args.target, _HOMOLOGY_TARGETS, "homology target", cfg, args)
-    report = {"command": "homology", "target": args.target, "policy": cfg.overflow, **keys}
+def cmd_homology(args) -> tuple[dict, int]:
+    X, keys = _OBJECTS[args.target](args.max_dim, args)
+    report = {"command": "homology", "target": args.target, "policy": args.overflow, **keys}
     report["max_dim"] = X.max_dim
     cc = normalized_complex(X)
-    rep = homology_report(cc, policy=cfg.overflow)
+    rep = homology_report(cc, policy=args.overflow)
     report.update(rep.to_json())
     report["groups"] = [rep.pretty(k) for k in range(len(rep.groups))]
     report["chains"] = cc.basis_sizes()
@@ -236,10 +213,10 @@ def cmd_homology(cfg: RunConfig, args) -> tuple[dict, int]:
     return report, 0
 
 
-def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
+def cmd_bundle(args) -> tuple[dict, int]:
     from . import bundles
 
-    decor, base_name, bundle = _load_bundle(cfg.max_dim, args)
+    decor, base_name, bundle = _load_bundle(args.max_dim, args)
     X = bundle.total
 
     # the defining square: classifying composed with the quotient must equal
@@ -253,7 +230,7 @@ def cmd_bundle(cfg: RunConfig, args) -> tuple[dict, int]:
     )
 
     cc = normalized_complex(X)
-    rep = homology_report(cc, policy=cfg.overflow)
+    rep = homology_report(cc, policy=args.overflow)
     chern = bundles.chern_cochain(decor)
     report = {
         "command": "bundle",
@@ -319,13 +296,13 @@ def _as_text(obj, prefix="") -> list[str]:
     return [f"{label}: {obj}"]
 
 
-def _emit(cfg: RunConfig, report: dict) -> None:
-    if cfg.fmt == "json":
+def _emit(args, report: dict) -> None:
+    if args.fmt == "json":
         text = dumps_canonical(report)
     else:
         text = "\n".join(_as_text(report)) + "\n"
-    if cfg.out:
-        Path(cfg.out).write_text(text, encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
         sys.stdout.flush()
@@ -349,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     pe = sub.add_parser("enumerate", help="per-dimension simplex counts")
-    pe.add_argument("which", choices=_ENUMERATE_TARGETS)
+    pe.add_argument("which", choices=[name for name in _OBJECTS if name != "bundle"])
     pe.add_argument("--g", default=None, help="permutation word, comma-separated values")
     pe.add_argument("--n", type=int, default=None, help="simplex dimension for delta/twisted (default 2)")
     common(pe, default_dim=4)
@@ -361,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(pc, default_dim=4)
 
     ph = sub.add_parser("homology", help="exact integer homology of a truncation")
-    ph.add_argument("target", choices=_HOMOLOGY_TARGETS)
+    ph.add_argument("target", choices=tuple(_OBJECTS))
     ph.add_argument("--g", default=None, help="permutation word for the E target, comma-separated values")
     ph.add_argument("--n", type=int, default=None, help="simplex dimension for delta/twisted (default 2)")
     ph.add_argument("--decoration", default=None, help="decoration JSON file (bundle target)")
@@ -391,24 +368,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _reject_stray_options(args)
-        # a simplex dimension or word degree above the cap would build past it
-        cap, degree = effective_cap(), args.g.count(",") if getattr(args, "g", None) else 0
-        for what, value in (("--n", getattr(args, "n", None) or 0), ("the degree of --g", degree)):
-            if value > cap:
-                raise CapExceeded(f"{what} {value} exceeds cap {cap}")
-        if getattr(args, "n", 2) is None:
-            args.n = 2  # the default simplex dimension; None told that --n was not given
         # without --max-dim a bundle is built two above its base, which _load_bundle holds to the cap
         bundle = args.command == "bundle" or args.command == "homology" and args.target == "bundle"
-        cfg = RunConfig(
-            max_dim=args.max_dim if args.max_dim is not None or bundle else args.default_dim,
-            fmt=args.fmt,
-            out=args.out,
-            seed=args.seed,
-            overflow=args.overflow,
-        )
-        report, code = _COMMANDS[args.command](cfg, args)
-        _emit(cfg, report)
+        if args.max_dim is None and not bundle:
+            args.max_dim = args.default_dim
+        # a simplex dimension, word degree or depth above the cap would build past it
+        cap, degree = effective_cap(), args.g.count(",") if getattr(args, "g", None) else 0
+        n, max_dim = getattr(args, "n", None) or 0, args.max_dim or 0
+        for what, value in (("--n", n), ("the degree of --g", degree), ("max dim", max_dim)):
+            if value > cap:
+                raise CapExceeded(f"{what} {value} exceeds cap {cap}")
+        if max_dim < 0:
+            raise ValueError("max dim must be nonnegative")
+        if getattr(args, "n", 2) is None:
+            args.n = 2  # the default simplex dimension; None told that --n was not given
+        report, code = _COMMANDS[args.command](args)
+        _emit(args, report)
     except CapExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import comb
 from operator import getitem, itemgetter
 
@@ -13,7 +14,6 @@ from .simpset import (
     assert_valid,
     audit_identities,
     build_delta,
-    from_rules,
 )
 
 
@@ -74,50 +74,40 @@ def on_delta(n: int, max_dim: int, start, face, degeneracy) -> list[list]:
     return values[: max_dim + 1]
 
 
-def from_id_pairs(A, B, pair_lists, pulled=None):
-    """Tabulate pairs (a, b) of ids of A and B through from_rules.
-
-    pair_lists[n] holds the pairs of dimension n.  Face or degeneracy i of
-    (a, b) is (that of a at i, that of b at pulled[n][a][i]), or at i when
-    pulled is None.  Ids are lexicographic in id pairs, as from_rules sorts
-    them; each id pair is then replaced by its payload pair, keeping its id.
-    Returns the object and the tables of its two coordinates, per dimension.
-    """
-
-    def rule(a_tables, b_tables):
-        if pulled is None:
-            return lambda n, p, i: (a_tables[n][i][p[0]], b_tables[n][i][p[1]])
-        return lambda n, p, i: (a_tables[n][i][p[0]], b_tables[n][pulled[n][p[0]][i]][p[1]])
-
-    both_degen = A.has_degeneracies and B.has_degeneracies
-    degeneracy_rule = rule(A.degeneracies, B.degeneracies) if both_degen else None
-    W = from_rules(A.max_dim, pair_lists, rule(A.faces, B.faces), degeneracy_rule)
-    payloads = [
-        tuple((xs[a], ys[b]) for a, b in level)
-        for xs, ys, level in zip(A.payloads, B.payloads, W.payloads)
-    ]
-    firsts = [tuple(a for a, _ in level) for level in W.payloads]
-    seconds = [tuple(b for _, b in level) for level in W.payloads]
-    return TruncatedSimplicialSet(W.max_dim, payloads, W.faces, W.degeneracies), firsts, seconds
-
-
 def twisted_product(G: TruncatedSimplicialSet, X: TruncatedSimplicialSet):
     """Pairs (h, x) with the group-twisted structure maps.
 
     G must carry permutation-word payloads (build_S or build_C).  The i-th
     face acts as face i on the word and as face h^-1(i) on x;
-    degeneracies act the same way.  The tables are built on id pairs, with
-    the inverse of each word of G tabulated once; ids are lexicographic in
-    id pairs.
+    degeneracies act the same way.  The id pair (a, b) gets id a * |X_n| + b,
+    so entry (a, b) of column i is c * |X| + x: c is G's column i at a, x is
+    X's column h_a^-1(i) at b, |X| is the size of X one level over.  Payload
+    pairs are made on first read.
     """
     if G.max_dim != X.max_dim:
         raise ValueError("factors must share a truncation level")
-    pair_lists = [
-        [(a, b) for a in range(G.simplex_count(n)) for b in range(X.simplex_count(n))]
-        for n in range(G.max_dim + 1)
-    ]
-    pulled = [list(map(inverse, level)) for level in G.payloads]
-    return from_id_pairs(G, X, pair_lists, pulled)[0]
+    max_dim = G.max_dim
+    counts = [G.simplex_count(n) * X.simplex_count(n) for n in range(max_dim + 1)]
+    inverses = [list(map(inverse, level)) for level in G.payloads]
+
+    def table(g_cols, x_cols, n, target):
+        # reading entries back from an id list keeps one int object per id
+        ids, size = list(range(counts[target])), X.simplex_count(target)
+        blocks = [ids[c * size : (c + 1) * size] for c in range(G.simplex_count(target))]
+        cols = [[] for _ in g_cols]
+        # word a's row of G, and X's columns in the order h_a^-1 gives them
+        for row, h in zip(zip(*g_cols), inverses[n]):
+            for col, c, x_col in zip(cols, row, map(x_cols.__getitem__, h)):
+                col += map(blocks[c].__getitem__, x_col)
+        return tuple(map(tuple, cols))
+
+    faces = [None] + [table(G.faces[n], X.faces[n], n, n - 1) for n in range(1, max_dim + 1)]
+    degeneracies = None
+    if G.has_degeneracies and X.has_degeneracies:
+        degeneracies = [table(G.degeneracies[n], X.degeneracies[n], n, n + 1) for n in range(max_dim)]
+    return TruncatedSimplicialSet(
+        max_dim, lambda n: product(G.payloads[n], X.payloads[n]), faces, degeneracies, counts
+    )
 
 
 def yoneda(X: TruncatedSimplicialSet, n: int, k: int, max_dim=None) -> SimplicialMap:
@@ -166,7 +156,8 @@ def reorient_upsilon(X: TruncatedSimplicialSet, decor: SimplicialMap) -> Truncat
     degeneracies = None
     if X.has_degeneracies:
         degeneracies = [rewired(X.degeneracies, n) for n in range(X.max_dim)]
-    Y = TruncatedSimplicialSet(X.max_dim, X.payloads, faces, degeneracies)
+    counts = map(X.simplex_count, range(X.max_dim + 1))
+    Y = TruncatedSimplicialSet(X.max_dim, lambda n: X.payloads[n], faces, degeneracies, counts)
     assert_valid(Y)
     return Y
 

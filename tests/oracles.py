@@ -976,16 +976,16 @@ def unit_pairing_by_dicts(cc) -> list[tuple[int, int | None, int]]:
 # them must patch them here as well as in csx.checks.
 
 
-def check_crossed_by_words(cfg) -> list[dict]:
+def check_crossed_by_words(args) -> list[dict]:
     # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
     # 4 every pair of words is checked, reading op(i, w) from rows tabulated
     # once per word; above, seeded samples compute their rows per case.
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     out = []
     for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
         cases = 0
         counterexample = None
-        for n in range(1, cfg.max_dim + 1):
+        for n in range(1, args.max_dim + 1):
 
             def row(w):
                 return [op(i, w) for i in range(n + 1)]

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: reports, formats, and exit codes."""
 
+import argparse
 import contextlib
 import copy
 import io
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import csx.checks
 from csx import cli
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json, total_space
-from csx.cli import RunConfig, effective_cap, main
+from csx.cli import effective_cap, main
 from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules, sset_to_json
 
 import oracles
@@ -84,6 +85,13 @@ def test_check_identities_single_target(capsys):
     code, rep = run_json(capsys, "check", "identities", "--target", "SC", "--max-dim", "5")
     assert code == 0
     assert rep["checks"][0]["name"] == "identities:SC"
+
+
+def test_unknown_identities_target_is_an_input_error(capsys):
+    assert main(["check", "identities", "--target", "foo"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown identities target 'foo'\n"
+    assert captured.out == ""
 
 
 def test_homology_circle(capsys):
@@ -352,6 +360,11 @@ _BAD_WORDS = {
     "repeated letter": ("circ:0,2,2", "error: not a canonical circular word: (0, 2, 2)"),
     "short word": ("circ:0,1", "error: degree 1 rotation class on a 2-simplex"),
     "no prefix": ("0,1,2", "error: expected a circ: payload, got '0,1,2'"),
+    "no letters": ("circ:", "error: bad rotation class 'circ:'; expected circ: and comma-separated ints"),
+    "bad letter": (
+        "circ:0,a,1",
+        "error: bad rotation class 'circ:0,a,1'; expected circ: and comma-separated ints",
+    ),
 }
 
 
@@ -694,8 +707,8 @@ def test_check_all_on_one_cpu_runs_the_sweep_in_process(capsys, monkeypatch, cpu
 @pytest.mark.parametrize("seed", [0, 1, 7])
 def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
     for max_dim in range(7):
-        cfg = RunConfig(max_dim=max_dim, seed=seed)
-        assert csx.checks._check_crossed(cfg) == oracles.check_crossed_by_words(cfg)
+        args = argparse.Namespace(max_dim=max_dim, seed=seed)
+        assert csx.checks._check_crossed(args) == oracles.check_crossed_by_words(args)
 
 
 @pytest.mark.parametrize(
@@ -732,9 +745,9 @@ def test_crossed_sweep_reports_the_word_by_word_counterexample(monkeypatch, rel,
 
     for module in (csx.checks, oracles):
         monkeypatch.setattr(module, rel, forged)
-    cfg = RunConfig(max_dim=6, seed=3)
-    got = csx.checks._check_crossed(cfg)
-    assert got == oracles.check_crossed_by_words(cfg)
+    args = argparse.Namespace(max_dim=6, seed=3)
+    got = csx.checks._check_crossed(args)
+    assert got == oracles.check_crossed_by_words(args)
     bad = next(c for c in got if c["name"] == f"crossed:{rel.split('_')[0]}")
     assert bad["counterexample"].startswith(f"n={len(faults[0][0]) - 1} ")
 
@@ -860,9 +873,11 @@ def test_negative_env_cap_is_an_input_error(capsys, monkeypatch):
     assert main(["enumerate", "S", "--max-dim", "0"]) == 0
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(max_dim=-1)
+def test_negative_max_dim_is_an_input_error(capsys):
+    assert main(["enumerate", "S", "--max-dim", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: max dim must be nonnegative\n"
+    assert captured.out == ""
 
 
 def test_installed_entry_point():

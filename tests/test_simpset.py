@@ -19,7 +19,6 @@ from csx.bundles import (
 )
 from csx.constructions import (
     delta_steps,
-    from_id_pairs,
     reorient_upsilon,
     sset_from_json,
     twisted_product,
@@ -367,6 +366,14 @@ def test_twisted_product_matches_payload_rules(G, X):
     assert sset_tables(twisted_product(G, X)) == sset_tables(twisted_product_by_payload(G, X))
 
 
+def test_twisted_product_makes_its_pairs_on_first_read():
+    X = twisted_product(build_C(5), build_delta(2, 5))
+    assert_valid(X)
+    homology_report(normalized_complex(X))
+    assert "payloads" not in vars(X)
+    assert X.payloads == twisted_product_by_payload(build_C(5), build_delta(2, 5)).payloads
+
+
 def test_twisted_product_matches_payload_rules_on_unsorted_ids():
     # ids are lexicographic in the factors' ids; read by payload, the routes agree
     X, _ = shuffled_ids(build_delta(2, 3), seed=11)
@@ -589,23 +596,6 @@ def test_quotient_map_is_built_once_per_depth():
 def test_from_rules_rejects_duplicates():
     with pytest.raises(ValueError):
         from_rules(0, [[(0,), (0,)]], lambda n, p, i: p)
-
-
-def test_from_id_pairs_edge_levels_and_errors():
-    D, S = build_delta(1, 1), build_S(1)
-    # no pairs at all, and no pair at the top level of a face-only factor
-    X, firsts, seconds = from_id_pairs(D, S, [[], []])
-    assert X.payloads == [(), ()] and X.faces == [None, ((), ())] and X.degeneracies == [((),)]
-    assert firsts == seconds == [(), ()]
-    edge = boundary_delta(2)
-    X, firsts, seconds = from_id_pairs(edge, S, [[(2, 0), (0, 0)], []])
-    assert X.payloads[0] == (((0,), (0,)), ((2,), (0,))) and X.faces == [None, ((), ())]
-    assert X.degeneracies is None and firsts == [(0, 2), ()] and seconds == [(0, 0), ()]
-    with pytest.raises(ValueError):
-        from_id_pairs(D, S, [[(0, 0), (0, 0)], []])
-    # the faces of (1, 1) are (1, 0) and (0, 0); only the second is a pair
-    with pytest.raises(KeyError):
-        from_id_pairs(D, S, [[(0, 0)], [(1, 1)]])
 
 
 def test_payload_str_forms():
