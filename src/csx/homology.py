@@ -391,20 +391,31 @@ class ChainComplexData:
 def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
     """Boundary columns on nondegenerate simplices with signs (-1)^i.
 
-    Each column is summed as a {row: coefficient} dict, must compose to zero
-    with the level below, and is packed; that check and the identity audit
-    guard against malformed inputs.  Only the level below is held as dicts,
-    never the top.
+    The identity audit runs first and refuses a malformed X; each column is
+    then summed as a {row: coefficient} dict and packed.  The audit is the
+    certificate that consecutive boundaries compose to zero (May, Simplicial
+    Objects in Algebraic Topology, 1967):
+
+    - d_i d_j = d_{j-1} d_i for i < j gives dd = 0 on all chains, by the
+      usual sign cancellation.
+    - For a degenerate s_j x, d_i s_j x is s_{j-1} d_i x or s_j d_{i-1} x,
+      both degenerate, except at i = j and i = j + 1, where both terms are x
+      with opposite signs.
+    - So the degenerate simplices span a subcomplex, and the normalized
+      boundary, which drops degenerate faces, is the quotient boundary.
+    - A face-only X has no degenerate simplices, and the face identities
+      alone suffice.
+
+    Each identity used lies inside the truncation, where audit_identities
+    checks it.
     """
     assert_valid(X)
-    top, boundaries = X.max_dim, [None]
-    basis = [nondegenerate_list(X, n) for n in range(top + 1)]
-    outer = [{}] * len(basis[0])  # vertices have no faces
-    for n in range(1, top + 1):
-        columns = _composite_zero(outer, _columns(X.faces[n], basis[n], {k: i for i, k in enumerate(basis[n - 1])}))
-        outer = list(columns) if n < top else columns
-        boundaries.append(SparseColumns(outer))
-    return ChainComplexData(top, basis, boundaries)
+    basis = [nondegenerate_list(X, n) for n in range(X.max_dim + 1)]
+    boundaries = [None]
+    for n in range(1, X.max_dim + 1):
+        below = {k: i for i, k in enumerate(basis[n - 1])}
+        boundaries.append(SparseColumns(_columns(X.faces[n], basis[n], below)))
+    return ChainComplexData(X.max_dim, basis, boundaries)
 
 
 def _columns(faces, cells, below):
@@ -421,22 +432,21 @@ def _columns(faces, cells, below):
         yield column
 
 
-def _composite_zero(outer: list[dict[int, int]], inner, error=ValueError):
-    """Yield each {row: coefficient} column of inner once outer's columns composed with it give zero.
+def _composite_zero(outer: list[dict[int, int]], inner) -> None:
+    """Raise ArithmeticError unless outer's columns composed with each column of inner give zero.
 
-    The composite is summed into a list of zeros, which it leaves so unless it raises.
+    Columns are {row: coefficient} dicts.  The composite is summed into a
+    list of zeros, which it leaves so unless it raises.
     """
-    pairs = [tuple(column.items()) for column in outer]
     sums = [0] * (1 + max(map(max, filter(None, outer)), default=-1))
     for column in inner:
         for r, v in column.items():
-            for r2, v2 in pairs[r]:
+            for r2, v2 in outer[r].items():
                 sums[r2] += v * v2
         for r in column:
-            for r2, _ in pairs[r]:
+            for r2 in outer[r]:
                 if sums[r2]:
-                    raise error("boundary of boundary is nonzero")
-        yield column
+                    raise ArithmeticError("boundary of boundary is nonzero")
 
 
 class HomologyReport:
@@ -601,7 +611,7 @@ def homology_report(cc: ChainComplexData, policy: str = "bigint") -> HomologyRep
     for n in range(1, top + 1):
         rows = _morse_rows(cc.boundaries[n], pairs[n], critical[n - 1], critical[n], policy)
         # the rows of a boundary are the columns of its coboundary
-        deque(_composite_zero(rows, below, ArithmeticError), 0)
+        _composite_zero(rows, below)
         below = rows
         cols = sorted({j for row in rows for j in row})
         M = [[row.get(j, 0) for j in cols] for row in rows]

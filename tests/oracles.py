@@ -7,11 +7,12 @@ sweep the library now runs on blocks of ids, the per-boundary homology
 loop the library now runs after pairing off unit cells, the unit-pivot
 sweep the library replaced by an echelon certificate, the boundary
 entries summed in a (row, col) dict where the library keeps columns, the
-coreductions on dict columns the library now runs on packed ones, an
-order-theoretic notion or a word or map helper the library itself never
-needs, or a renumbering that gives the routes ids out of payload order,
-with the payload-keyed views they are then compared by.  None of them is
-used by csx.
+composite of consecutive boundaries that the library certifies by the
+identity audit instead, the coreductions on dict columns the library now
+runs on packed ones, an order-theoretic notion or a word or map helper
+the library itself never needs, or a renumbering that gives the routes
+ids out of payload order, with the payload-keyed views they are then
+compared by.  None of them is used by csx.
 """
 
 from __future__ import annotations
@@ -757,6 +758,26 @@ def boundary_triplets(X: TruncatedSimplicialSet, n: int) -> str:
     lines = [f"dims {len(rows)} {len(cols)}"]
     lines += [f"{r} {c} {v}" for (r, c), v in sorted(entries.items()) if v]
     return "\n".join(lines) + "\n"
+
+
+def nonzero_composites(cc) -> list[tuple[int, int]]:
+    """The (n, col) at which boundary n - 1 after boundary n is nonzero.
+
+    Each column of boundary n is composed with the columns of boundary
+    n - 1 it names, read back from the packed arrays.
+    """
+    bad = []
+    for n in range(2, cc.max_dim + 1):
+        outer, inner = cc.boundaries[n - 1], cc.boundaries[n]
+        below = [outer.column(r) for r in range(len(outer))]
+        for c in range(len(inner)):
+            total: dict[int, int] = {}
+            for r, v in inner.column(c).items():
+                for r2, v2 in below[r].items():
+                    total[r2] = total.get(r2, 0) + v * v2
+            if any(total.values()):
+                bad.append((n, c))
+    return bad
 
 
 # ---------------------------------------------------------------------------

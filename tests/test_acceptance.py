@@ -34,7 +34,7 @@ from csx.simpset import (
     nondegenerate_list,
     quotient_map,
 )
-from oracles import boundary_matrix, pulled_index
+from oracles import boundary_matrix, nonzero_composites, pulled_index
 
 Z = (1, ())
 ZERO = (0, ())
@@ -172,7 +172,9 @@ def test_criterion_9_property_suites():
     ok = all(audit_identities(X) == [] for X in objects)
     certified = 0
     for X in objects:
-        cc = normalized_complex(X)  # raises if any composite boundary is nonzero
+        cc = normalized_complex(X)
+        if nonzero_composites(cc):
+            ok = False
         for n in range(1, X.max_dim + 1):
             sm = boundary_matrix(cc, n)
             if sm.rows <= 200 and sm.cols <= 200:

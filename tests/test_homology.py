@@ -32,12 +32,13 @@ from csx.homology import (
     smith_normal_form,
     verify_transforms,
 )
-from csx.simpset import build_C, build_S, build_SC, build_delta
+from csx.simpset import TruncatedSimplicialSet, build_C, build_S, build_SC, build_delta
 from oracles import (
     SparseMatrix,
     boundary_matrix,
     det_by_expansion,
     homology_report_by_boundary,
+    nonzero_composites,
     rank_mod_p_by_sweep,
     sweep_smith_form,
     unit_pairing_by_dicts,
@@ -340,15 +341,50 @@ def test_quotient_homology_small():
 
 
 def test_boundary_composites_vanish():
-    for X in (build_SC(4), build_delta(2, 4)):
-        cc = normalized_complex(X)
-        for n in range(2, X.max_dim + 1):
-            outer, inner = boundary_matrix(cc, n - 1), boundary_matrix(cc, n)
-            dense_o = outer.to_dense()
-            dense_i = inner.to_dense()
-            for i in range(outer.rows):
-                for j in range(inner.cols):
-                    assert sum(dense_o[i][k] * dense_i[k][j] for k in range(outer.cols)) == 0
+    targets = [
+        build_S(5),
+        build_C(6),
+        build_SC(6),
+        build_delta(2, 4),
+        build_delta(3, 5),
+        _twisted(),
+        E_of((1, 3, 0, 2)).total,
+        _boundary3_bundle(),
+    ]
+    for X in targets:
+        assert nonzero_composites(normalized_complex(X)) == []
+    # a 2-cell bounded by one edge from vertex 1 to vertex 0
+    edge = ChainComplexData(2, [[0, 1], [0], [0]], [None, SparseColumns([{0: 1, 1: -1}]), SparseColumns([{0: 1}])])
+    assert nonzero_composites(edge) == [(2, 0)]
+
+
+def _with_face(X, n, i, k, face):
+    """A copy of X whose face i of simplex k in dimension n is face."""
+    faces = list(X.faces)
+    column = list(faces[n][i])
+    column[k] = face
+    faces[n] = faces[n][:i] + (tuple(column),) + faces[n][i + 1 :]
+    return TruncatedSimplicialSet(X.max_dim, X.payloads, faces, X.degeneracies)
+
+
+@pytest.mark.parametrize(
+    "forge, fault",
+    [
+        # id 25 is nondegenerate, and its new face 2, id 7, is too
+        (lambda: _with_face(build_SC(5), 5, 2, 25, 7), "d0 d2 != d1 d0 at dim 5 id 25"),
+        # triangle 0 = (0, 1, 2) with its faces 0 and 1 swapped
+        (lambda: _with_face(_with_face(boundary_delta(3), 2, 0, 0, 1), 2, 1, 0, 0), "d0 d2 != d1 d0 at dim 2 id 0"),
+    ],
+    ids=["SC5", "boundary3"],
+)
+def test_forged_face_is_refused_by_the_audit(forge, fault, monkeypatch):
+    X = forge()
+    with pytest.raises(ValueError, match="simplicial identity audit failed") as refused:
+        normalized_complex(X)
+    assert fault in str(refused.value)
+    # the forge breaks dd = 0, which assembly does not check on its own
+    monkeypatch.setattr(homology, "assert_valid", lambda X: None)
+    assert nonzero_composites(normalized_complex(X))
 
 
 @pytest.mark.parametrize(
@@ -363,10 +399,10 @@ def test_boundary_composites_vanish():
 )
 def test_composite_boundary_guard(outer, inner, vanishes):
     if vanishes:
-        list(homology._composite_zero(outer, inner))
+        homology._composite_zero(outer, inner)
     else:
-        with pytest.raises(ValueError, match="boundary of boundary is nonzero"):
-            list(homology._composite_zero(outer, inner))
+        with pytest.raises(ArithmeticError, match="boundary of boundary is nonzero"):
+            homology._composite_zero(outer, inner)
 
 
 def test_homology_report_json_and_pretty():
