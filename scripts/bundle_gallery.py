@@ -13,7 +13,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import time
 from itertools import product
 
 from csx.bundles import (
@@ -35,7 +34,6 @@ from csx.simpset import dumps_canonical
 def one_row(bits: tuple[int, ...], policy: str) -> dict:
     cochain = TwoCochain(bits)
     decor = decorate_from_cochain(boundary_delta(3), cochain)
-    t0 = time.time()
     rep = homology_report(normalized_complex(total_space(decor).total), policy=policy)
     partial = {(2, k): (TWISTED if bits[k] else FLAT) for k in range(4)}
     filled = extend_decoration(solid_delta(3), partial)
@@ -44,7 +42,6 @@ def one_row(bits: tuple[int, ...], policy: str) -> dict:
         "degree": sphere_cochain_degree(cochain),
         "extends_over_3_cell": isinstance(filled, Decoration),
         "groups": [rep.pretty(k) for k in range(4)],
-        "seconds": round(time.time() - t0, 3),
     }
 
 

@@ -56,12 +56,14 @@ def _subset_base(max_dim: int, subsets_by_dim) -> TruncatedSimplicialSet:
     return from_rules(max_dim, subsets_by_dim, lambda n, s, i: s[:i] + s[i + 1 :])
 
 
+@lru_cache(maxsize=16)
 def solid_delta(n: int) -> TruncatedSimplicialSet:
     """The n-simplex as a face-only object: all nonempty vertex subsets."""
     by_dim = [list(combinations(range(n + 1), m + 1)) for m in range(n + 1)]
     return _subset_base(n, by_dim)
 
 
+@lru_cache(maxsize=16)
 def boundary_delta(n: int) -> TruncatedSimplicialSet:
     """The boundary sphere of the n-simplex: proper nonempty vertex subsets."""
     if n < 1:
@@ -70,6 +72,7 @@ def boundary_delta(n: int) -> TruncatedSimplicialSet:
     return _subset_base(n - 1, by_dim)
 
 
+@lru_cache(maxsize=32)
 def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> TruncatedSimplicialSet:
     """Adjoin the formal degeneracies of a face-only object.
 
@@ -81,7 +84,8 @@ def complete_semisimplicial(base: TruncatedSimplicialSet, max_dim: int) -> Trunc
     face i drops it, and when that loses the value v = eta[i] the
     surjection is squeezed and b replaced by its face v.  So every table
     column of a block is a block of the adjacent dimension, read through a
-    face column of the base in the second case.
+    face column of the base in the second case.  Kept per base object and
+    depth, so the decorations of one base share one completion.
     """
     if base.has_degeneracies:
         raise ValueError("expected a face-only base")
@@ -161,7 +165,7 @@ class Decoration:
         return self.assignment[n][k]
 
 
-def decoration_map(decor: Decoration, max_dim: int, completed=None) -> SimplicialMap:
+def decoration_map(decor: Decoration, max_dim: int) -> SimplicialMap:
     """The simplicial map induced on the degeneracy completion of the base.
 
     The completed simplex (eta, b) goes to eta applied to the class of b.
@@ -171,8 +175,7 @@ def decoration_map(decor: Decoration, max_dim: int, completed=None) -> Simplicia
     eta with place i removed, so its image is that block's image read
     through SC's degeneracy column i.
     """
-    if completed is None:
-        completed = complete_semisimplicial(decor.base, max_dim)
+    completed = complete_semisimplicial(decor.base, max_dim)
     SC = build_SC(max_dim)
     table, below = [], {}
     for m, level in enumerate(completed.payloads):
@@ -215,11 +218,9 @@ def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpa
     """
     if max_dim is None:
         max_dim = decor.base.max_dim + 2
-    completed = complete_semisimplicial(decor.base, max_dim)
-    dec = decoration_map(decor, max_dim, completed)
-    q = quotient_map(max_dim)
-    total, proj, classifying = pullback(dec, q)
-    return BundleTotalSpace(total, completed, proj, classifying, dec)
+    dec = decoration_map(decor, max_dim)
+    total, proj, classifying = pullback(dec, quotient_map(max_dim))
+    return BundleTotalSpace(total, dec.source, proj, classifying, dec)
 
 
 def _acted(g: Word, max_dim: int) -> list[list[Word]]:

@@ -10,6 +10,7 @@ only audited where both sides exist.
 from __future__ import annotations
 
 import json
+import weakref
 from functools import cached_property, lru_cache
 from itertools import permutations, repeat
 from math import factorial
@@ -34,8 +35,13 @@ class TruncatedSimplicialSet:
     of the i-th degeneracy, stored for n < max_dim; None for face-only
     objects.  Rows, one per simplex, exist only in the JSON form.  Given
     counts, the level sizes, payloads is a function of n giving level n's
-    payloads; the levels are made on first read and kept.
+    payloads; the levels are made on first read and kept.  Tables are never
+    mutated after construction: a changed table is a new object, so an
+    object that has passed assert_valid stays valid.  factors is None, or
+    for a pullback the two sources whose audits certify it.
     """
+
+    factors = None
 
     def __init__(self, max_dim, payloads, faces, degeneracies, counts=None):
         self.max_dim, self.faces, self.degeneracies = max_dim, faces, degeneracies
@@ -180,10 +186,24 @@ def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
     return bad
 
 
+_VALID: weakref.WeakSet = weakref.WeakSet()
+
+
 def assert_valid(X: TruncatedSimplicialSet) -> None:
-    bad = audit_identities(X)
-    if bad:
-        raise ValueError("simplicial identity audit failed: " + "; ".join(bad[:5]))
+    """Raise ValueError unless X passes the identity audit, run once per object in _VALID.
+
+    A pullback passes when its factors do (see pullback); its own tables are not audited.
+    """
+    if X in _VALID:
+        return
+    if X.factors is None:
+        bad = audit_identities(X)
+        if bad:
+            raise ValueError("simplicial identity audit failed: " + "; ".join(bad[:5]))
+    else:
+        for factor in X.factors:
+            assert_valid(factor)
+    _VALID.add(X)
 
 
 class SimplicialMap:
@@ -422,9 +442,19 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     the columns of X and Y at the pairs' coordinates.  The projections are
     the coordinate tables, and a pair is determined by its two coordinates,
     so an entry of P's tables is right exactly when both projections
-    commute with it: their construction-time checks certify P.  Two target
-    objects are one target when their sizes and tables agree; their
+    commute with it: their construction-time checks certify P's tables.  Two
+    target objects are one target when their sizes and tables agree; their
     payloads are not read.
+
+    P records (X, Y) as its factors, and assert_valid(P), when it is asked,
+    audits X and Y in place of P:
+
+    - both projections commute with every face and degeneracy of P
+      (checked at construction);
+    - (first, second) is injective on each level, because each id pair is
+      listed once;
+    - so an identity holds at a simplex of P exactly when it holds at both
+      coordinates, which X's and Y's audits certify.
     """
     X, Y = p.source, q.source
     Z, W = p.target, q.target
@@ -470,6 +500,7 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
         return zip(map(X.payloads[n].__getitem__, firsts[n]), map(Y.payloads[n].__getitem__, seconds[n]))
 
     P = TruncatedSimplicialSet(max_dim, pairs, faces, degeneracies, map(len, firsts))
+    P.factors = (X, Y)
     return P, SimplicialMap(P, X, firsts), SimplicialMap(P, Y, seconds)
 
 

@@ -10,9 +10,10 @@ entries summed in a (row, col) dict where the library keeps columns, the
 composite of consecutive boundaries that the library certifies by the
 identity audit instead, the coreductions on dict columns the library now
 runs on packed ones, an order-theoretic notion or a word or map helper
-the library itself never needs, or a renumbering that gives the routes
+the library itself never needs, a renumbering that gives the routes
 ids out of payload order, with the payload-keyed views they are then
-compared by.  None of them is used by csx.
+compared by, or a copy with one face changed that the audit must refuse.
+None of them is used by csx.
 """
 
 from __future__ import annotations
@@ -543,7 +544,7 @@ def E_of_by_payload(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
 
 
 # ---------------------------------------------------------------------------
-# renumbering
+# renumbering and forging
 
 
 def shuffled_ids(X, seed):
@@ -570,6 +571,15 @@ def shuffled_ids(X, seed):
             level["degeneracies"] = [[new_id[n + 1][s] for s in rows[k]] for k in order]
         dims.append(level)
     return sset_from_json({"max_dim": X.max_dim, "dims": dims}), orders
+
+
+def with_face(X, n, i, k, face):
+    """A new object with X's tables, except that face i of simplex k in dimension n is face."""
+    faces = list(X.faces)
+    column = list(faces[n][i])
+    column[k] = face
+    faces[n] = faces[n][:i] + (tuple(column),) + faces[n][i + 1 :]
+    return TruncatedSimplicialSet(X.max_dim, X.payloads, faces, X.degeneracies)
 
 
 # ---------------------------------------------------------------------------

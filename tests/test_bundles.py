@@ -1,6 +1,8 @@
 """Bases, decorations, total spaces, and the two structural comparisons."""
 
+import inspect
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -30,6 +32,8 @@ from csx.bundles import (
 from csx.homology import homology_report, normalized_complex
 from csx.perms import all_perms
 from csx.simpset import (
+    SimplicialMap,
+    assert_valid,
     audit_identities,
     build_S,
     build_SC,
@@ -53,6 +57,7 @@ from oracles import (
     sc_face,
     shuffled_ids,
     sset_tables,
+    with_face,
 )
 
 
@@ -299,6 +304,65 @@ def test_total_space_over_triangle_matches_orbit_bundle():
     assert rep_t.groups == rep_e.groups
 
 
+def test_decorations_of_one_base_share_one_completion():
+    assert boundary_delta(3) is boundary_delta(3) and solid_delta(3) is solid_delta(3)
+    completed = complete_semisimplicial(boundary_delta(3), 6)
+    for bits in product((0, 1), repeat=4):
+        decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
+        assert decoration_map(decor, 6).source is completed
+        assert total_space(decor, 6).base is completed
+    assert list(inspect.signature(decoration_map).parameters) == ["decor", "max_dim"]
+
+
+def _audited(monkeypatch) -> list:
+    """The objects audit_identities runs on from now on, with no object yet known valid."""
+    audited = []
+    real = simpset.audit_identities
+    monkeypatch.setattr(simpset, "audit_identities", lambda X: audited.append(X) or real(X))
+    monkeypatch.setattr(simpset, "_VALID", weakref.WeakSet())
+    return audited
+
+
+def test_total_space_is_certified_by_its_factors(monkeypatch):
+    audited = _audited(monkeypatch)
+    decors = [decorate_from_cochain(boundary_delta(3), TwoCochain(b)) for b in product((0, 1), repeat=4)]
+    built = [total_space(decor, 5) for decor in decors]
+    # building a bundle audits nothing
+    assert audited == []
+    for bundle in built:
+        P = bundle.total
+        assert P.factors == (bundle.base, build_S(5))
+        assert bundle.projection.source is bundle.classifying.source is P
+        normalized_complex(P)
+    assert audited == [built[0].base, build_S(5)]
+
+
+def test_pullback_of_a_forged_base_is_refused():
+    # triangle 0 = (0, 1, 2) with its faces 0 and 1 swapped; every edge keeps the one class of SC(1)
+    forged = with_face(with_face(boundary_delta(3), 2, 0, 0, 1), 2, 1, 0, 0)
+    decor = Decoration(forged, [(0,) * 4, (0,) * 6, (TWISTED, FLAT, FLAT, FLAT)])
+    P, _, _ = pullback(SimplicialMap(forged, build_SC(2), decor.assignment), quotient_map(2))
+    assert P.factors[0] is forged
+    with pytest.raises(ValueError, match="simplicial identity audit failed") as refused:
+        assert_valid(P)
+    assert "d0 d2 != d1 d0 at dim 2 id 0" in str(refused.value)
+    # over the forged base's completion the projections commute, and the audit still refuses
+    with pytest.raises(ValueError, match="simplicial identity audit failed"):
+        normalized_complex(total_space(decor, 5).total)
+
+
+def test_forged_copy_of_a_total_space_is_audited_directly(monkeypatch):
+    audited = _audited(monkeypatch)
+    P = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))), 5).total
+    assert_valid(P)
+    k = nondegenerate_list(P, 3)[0]
+    forged = with_face(P, 3, 2, k, P.faces[3][0][k])
+    assert forged.factors is None
+    with pytest.raises(ValueError, match=f"simplicial identity audit failed: d0 d2 != d1 d0 at dim 3 id {k}"):
+        assert_valid(forged)
+    assert audited[-1] is forged and P not in audited
+
+
 def test_hopf_total_space_counts():
     decor = decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0)))
     bundle = total_space(decor)
@@ -337,9 +401,8 @@ def test_decoration_map_restricts_to_assignment():
 @pytest.mark.parametrize("bits", list(product((0, 1), repeat=4)))
 def test_total_space_tables_match_payload_rules(bits):
     decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
-    completed = complete_semisimplicial(decor.base, 5)
-    dec = decoration_map(decor, 5, completed)
-    assert dec.table == decoration_map_by_payload(decor, completed).table
+    dec = decoration_map(decor, 5)
+    assert dec.table == decoration_map_by_payload(decor, dec.source).table
     q = quotient_map(5)
     assert pullback_tables(pullback(dec, q)) == pullback_tables(pullback_by_payload(dec, q))
 

@@ -32,7 +32,7 @@ from csx.homology import (
     smith_normal_form,
     verify_transforms,
 )
-from csx.simpset import TruncatedSimplicialSet, build_C, build_S, build_SC, build_delta
+from csx.simpset import build_C, build_S, build_SC, build_delta
 from oracles import (
     SparseMatrix,
     boundary_matrix,
@@ -43,6 +43,7 @@ from oracles import (
     sweep_smith_form,
     unit_pairing_by_dicts,
     verify_transforms_by_rows,
+    with_face,
 )
 
 # invariant factors computed from determinant divisors:
@@ -358,22 +359,13 @@ def test_boundary_composites_vanish():
     assert nonzero_composites(edge) == [(2, 0)]
 
 
-def _with_face(X, n, i, k, face):
-    """A copy of X whose face i of simplex k in dimension n is face."""
-    faces = list(X.faces)
-    column = list(faces[n][i])
-    column[k] = face
-    faces[n] = faces[n][:i] + (tuple(column),) + faces[n][i + 1 :]
-    return TruncatedSimplicialSet(X.max_dim, X.payloads, faces, X.degeneracies)
-
-
 @pytest.mark.parametrize(
     "forge, fault",
     [
         # id 25 is nondegenerate, and its new face 2, id 7, is too
-        (lambda: _with_face(build_SC(5), 5, 2, 25, 7), "d0 d2 != d1 d0 at dim 5 id 25"),
+        (lambda: with_face(build_SC(5), 5, 2, 25, 7), "d0 d2 != d1 d0 at dim 5 id 25"),
         # triangle 0 = (0, 1, 2) with its faces 0 and 1 swapped
-        (lambda: _with_face(_with_face(boundary_delta(3), 2, 0, 0, 1), 2, 1, 0, 0), "d0 d2 != d1 d0 at dim 2 id 0"),
+        (lambda: with_face(with_face(boundary_delta(3), 2, 0, 0, 1), 2, 1, 0, 0), "d0 d2 != d1 d0 at dim 2 id 0"),
     ],
     ids=["SC5", "boundary3"],
 )
