@@ -408,8 +408,8 @@ def normalized_complex(X: TruncatedSimplicialSet) -> ChainComplexData:
 
     Each identity used lies inside the truncation, where audit_identities
     checks it.  For a pullback, such as a bundle's total space, the
-    certificate is its factors' audits: an identity holds on a pair exactly
-    when it holds on both coordinates (simpset.pullback).
+    certificate can be its factors' audits: an identity holds on a pair
+    exactly when it holds on both coordinates (simpset.pullback).
     """
     assert_valid(X)
     basis = [nondegenerate_list(X, n) for n in range(X.max_dim + 1)]

@@ -37,11 +37,12 @@ class TruncatedSimplicialSet:
     counts, the level sizes, payloads is a function of n giving level n's
     payloads; the levels are made on first read and kept.  Tables are never
     mutated after construction: a changed table is a new object, so an
-    object that has passed assert_valid stays valid.  factors is None, or
-    for a pullback the two sources whose audits certify it.
+    object that has passed assert_valid stays valid.  _factors is None, or
+    for a pullback the two sources whose audits can certify it; only
+    pullback, which checks both projections, sets it.
     """
 
-    factors = None
+    _factors = None
 
     def __init__(self, max_dim, payloads, faces, degeneracies, counts=None):
         self.max_dim, self.faces, self.degeneracies = max_dim, faces, degeneracies
@@ -187,23 +188,48 @@ def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
 
 
 _VALID: weakref.WeakSet = weakref.WeakSet()
+# per factor not yet audited, the simplices of pullbacks over it that were audited on their own
+_DEFERRED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def assert_valid(X: TruncatedSimplicialSet) -> None:
     """Raise ValueError unless X passes the identity audit, run once per object in _VALID.
 
-    A pullback passes when its factors do (see pullback); its own tables are not audited.
+    A pullback is certified by its factors' audits (see pullback) when
+    _by_factors says they are due; otherwise its own tables are audited.
     """
     if X in _VALID:
         return
-    if X.factors is None:
+    if not _by_factors(X):
         bad = audit_identities(X)
         if bad:
             raise ValueError("simplicial identity audit failed: " + "; ".join(bad[:5]))
-    else:
-        for factor in X.factors:
-            assert_valid(factor)
     _VALID.add(X)
+
+
+def _by_factors(P: TruncatedSimplicialSet) -> bool:
+    """Whether P is certified by auditing its factors, which this then does.
+
+    An audit's cost is taken as its object's simplex count.  A factor not
+    yet audited is due once its count is at most P's plus those of the
+    earlier pullbacks over it that were audited on their own.  When every
+    such factor is due, they are audited and certify P; otherwise P is
+    audited and its count is charged to each of them.  So a one-off bundle
+    over a large S(n) costs one audit of its total space, and the bundles
+    of one base at one depth stop being audited once their audits add up
+    to the cost of the factors'.
+    """
+    if P._factors is None:
+        return False
+    size = sum(P._counts)
+    pending = [f for f in P._factors if f not in _VALID]
+    if any(_DEFERRED.get(f, 0) + size < sum(f._counts) for f in pending):
+        for f in pending:
+            _DEFERRED[f] = _DEFERRED.get(f, 0) + size
+        return False
+    for f in pending:
+        assert_valid(f)
+    return True
 
 
 class SimplicialMap:
@@ -446,8 +472,9 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     target objects are one target when their sizes and tables agree; their
     payloads are not read.
 
-    P records (X, Y) as its factors, and assert_valid(P), when it is asked,
-    audits X and Y in place of P:
+    P records (X, Y) as its factors, and assert_valid(P), when it is asked
+    and the factors' audits are due (see _by_factors), audits X and Y in
+    place of P:
 
     - both projections commute with every face and degeneracy of P
       (checked at construction);
@@ -500,7 +527,7 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
         return zip(map(X.payloads[n].__getitem__, firsts[n]), map(Y.payloads[n].__getitem__, seconds[n]))
 
     P = TruncatedSimplicialSet(max_dim, pairs, faces, degeneracies, map(len, firsts))
-    P.factors = (X, Y)
+    P._factors = (X, Y)
     return P, SimplicialMap(P, X, firsts), SimplicialMap(P, Y, seconds)
 
 

@@ -12,17 +12,19 @@ identity audit instead, the coreductions on dict columns the library now
 runs on packed ones, an order-theoretic notion or a word or map helper
 the library itself never needs, a renumbering that gives the routes
 ids out of payload order, with the payload-keyed views they are then
-compared by, or a copy with one face changed that the audit must refuse.
-None of them is used by csx.
+compared by, a copy with one face changed that the audit must refuse, or
+a record of the objects the audit runs on.  None of them is used by csx.
 """
 
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from itertools import product
 from operator import add
 
+from csx import simpset
 from csx.bundles import BundleTotalSpace
 from csx.checks import _check_result
 from csx.constructions import sset_from_json
@@ -580,6 +582,16 @@ def with_face(X, n, i, k, face):
     column[k] = face
     faces[n] = faces[n][:i] + (tuple(column),) + faces[n][i + 1 :]
     return TruncatedSimplicialSet(X.max_dim, X.payloads, faces, X.degeneracies)
+
+
+def audited(monkeypatch) -> list:
+    """The objects audit_identities runs on from now on, with no object yet audited or charged."""
+    seen = []
+    real = simpset.audit_identities
+    monkeypatch.setattr(simpset, "audit_identities", lambda X: seen.append(X) or real(X))
+    monkeypatch.setattr(simpset, "_VALID", weakref.WeakSet())
+    monkeypatch.setattr(simpset, "_DEFERRED", weakref.WeakKeyDictionary())
+    return seen
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Bases, decorations, total spaces, and the two structural comparisons."""
 
-import inspect
 import random
-import weakref
 from itertools import product
 
 import pytest
@@ -57,6 +55,7 @@ from oracles import (
     sc_face,
     shuffled_ids,
     sset_tables,
+    audited,
     with_face,
 )
 
@@ -311,38 +310,44 @@ def test_decorations_of_one_base_share_one_completion():
         decor = decorate_from_cochain(boundary_delta(3), TwoCochain(bits))
         assert decoration_map(decor, 6).source is completed
         assert total_space(decor, 6).base is completed
-    assert list(inspect.signature(decoration_map).parameters) == ["decor", "max_dim"]
 
 
-def _audited(monkeypatch) -> list:
-    """The objects audit_identities runs on from now on, with no object yet known valid."""
-    audited = []
-    real = simpset.audit_identities
-    monkeypatch.setattr(simpset, "audit_identities", lambda X: audited.append(X) or real(X))
-    monkeypatch.setattr(simpset, "_VALID", weakref.WeakSet())
-    return audited
-
-
-def test_total_space_is_certified_by_its_factors(monkeypatch):
-    audited = _audited(monkeypatch)
+def test_bundles_of_one_base_are_certified_by_their_factors(monkeypatch):
+    seen = audited(monkeypatch)
     decors = [decorate_from_cochain(boundary_delta(3), TwoCochain(b)) for b in product((0, 1), repeat=4)]
-    built = [total_space(decor, 5) for decor in decors]
+    built = [total_space(decor, 6) for decor in decors]
     # building a bundle audits nothing
-    assert audited == []
+    assert seen == []
     for bundle in built:
         P = bundle.total
-        assert P.factors == (bundle.base, build_S(5))
+        assert P._factors == (bundle.base, build_S(6))
         assert bundle.projection.source is bundle.classifying.source is P
         normalized_complex(P)
-    assert audited == [built[0].base, build_S(5)]
+    # 1624 simplices a total space, 294 in the completion, 5913 in S(6): the first
+    # three total spaces are audited on their own, and their 4872 simplices with
+    # the fourth's 1624 pay for S(6)'s audit, which then certifies the rest
+    sizes = [sum(X._counts) for X in (built[0].total, built[0].base, build_S(6))]
+    assert sizes == [1624, 294, 5913]
+    assert seen == [bundle.total for bundle in built[:3]] + [built[0].base, build_S(6)]
 
 
-def test_pullback_of_a_forged_base_is_refused():
+def test_one_off_bundle_over_a_large_classifying_space_audits_itself(monkeypatch):
+    seen = audited(monkeypatch)
+    P = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))), 7).total
+    normalized_complex(P)
+    # S(7) has 46233 simplices against the total space's 2664
+    assert seen == [P]
+
+
+def test_pullback_of_a_forged_base_is_refused(monkeypatch):
+    audited(monkeypatch)
     # triangle 0 = (0, 1, 2) with its faces 0 and 1 swapped; every edge keeps the one class of SC(1)
     forged = with_face(with_face(boundary_delta(3), 2, 0, 0, 1), 2, 1, 0, 0)
     decor = Decoration(forged, [(0,) * 4, (0,) * 6, (TWISTED, FLAT, FLAT, FLAT)])
     P, _, _ = pullback(SimplicialMap(forged, build_SC(2), decor.assignment), quotient_map(2))
-    assert P.factors[0] is forged
+    assert P._factors[0] is forged
+    # P's own audit refuses it too: an identity fails on a pair where it fails on a coordinate
+    assert audit_identities(P)
     with pytest.raises(ValueError, match="simplicial identity audit failed") as refused:
         assert_valid(P)
     assert "d0 d2 != d1 d0 at dim 2 id 0" in str(refused.value)
@@ -352,15 +357,15 @@ def test_pullback_of_a_forged_base_is_refused():
 
 
 def test_forged_copy_of_a_total_space_is_audited_directly(monkeypatch):
-    audited = _audited(monkeypatch)
+    seen = audited(monkeypatch)
     P = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))), 5).total
     assert_valid(P)
     k = nondegenerate_list(P, 3)[0]
     forged = with_face(P, 3, 2, k, P.faces[3][0][k])
-    assert forged.factors is None
+    assert forged._factors is None
     with pytest.raises(ValueError, match=f"simplicial identity audit failed: d0 d2 != d1 d0 at dim 3 id {k}"):
         assert_valid(forged)
-    assert audited[-1] is forged and P not in audited
+    assert seen[-1] is forged and P not in seen
 
 
 def test_hopf_total_space_counts():

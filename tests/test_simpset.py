@@ -2,13 +2,11 @@
 
 import json
 import random
-import weakref
 from math import comb, factorial
 from types import SimpleNamespace
 
 import pytest
 
-from csx import simpset
 from csx.bundles import (
     E_of,
     _parse_circ,
@@ -47,6 +45,7 @@ from csx.simpset import (
 )
 from oracles import (
     audit_identities_by_rows,
+    audited,
     build_S_by_words,
     build_SC_by_words,
     evaluate_operator,
@@ -65,8 +64,8 @@ from oracles import (
     sset_tables,
     tau,
     twisted_product_by_payload,
-    yoneda_by_peeling,
     with_face,
+    yoneda_by_peeling,
 )
 
 # relabeling-free fixed points under rotation: nondegenerate class counts
@@ -161,25 +160,22 @@ def test_audit_catches_corruption():
 
 
 def test_assert_valid_audits_an_object_once(monkeypatch):
-    audited = []
-    real = simpset.audit_identities
-    monkeypatch.setattr(simpset, "audit_identities", lambda X: audited.append(X) or real(X))
-    monkeypatch.setattr(simpset, "_VALID", weakref.WeakSet())
+    seen = audited(monkeypatch)
     X = build_delta.__wrapped__(2, 3)
     assert_valid(X)
     assert_valid(X)
-    assert audited == [X]
+    assert seen == [X]
     # the same tables in a new object are audited on their own
     Y = TruncatedSimplicialSet(X.max_dim, X.payloads, X.faces, X.degeneracies)
     assert_valid(Y)
-    assert audited == [X, Y]
+    assert seen == [X, Y]
     # a refused object is audited, and refused, every time
     k = X.id_of(2, (0, 1, 2))
     broken = with_face(X, 2, 0, k, X.faces[2][1][k])
     for _ in range(2):
         with pytest.raises(ValueError, match="simplicial identity audit failed"):
             assert_valid(broken)
-    assert audited == [X, Y, broken, broken]
+    assert seen == [X, Y, broken, broken]
 
 
 @pytest.mark.parametrize("max_dim", range(8))
