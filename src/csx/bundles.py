@@ -41,6 +41,7 @@ from .simpset import (
     from_rules,
     pullback,
     quotient_map,
+    quotient_over,
     sset_to_json,
 )
 
@@ -200,27 +201,32 @@ class BundleTotalSpace:
     """A total space with its projection to the base and classifying map.
 
     pulled_along is the map from the base to SC that the quotient was pulled
-    back along; None for E_of, which is written down directly.
+    back along, and quotient the quotient it pulled back, whose source the
+    classifying map lands in; both None for E_of, which is written down
+    directly.
     """
 
-    def __init__(self, total, base, projection, classifying, pulled_along=None):
+    def __init__(self, total, base, projection, classifying, pulled_along=None, quotient=None):
         self.total, self.base, self.projection = total, base, projection
-        self.classifying, self.pulled_along = classifying, pulled_along
+        self.classifying, self.pulled_along, self.quotient = classifying, pulled_along, quotient
 
 
 def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpace:
     """Pull the word-to-rotation-class quotient back along the decoration.
 
     Simplices are pairs (completed base simplex, permutation word) whose
-    rotation class matches the decoration.  max_dim defaults to two above
-    the base so that the top reported homology of a circle bundle over the
-    base is reliable.
+    rotation class matches the decoration.  Only the words over the
+    decoration's image are read: the quotient is restricted to it
+    (quotient_over), which numbers the pairs as the whole quotient would.
+    max_dim defaults to two above the base so that the top reported
+    homology of a circle bundle over the base is reliable.
     """
     if max_dim is None:
         max_dim = decor.base.max_dim + 2
     dec = decoration_map(decor, max_dim)
-    total, proj, classifying = pullback(dec, quotient_map(max_dim))
-    return BundleTotalSpace(total, dec.source, proj, classifying, dec)
+    q = quotient_over(tuple(tuple(sorted(set(level))) for level in dec.table), max_dim)
+    total, proj, classifying = pullback(dec, q)
+    return BundleTotalSpace(total, dec.source, proj, classifying, dec, q)
 
 
 def _acted(g: Word, max_dim: int) -> list[list[Word]]:

@@ -28,7 +28,6 @@ from .simpset import (
     build_delta,
     dumps_canonical,
     nondegenerate_list,
-    quotient_map,
     sset_to_json,
 )
 
@@ -219,14 +218,13 @@ def cmd_bundle(args) -> tuple[dict, int]:
     decor, base_name, bundle = _load_bundle(args.max_dim, args)
     X = bundle.total
 
-    # the defining square: classifying composed with the quotient must equal
-    # the decoration map composed with the projection
-    q = quotient_map(X.max_dim)
-    dec = bundle.pulled_along
+    # the defining square: classifying composed with the quotient it was pulled back
+    # along must equal the decoration map composed with the projection, level by level
+    q, dec = bundle.quotient.table, bundle.pulled_along.table
     square_ok = all(
-        q.apply(n, bundle.classifying.apply(n, k)) == dec.apply(n, bundle.projection.apply(n, k))
+        list(map(q[n].__getitem__, bundle.classifying.table[n]))
+        == list(map(dec[n].__getitem__, bundle.projection.table[n]))
         for n in range(X.max_dim + 1)
-        for k in range(X.simplex_count(n))
     )
 
     cc = normalized_complex(X)

@@ -188,48 +188,23 @@ def audit_identities(X: TruncatedSimplicialSet) -> list[str]:
 
 
 _VALID: weakref.WeakSet = weakref.WeakSet()
-# per factor not yet audited, the simplices of pullbacks over it that were audited on their own
-_DEFERRED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def assert_valid(X: TruncatedSimplicialSet) -> None:
     """Raise ValueError unless X passes the identity audit, run once per object in _VALID.
 
-    A pullback is certified by its factors' audits (see pullback) when
-    _by_factors says they are due; otherwise its own tables are audited.
+    A pullback is certified by its factors' audits (see pullback), not its own.
     """
     if X in _VALID:
         return
-    if not _by_factors(X):
+    if X._factors is not None:
+        for factor in X._factors:
+            assert_valid(factor)
+    else:
         bad = audit_identities(X)
         if bad:
             raise ValueError("simplicial identity audit failed: " + "; ".join(bad[:5]))
     _VALID.add(X)
-
-
-def _by_factors(P: TruncatedSimplicialSet) -> bool:
-    """Whether P is certified by auditing its factors, which this then does.
-
-    An audit's cost is taken as its object's simplex count.  A factor not
-    yet audited is due once its count is at most P's plus those of the
-    earlier pullbacks over it that were audited on their own.  When every
-    such factor is due, they are audited and certify P; otherwise P is
-    audited and its count is charged to each of them.  So a one-off bundle
-    over a large S(n) costs one audit of its total space, and the bundles
-    of one base at one depth stop being audited once their audits add up
-    to the cost of the factors'.
-    """
-    if P._factors is None:
-        return False
-    size = sum(P._counts)
-    pending = [f for f in P._factors if f not in _VALID]
-    if any(_DEFERRED.get(f, 0) + size < sum(f._counts) for f in pending):
-        for f in pending:
-            _DEFERRED[f] = _DEFERRED.get(f, 0) + size
-        return False
-    for f in pending:
-        assert_valid(f)
-    return True
 
 
 class SimplicialMap:
@@ -456,6 +431,93 @@ def quotient_map(max_dim: int) -> SimplicialMap:
     return SimplicialMap(S, SC, table)
 
 
+def _word_rank(w) -> int:
+    """The id in S of a permutation word: its lexicographic rank.
+
+    Each letter's place among the letters not yet read is a digit of the
+    rank in the factorial base.
+    """
+    letters, rank, size = list(range(len(w))), 0, len(w)
+    for i, a in enumerate(w):
+        j = letters.index(a)
+        del letters[j]
+        rank = rank * (size - i) + j
+    return rank
+
+
+def _word_of(k: int, n: int) -> tuple[int, ...]:
+    """The word of degree n with id k in S."""
+    letters, word = list(range(n + 1)), []
+    for m in range(n, -1, -1):
+        j, k = divmod(k, factorial(m))
+        word.append(letters.pop(j))
+    return tuple(word)
+
+
+def _rotation_ids(n: int, c: int) -> list[int]:
+    """The S(n) ids of the n + 1 rotations of class c of degree n.
+
+    Class c is 0 t with t - 1 the word of id c of degree n - 1; its rotation
+    with the 0 at place j is x 0 y with y x = t and j letters in x.
+    """
+    t = tuple(v + 1 for v in _word_of(c, n - 1)) if n else ()
+    return [_word_rank(t[n - j :] + (0,) + t[: n - j]) for j in range(n + 1)]
+
+
+@lru_cache(maxsize=64)
+def quotient_over(image: tuple[tuple[int, ...], ...], max_dim: int) -> SimplicialMap:
+    """The quotient map over a simplicial subset of SC(max_dim), given by its ids per degree.
+
+    Its source is the sub-object of S(max_dim) made of the rotations of the
+    subset's classes.  Its ids follow S's, so a pullback along it numbers
+    its pairs as one along quotient_map(max_dim) does.  The rotations' ids
+    come by rank arithmetic; the source's tables are S's columns read at
+    them and renumbered, and its words are made on first read.  Neither S's
+    words nor SC's classes are made.  A subset not closed under faces and
+    degeneracies raises ValueError.  Kept per image and depth, so the
+    bundles whose decorations share an image share one map.
+    """
+    if len(image) != max_dim + 1:
+        raise ValueError("image must give the ids of every degree 0..max_dim")
+    S, SC = build_S(max_dim), build_SC(max_dim)
+    ids, classes = [], []
+    for n, level in enumerate(image):
+        if not all(0 <= c < SC.simplex_count(n) for c in level):
+            raise ValueError(f"class id out of range in degree {n}")
+        over = sorted((s, c) for c in set(level) for s in _rotation_ids(n, c))
+        ids.append(tuple(s for s, _ in over))
+        classes.append(tuple(c for _, c in over))
+    local = [{s: k for k, s in enumerate(level)} for level in ids]
+
+    def table(cols, n, target, kind):
+        renumber = local[target].__getitem__
+        try:
+            return tuple(tuple(map(renumber, _getter(ids[n])(col))) for col in cols)
+        except KeyError:
+            raise ValueError(f"image not closed under {kind} at degree {n}") from None
+
+    faces = [None] + [table(S.faces[n], n, n - 1, "faces") for n in range(1, max_dim + 1)]
+    degeneracies = [table(S.degeneracies[n], n, n + 1, "degeneracies") for n in range(max_dim)]
+
+    def words(n):
+        return map(_word_of, ids[n], repeat(n))
+
+    source = TruncatedSimplicialSet(max_dim, words, faces, degeneracies, map(len, ids))
+    return SimplicialMap(source, SC, classes)
+
+
+def _lift(col, values, at, size: int) -> tuple:
+    """values[col[c]] for each of the size coordinates c that at reads.
+
+    A column shorter than size is read through values first and the result
+    through at, which is built once per level; a longer column is read at
+    the coordinates first, so no getter is built over it.
+    """
+    if len(col) < size:
+        return at(_getter(col)(values))
+    return _getter(at(col))(values)
+
+
 def pullback(p: SimplicialMap, q: SimplicialMap):
     """The levelwise fiber product of p: X -> Z and q: Y -> Z.
 
@@ -472,8 +534,7 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
     target objects are one target when their sizes and tables agree; their
     payloads are not read.
 
-    P records (X, Y) as its factors, and assert_valid(P), when it is asked
-    and the factors' audits are due (see _by_factors), audits X and Y in
+    P records (X, Y) as its factors, and assert_valid(P) audits X and Y in
     place of P:
 
     - both projections commute with every face and degeneracy of P
@@ -511,8 +572,9 @@ def pullback(p: SimplicialMap, q: SimplicialMap):
         # stores one shared object per id instead of one per table entry
         ids = list(range(len(firsts[target])))
         cols = []
+        size = len(firsts[n])
         for x_col, y_col in zip(x_cols, y_cols):
-            sums = map(add, _getter(at_first(x_col))(start), _getter(at_second(y_col))(rank))
+            sums = map(add, _lift(x_col, start, at_first, size), _lift(y_col, rank, at_second, size))
             cols.append(_getter(tuple(sums))(ids))
         return tuple(cols)
 

@@ -585,12 +585,11 @@ def with_face(X, n, i, k, face):
 
 
 def audited(monkeypatch) -> list:
-    """The objects audit_identities runs on from now on, with no object yet audited or charged."""
+    """The objects audit_identities runs on from now on, with no object yet audited."""
     seen = []
     real = simpset.audit_identities
     monkeypatch.setattr(simpset, "audit_identities", lambda X: seen.append(X) or real(X))
     monkeypatch.setattr(simpset, "_VALID", weakref.WeakSet())
-    monkeypatch.setattr(simpset, "_DEFERRED", weakref.WeakKeyDictionary())
     return seen
 
 

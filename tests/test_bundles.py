@@ -320,23 +320,73 @@ def test_bundles_of_one_base_are_certified_by_their_factors(monkeypatch):
     assert seen == []
     for bundle in built:
         P = bundle.total
-        assert P._factors == (bundle.base, build_S(6))
+        assert P._factors == (bundle.base, bundle.quotient.source)
         assert bundle.projection.source is bundle.classifying.source is P
+        assert bundle.classifying.target is bundle.quotient.source
         normalized_complex(P)
-    # 1624 simplices a total space, 294 in the completion, 5913 in S(6): the first
-    # three total spaces are audited on their own, and their 4872 simplices with
-    # the fourth's 1624 pay for S(6)'s audit, which then certifies the rest
-    sizes = [sum(X._counts) for X in (built[0].total, built[0].base, build_S(6))]
-    assert sizes == [1624, 294, 5913]
-    assert seen == [bundle.total for bundle in built[:3]] + [built[0].base, build_S(6)]
+    # two images: the flat one of cochain 0000, and the one with both classes of degree 2
+    # (degenerate triangles are flat); the 16 bundles share the two restricted quotients
+    flat, both = built[0].quotient, built[1].quotient
+    assert all(bundle.quotient in (flat, both) for bundle in built) and flat is not both
+    # a total space has 1624 simplices, the completion 294, the images' words 28 and 238
+    sizes = [sum(X._counts) for X in (built[0].total, built[0].base, flat.source, both.source)]
+    assert sizes == [1624, 294, 28, 238]
+    # the completion once and one sub-object per image, never a total space
+    assert seen == [built[0].base, flat.source, both.source]
 
 
-def test_one_off_bundle_over_a_large_classifying_space_audits_itself(monkeypatch):
+def test_one_off_bundle_audits_its_completion_and_its_image(monkeypatch):
     seen = audited(monkeypatch)
-    P = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))), 7).total
-    normalized_complex(P)
-    # S(7) has 46233 simplices against the total space's 2664
-    assert seen == [P]
+    bundle = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))), 7)
+    normalized_complex(bundle.total)
+    assert seen == [bundle.base, bundle.quotient.source]
+    # each smaller than the total space; S(7) has 46233 simplices
+    assert [sum(X._counts) for X in (bundle.total, *seen)] == [2664, 424, 414]
+
+
+def _same_as_whole_quotient(decor, max_dim):
+    bundle = total_space(decor, max_dim)
+    P, projection, classifying = pullback(decoration_map(decor, max_dim), quotient_map(max_dim))
+    assert sset_tables(bundle.total) == sset_tables(P)
+    assert bundle.projection.table == projection.table
+    # the classifying maps land in different objects and send each simplex to the same word
+    for n in range(max_dim + 1):
+        ours, whole = bundle.classifying.target.payloads[n], classifying.target.payloads[n]
+        got = list(map(ours.__getitem__, bundle.classifying.table[n]))
+        assert got == list(map(whole.__getitem__, classifying.table[n]))
+
+
+@pytest.mark.parametrize("max_dim", [5, 6, 7])
+def test_total_space_matches_the_pullback_of_the_whole_quotient(max_dim):
+    for bits in product((0, 1), repeat=4):
+        _same_as_whole_quotient(decorate_from_cochain(boundary_delta(3), TwoCochain(bits)), max_dim)
+
+
+def test_total_space_over_a_solid_simplex_matches_the_pullback_of_the_whole_quotient():
+    _same_as_whole_quotient(extend_decoration(solid_delta(4), {}), 6)
+
+
+def test_forged_face_in_the_image_is_refused(monkeypatch):
+    audited(monkeypatch)
+    bundle = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((0, 1, 0, 0))), 5)
+    q, Y = bundle.quotient, bundle.quotient.source
+    # face 0 of a 3-simplex moved to another rotation of its class: the quotient still commutes
+    faces = Y.faces[3][0]
+    candidates = (
+        with_face(Y, 3, 0, k, j)
+        for k in range(Y.simplex_count(3))
+        for j, c in enumerate(q.table[2])
+        if c == q.table[2][faces[k]] and j != faces[k]
+    )
+    forged = next(X for X in candidates if audit_identities(X))
+    P, _, _ = pullback(bundle.pulled_along, SimplicialMap(forged, q.target, q.table))
+    assert P._factors[1] is forged
+    # P's own audit refuses it too, and its factors' audit is what normalized_complex runs
+    assert audit_identities(P)
+    for X in (forged, P):
+        with pytest.raises(ValueError, match="simplicial identity audit failed"):
+            normalized_complex(X)
+    normalized_complex(bundle.total)
 
 
 def test_pullback_of_a_forged_base_is_refused(monkeypatch):
@@ -412,26 +462,41 @@ def test_total_space_tables_match_payload_rules(bits):
     assert pullback_tables(pullback(dec, q)) == pullback_tables(pullback_by_payload(dec, q))
 
 
-def test_total_space_never_makes_the_words_of_S(monkeypatch):
-    # a fresh S and quotient map: the cached ones may have been read by other tests
-    S = build_S.__wrapped__(6)
+def _on_fresh_S_and_SC(monkeypatch, max_dim):
+    """A bundle built on fresh S(max_dim), SC(max_dim) and restricted quotients, with quotient_map refused.
+
+    The cached objects may have been read by other tests.
+    """
+    decor = decorate_from_cochain(boundary_delta(3), TwoCochain((1, 0, 1, 0)))
+    S, SC = build_S.__wrapped__(max_dim), build_SC.__wrapped__(max_dim)
     monkeypatch.setattr(simpset, "build_S", lambda max_dim: S)
-    q = quotient_map.__wrapped__(6)
-    monkeypatch.setattr(bundles, "quotient_map", lambda max_dim: q)
-    bundle = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((1, 0, 1, 0))), 6)
-    assert bundle.classifying.target is S
+    for mod in (simpset, bundles):
+        monkeypatch.setattr(mod, "build_SC", lambda max_dim: SC)
+    monkeypatch.setattr(bundles, "quotient_over", simpset.quotient_over.__wrapped__)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient_map was called")
+
+    for mod in (simpset, bundles):
+        monkeypatch.setattr(mod, "quotient_map", refuse)
+    return S, SC, total_space(decor, max_dim)
+
+
+def test_total_space_never_makes_the_words_of_S(monkeypatch):
+    S, _, bundle = _on_fresh_S_and_SC(monkeypatch, 6)
+    Y = bundle.classifying.target
+    assert Y is bundle.quotient.source and bundle.quotient.source is not S
+    assert "payloads" not in vars(S) and "payloads" not in vars(Y)
+    normalized_complex(bundle.total)
+    # the image's words are made on first read, S's still not
+    assert bundle.total.payloads and "payloads" in vars(Y)
     assert "payloads" not in vars(S)
 
 
 def test_total_space_never_makes_the_classes_of_SC(monkeypatch):
-    # a fresh SC and quotient map: the cached ones may have been read by other tests
-    SC = build_SC.__wrapped__(6)
-    monkeypatch.setattr(simpset, "build_SC", lambda max_dim: SC)
-    monkeypatch.setattr(bundles, "build_SC", lambda max_dim: SC)
-    q = quotient_map.__wrapped__(6)
-    monkeypatch.setattr(bundles, "quotient_map", lambda max_dim: q)
-    bundle = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain((1, 0, 1, 0))), 6)
-    assert bundle.pulled_along.target is SC and q.target is SC
+    _, SC, bundle = _on_fresh_S_and_SC(monkeypatch, 6)
+    assert bundle.pulled_along.target is SC and bundle.quotient.target is SC
+    normalized_complex(bundle.total)
     assert "payloads" not in vars(SC)
 
 

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -166,6 +167,27 @@ def test_bundle_report(capsys):
     assert rep["pullback_square"] == "commutes"
     assert rep["groups"][:4] == ["Z", "Z/2", "0", "Z"]
     assert rep["total_space"]["max_dim"] == 4
+
+
+@pytest.mark.parametrize("other_class, square", [(False, "commutes"), (True, "BROKEN")])
+def test_bundle_square_compares_classes(capsys, monkeypatch, other_class, square):
+    # one classifying entry moved to another word of degree 2: a word of the same class
+    # keeps the square, a word of the other class breaks it and the run exits 1
+    from csx import bundles
+
+    real = bundles.total_space
+
+    def forged(decor, max_dim=None):
+        bundle = real(decor, max_dim=max_dim)
+        classes, table = bundle.quotient.table[2], [list(level) for level in bundle.classifying.table]
+        word = table[2][0]
+        table[2][0] = next(j for j, c in enumerate(classes) if j != word and (c != classes[word]) == other_class)
+        bundle.classifying = SimpleNamespace(table=table)
+        return bundle
+
+    monkeypatch.setattr(bundles, "total_space", forged)
+    code, rep = run_json(capsys, "bundle", "--base", "boundary3", "--cochain", "1:1")
+    assert (code, rep["pullback_square"]) == ((1 if other_class else 0), square)
 
 
 def test_bundle_decoration_file(capsys, tmp_path):

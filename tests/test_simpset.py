@@ -41,6 +41,7 @@ from csx.simpset import (
     payload_str,
     pullback,
     quotient_map,
+    quotient_over,
     sset_to_json,
 )
 from oracles import (
@@ -290,6 +291,50 @@ def test_quotient_map_matches_payload_route(max_dim):
     S, SC = build_S(max_dim), build_SC(max_dim)
     oracle = map_from_payload_fn(S, SC, lambda n, w: rotated_to_0(w))
     assert list(quotient_map(max_dim).table) == oracle.table
+
+
+@pytest.mark.parametrize("max_dim", range(7))
+def test_quotient_over_all_of_SC_is_the_quotient_map(max_dim):
+    SC, whole = build_SC(max_dim), quotient_map(max_dim)
+    q = quotient_over(tuple(tuple(range(SC.simplex_count(n))) for n in range(max_dim + 1)), max_dim)
+    assert q.target is SC and list(q.table) == list(whole.table)
+    assert sset_tables(q.source) == sset_tables(whole.source)
+
+
+@pytest.mark.parametrize("bits", [(0, 0, 0, 0), (0, 1, 0, 0), (1, 1, 1, 1)])
+def test_quotient_over_an_image_holds_the_words_over_it(bits):
+    # the words whose rotation classes lie in the image, with the word operators' tables
+    max_dim = 5
+    dec = total_space(decorate_from_cochain(boundary_delta(3), TwoCochain(bits)), max_dim).pulled_along
+    image = tuple(tuple(sorted(set(level))) for level in dec.table)
+    q = quotient_over(image, max_dim)
+    assert quotient_over(image, max_dim) is q
+    S, SC = build_S(max_dim), build_SC(max_dim)
+    words = [
+        [w for w in S.payloads[n] if SC.id_of(n, rotated_to_0(w)) in image[n]] for n in range(max_dim + 1)
+    ]
+    oracle = from_rules(
+        max_dim, words, lambda n, w, i: face_perm(i, w), lambda n, w, i: degeneracy_perm(i, w)
+    )
+    assert sset_tables(q.source) == sset_tables(oracle)
+    assert list(q.table) == [
+        tuple(SC.id_of(n, rotated_to_0(w)) for w in level) for n, level in enumerate(words)
+    ]
+
+
+@pytest.mark.parametrize(
+    "image, max_dim, error",
+    [
+        (((0,), (), (0,)), 2, "image not closed under faces at degree 2"),
+        (((0,), (0,), (1,)), 2, "image not closed under degeneracies at degree 1"),
+        (((0,), (0,)), 2, "image must give the ids of every degree"),
+        (((0,), (0,), (2,)), 2, "class id out of range in degree 2"),
+    ],
+    ids=["faces", "degeneracies", "short", "range"],
+)
+def test_quotient_over_refuses_an_image_that_is_not_a_simplicial_subset(image, max_dim, error):
+    with pytest.raises(ValueError, match=error):
+        quotient_over(image, max_dim)
 
 
 def test_twisted_product_counts_and_audit():
