@@ -11,7 +11,7 @@ route.  A decoration reads its classes' words only in its JSON form.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import chain, combinations, combinations_with_replacement, cycle, repeat
+from itertools import chain, combinations, combinations_with_replacement, repeat
 from operator import itemgetter
 
 from .constructions import (
@@ -25,11 +25,12 @@ from .constructions import (
 )
 from .perms import (
     Word,
+    all_perms,
+    cyclic_word,
     degeneracy_perm,
     face_perm,
     inverse,
     is_perm_word,
-    multiply,
 )
 from .simpset import (
     SimplicialMap,
@@ -229,10 +230,13 @@ def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpa
     return BundleTotalSpace(total, dec.source, proj, classifying, dec, q)
 
 
+@lru_cache(maxsize=4)
 def _acted(g: Word, max_dim: int) -> list[list[Word]]:
     """act(xi)(g) for every simplex xi of build_delta(n, max_dim), per dimension, by id.
 
     Each word is one face_perm or degeneracy_perm of another (constructions.on_delta).
+    Kept for the last few words: the lemma suites build E_of(g) and run the
+    upsilon lemma of g next to each other, and both read these words.
     """
     return on_delta(
         len(g) - 1,
@@ -265,21 +269,32 @@ def E_of(g: Word, max_dim: int | None = None) -> BundleTotalSpace:
     for m, words in enumerate(_acted(g, max_dim)):
         level = []
         for j, moved in enumerate(words):
-            level += [(j, S.id_of(m, moved[-k:] + moved[:-k])) for k in range(m + 1)]
+            level += zip(repeat(j), _turned_ids(S, moved))
         pair_lists.append(level)
 
     def rule(d_tables, s_tables):
         return lambda m, p, i: (d_tables[m][i][p[0]], s_tables[m][i][p[1]])
 
     W = from_rules(max_dim, pair_lists, rule(D.faces, S.faces), rule(D.degeneracies, S.degeneracies))
-    on_D = [tuple(j for j, _ in level) for level in W.payloads]
-    on_S = [tuple(s for _, s in level) for level in W.payloads]
+    on_D, on_S = zip(*(zip(*level) for level in W.payloads))
     payloads = [
-        tuple((ops[j], perms[s]) for j, s in level)
-        for ops, perms, level in zip(D.payloads, S.payloads, W.payloads)
+        tuple(zip(map(ops.__getitem__, js), map(perms.__getitem__, ss)))
+        for ops, perms, js, ss in zip(D.payloads, S.payloads, on_D, on_S)
     ]
     total = TruncatedSimplicialSet(max_dim, payloads, W.faces, W.degeneracies)
-    return BundleTotalSpace(total, D, SimplicialMap(total, D, on_D), SimplicialMap(total, S, on_S))
+    return BundleTotalSpace(total, D, SimplicialMap(total, D, list(on_D)), SimplicialMap(total, S, list(on_S)))
+
+
+@lru_cache(maxsize=4096)
+def _turned_ids(S: TruncatedSimplicialSet, w: Word) -> tuple[int, ...]:
+    """The S ids of w . tau^k, which is w turned right by k places, for k = 0..m.
+
+    Kept per word: the words act(xi)(g) of the low levels recur from one g to
+    the next.  Not tabulated over S(m) like _rotated_ids: E(g) is also built
+    at any depth, where S(m) has far more words than E(g) reads.
+    """
+    m = len(w) - 1
+    return tuple(S.id_of(m, w[-k:] + w[:-k]) for k in range(m + 1))
 
 
 def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool:
@@ -302,6 +317,23 @@ def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None) -> boo
     return E.payloads == P.payloads and E.faces == P.faces and E.degeneracies == P.degeneracies
 
 
+@lru_cache(maxsize=8)
+def _rotated_ids(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row r holds, by S(m) id, the S(m) id of tau^r . w, for r = 0..m.
+
+    The lemma suites compare words of degree n at depth n + 1 <= 5, where
+    every word of a degree reads the same small tables.
+    """
+    words = all_perms(m)
+    index = {w: k for k, w in enumerate(words)}
+    flat = tuple(chain.from_iterable(words))
+    # tau^r applied to every letter of every word, cut back into words
+    return tuple(
+        tuple(map(index.__getitem__, zip(*[map(cyclic_word(m, r).__getitem__, flat)] * (m + 1))))
+        for r in range(m + 1)
+    )
+
+
 @lru_cache(maxsize=1)
 def _twisted_simplex(n: int, max_dim: int) -> TruncatedSimplicialSet:
     """C x_tau Delta[n], shared by consecutive words g of degree n at one depth."""
@@ -314,11 +346,12 @@ def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool
     The twisted product of the rotation group with the n-simplex carries the
     decoration (h, xi) -> h . act(xi)(g); reorienting along it must give
     E_of(inverse(g)) under the pairing that inverts the decorating word and
-    pushes the base coordinate forward along g.  The word act(xi)(g) and the
-    pushed-forward operator are computed once per operator xi and shared by
-    the simplices (h, xi).  Both maps are id tables.  bundle, if given, is
-    E_of(inverse(g), max_dim) built by the caller.  Returns False on any
-    mismatch.
+    pushes the base coordinate forward along g.  The word act(xi)(g), its
+    S id, its inverse and the pushed-forward operator are computed once per
+    operator xi and shared by the simplices (h, xi); the S ids of the words
+    h . act(xi)(g) are read off a table of S(m) kept per level.  Both maps
+    are id tables.  bundle, if given, is E_of(inverse(g), max_dim) built by
+    the caller.  Returns False on any mismatch.
     """
     n = len(g) - 1
     if max_dim is None:
@@ -330,13 +363,19 @@ def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool
     X = _twisted_simplex(n, max_dim)
     decor, paired = [], []
     # simplex k of X is rotation k // |D_m| of C with operator k % |D_m| of D; an
-    # operator is pushed forward to the monotone part of inverse(g) composed with it
+    # operator is pushed forward to the monotone part of inverse(g) composed with it.
+    # Rotation h of C is tau^r with r = -h(0), and inverse(h . w) is inverse(w)
+    # rotated left by r
     for m, moved in enumerate(_acted(g, max_dim)):
         pushed = [tuple(sorted(map(g_inv.__getitem__, xi))) for xi in D.payloads[m]]
-        words = [multiply(h, w) for h in C.payloads[m] for w in moved]
-        decor.append(tuple(S.id_of(m, w) for w in words))
+        shifts = [-h[0] % (m + 1) for h in C.payloads[m]]
+        ids, rows = [S.id_of(m, w) for w in moved], _rotated_ids(m)
+        decor.append(tuple(chain.from_iterable(map(rows[r].__getitem__, ids) for r in shifts)))
+        inverses = list(map(inverse, moved))
         try:
-            paired.append(tuple(E.id_of(m, (xi, inverse(w))) for xi, w in zip(cycle(pushed), words)))
+            paired.append(
+                tuple(E.id_of(m, (xi, w[r:] + w[:r])) for r in shifts for xi, w in zip(pushed, inverses))
+            )
         except KeyError:
             return False
     Y = reorient_upsilon(X, SimplicialMap(X, S, decor))

@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import os
 import random
+from functools import lru_cache
 from itertools import chain
-from math import factorial
 from operator import itemgetter
 
 from .perms import all_perms, degeneracy_perm, face_perm, inverse
@@ -30,12 +30,30 @@ def _check_identities(args, target: str, objects) -> dict:
     return _check_result(f"identities:{target}", cases, bad[0] if bad else None)
 
 
-def _product_ids(words) -> list[list[int]]:
-    """products[h][f] is the id of h.f, for words numbered in the order given."""
+@lru_cache(maxsize=4)
+def _product_ids(n: int) -> list[tuple[int, ...]]:
+    """products[h][f] is the id of h.f, for the words of degree n in lexicographic order.
+
+    The rows of the transpositions t of adjacent values a, a + 1 are computed
+    letter by letter.  A word h other than the identity places some a after
+    a + 1; then t.h, which swaps them, comes earlier in the order, and since
+    h.f = t.(t.h.f), row h is row t read at the entries of row t.h.
+    """
+    words = all_perms(n)
     index = {w: k for k, w in enumerate(words)}
+    size = n + 1
     flat = tuple(chain.from_iterable(words))
-    # h applied to every letter of every word, cut back into words
-    return [list(map(index.__getitem__, zip(*[map(h.__getitem__, flat)] * len(h)))) for h in words]
+    swaps = []
+    for a in range(size - 1):
+        t = [*range(a), a + 1, a, *range(a + 2, size)]
+        # t applied to every letter of every word, cut back into words
+        swaps.append(tuple(map(index.__getitem__, zip(*[map(t.__getitem__, flat)] * size))))
+    products = [tuple(range(len(words)))]
+    for k, h in enumerate(words[1:], start=1):
+        place = inverse(h)
+        row = swaps[next(a for a in range(size - 1) if place[a] > place[a + 1])]
+        products.append(tuple(map(row.__getitem__, products[row[k]])))
+    return products
 
 
 def _crossed_block(op, words, products):
@@ -65,85 +83,124 @@ def _crossed_block(op, words, products):
 _SAMPLES = 2000
 
 
-def _draw(rng, n: int) -> tuple[int, ...]:
-    """A seeded word of degree n: tuple(rng.sample(range(n + 1), n + 1)), drawn for less.
+def _draws(rng, n: int, count: int):
+    """count seeded words of degree n, each tuple(rng.sample(range(n + 1), n + 1)), drawn for less.
 
     For a population of at most 21 values, random.Random.sample draws from a
     pool: at each of the n + 1 places it takes j below the pool size from
     _randbelow, which calls rng.getrandbits(size.bit_length()) until the
     value is below the size, and moves the pool's last value into place j.
     This is that loop written out, so it makes the same getrandbits calls in
-    the same order and returns the same word, leaving the rng in the same
-    state; it skips sample's argument checks and set-size estimate.
+    the same order and yields the same words, leaving the rng in the same
+    state; it skips sample's argument checks and set-size estimate, and
+    works out each place's pool size and bit count once for all the words.
     """
     getrandbits = rng.getrandbits
-    pool = list(range(n + 1))
-    word = []
-    for size in range(n + 1, 0, -1):
-        bits = size.bit_length()
-        j = getrandbits(bits)
-        while j >= size:
+    places = [(size, size.bit_length()) for size in range(n + 1, 0, -1)]
+    for _ in range(count):
+        pool = list(range(n + 1))
+        word = []
+        for size, bits in places:
             j = getrandbits(bits)
-        word.append(pool[j])
-        pool[j] = pool[size - 1]
-    return tuple(word)
+            while j >= size:
+                j = getrandbits(bits)
+            word.append(pool[j])
+            pool[j] = pool[size - 1]
+        yield tuple(word)
+
+
+class _Rows(dict):
+    """The row [op(0, w), ..., op(n, w)] of each word w, computed on its first read."""
+
+    def __init__(self, op, n: int):
+        super().__init__()
+        self.op, self.indices = op, range(n + 1)
+
+    def __missing__(self, w):
+        row = self[w] = [self.op(i, w) for i in self.indices]
+        return row
 
 
 def _crossed_sampled(op, n: int, rng):
     """The first (h, f, i) among the seeded pairs of degree n at which op breaks the relation.
 
-    Every pair is drawn, whatever fails, so the rng stream does not depend on
-    op.  A degree with fewer words than pairs has its rows op(i, w) tabulated
-    once per word; above, each pair computes its three rows.  The n + 1
-    words op(i, h.f) of a pair are compared with their values at once.
+    Every pair is drawn and compared, whatever fails, so the rng stream does
+    not depend on op.  The rows op(i, w) are kept per degree, so each
+    distinct word h, f or h.f has its row computed once.  The n + 1 words
+    op(i, h.f) of a pair are compared with their values at once, taken in
+    the order i = h(0), h(1), ..., where op(i, h.f) = op(i, h) . op(j, f)
+    with h(j) = i.
     """
-
-    def row(w):
-        return [op(i, w) for i in range(n + 1)]
-
-    if factorial(n + 1) < _SAMPLES:
-        row = {w: row(w) for w in all_perms(n)}.__getitem__
+    rows = _Rows(op, n)
+    words = _draws(rng, n, 2 * _SAMPLES)
     first = None
-    for _ in range(_SAMPLES):
-        f = _draw(rng, n)
-        h = _draw(rng, n)
-        got, op_h, op_f = row(tuple(map(h.__getitem__, f))), row(h), row(f)
-        want = [tuple(map(a.__getitem__, op_f[j])) for a, j in zip(op_h, inverse(h))]
-        if got != want and first is None:
-            first = (h, f, next(i for i, (a, b) in enumerate(zip(got, want)) if a != b))
+    for f, h in zip(words, words):
+        at_h = itemgetter(*h)
+        got, op_h, op_f = at_h(rows[tuple(map(h.__getitem__, f))]), at_h(rows[h]), rows[f]
+        want = [tuple(map(a.__getitem__, b)) for a, b in zip(op_h, op_f)]
+        if list(got) != want and first is None:
+            first = (h, f, min(i for i, a, b in zip(h, got, want) if a != b))
     return first
 
 
-def _check_crossed(args) -> list[dict]:
-    # d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree
-    # 4 every pair of words is checked on blocks of ids, with the ids of h.f
-    # tabulated once per degree for both relations; above, seeded samples.
+def _crossed_steps(op, degrees, rng) -> tuple[int, str | None]:
+    """The case count and first counterexample of op's relation over degrees, in order.
+
+    d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree 4
+    every pair of words is checked on blocks of ids, with the ids of h.f
+    tabulated once per degree for both relations; above, seeded samples
+    drawn from rng.  The steps stop after the first degree with a
+    counterexample.
+    """
+    cases = 0
+    for n in degrees:
+        if n <= 4:
+            words = all_perms(n)
+            cases += len(words) ** 2 * (n + 1)
+            bad = _crossed_block(op, words, _product_ids(n))
+            if bad:
+                f, h, i = bad
+                return cases, f"n={n} h={words[h]} f={words[f]} i={i}"
+        else:
+            cases += _SAMPLES * (n + 1)
+            bad = _crossed_sampled(op, n, rng)
+            if bad:
+                h, f, i = bad
+                return cases, f"n={n} h={h} f={f} i={i}"
+    return cases, None
+
+
+def _crossed_seeded(args) -> tuple[dict, tuple[int, str | None]]:
+    """The part of the crossed sweep that reads the seeded rng, or decides how much it draws.
+
+    That is the face relation at every degree, whose samples come first and
+    whose first failure ends its draws, then the degeneracy relation's
+    sampled degrees.  Returns the face record and the degeneracy samples'
+    steps, which _crossed_records puts after the degeneracy blocks.
+    """
     rng = random.Random(args.seed)
-    products = {}
-    out = []
-    for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
-        cases = 0
-        counterexample = None
-        for n in range(1, args.max_dim + 1):
-            if n <= 4:
-                words = all_perms(n)
-                if n not in products:
-                    products[n] = _product_ids(words)
-                cases += len(words) ** 2 * (n + 1)
-                bad = _crossed_block(op, words, products[n])
-                if bad:
-                    f, h, i = bad
-                    counterexample = f"n={n} h={words[h]} f={words[f]} i={i}"
-            else:
-                cases += _SAMPLES * (n + 1)
-                bad = _crossed_sampled(op, n, rng)
-                if bad:
-                    h, f, i = bad
-                    counterexample = f"n={n} h={h} f={f} i={i}"
-            if counterexample:
-                break
-        out.append(_check_result(f"crossed:{rel}", cases, counterexample))
-    return out
+    face = _crossed_steps(face_perm, range(1, args.max_dim + 1), rng)
+    sampled = _crossed_steps(degeneracy_perm, range(5, args.max_dim + 1), rng)
+    return _check_result("crossed:face", *face), sampled
+
+
+def _crossed_blocks(args) -> tuple[int, str | None]:
+    """The degeneracy relation's exhaustive degrees, 1 to 4, which read no rng."""
+    return _crossed_steps(degeneracy_perm, range(1, min(args.max_dim, 4) + 1), None)
+
+
+def _crossed_records(seeded, blocks) -> list[dict]:
+    """The crossed records: the degeneracy blocks' steps, then its samples' if no block failed."""
+    face, sampled = seeded
+    cases, counterexample = blocks
+    if counterexample is None:
+        cases, counterexample = cases + sampled[0], sampled[1]
+    return [face, _check_result("crossed:degeneracy", cases, counterexample)]
+
+
+def _check_crossed(args) -> list[dict]:
+    """The crossed sweep in one process: both parts in turn."""
+    return _crossed_records(_crossed_seeded(args), _crossed_blocks(args))
 
 
 def _check_lemmas(args, suite: str) -> list[dict]:
@@ -177,7 +234,7 @@ def _check_lemmas(args, suite: str) -> list[dict]:
         if n <= 3:
             words = all_perms(n)
         else:
-            words = [_draw(rng, n), _draw(rng, n)]
+            words = list(_draws(rng, n, 2))
         readers = {}
         for g in words:
             for k in live:
@@ -258,16 +315,17 @@ def cmd_check(args, objects) -> tuple[dict, int]:
     args are the CLI's parsed arguments, and objects maps each object the
     identity audits read to its builder of (max_dim, args).
 
-    For check all on two or more CPUs, the crossed sweep (no object built,
-    its own seeded rng) runs in a forked child while this process runs the
-    other suites, with the same records; on one CPU, or where os.fork is
-    unavailable, it runs here, in turn.  The child is read to EOF and
-    reaped on every path.
+    For check all on two or more CPUs, the crossed sweep is split along its
+    seeded rng: a forked child runs _crossed_seeded while this process runs
+    the other suites and then the degeneracy blocks, which read no rng, and
+    the two parts merge into the same records.  On one CPU, or where os.fork
+    is unavailable, both parts run here, in turn.  The child is read to EOF
+    and reaped on every path.
     """
     suite = args.suite
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    child = _fork_call(_check_crossed, args) if suite == "all" and cpus >= 2 else None
+    child = _fork_call(_crossed_seeded, args) if suite == "all" and cpus >= 2 else None
     identities, crossed, lemmas = [], [], []
     try:
         if suite in ("identities", "all"):
@@ -277,11 +335,14 @@ def cmd_check(args, objects) -> tuple[dict, int]:
             crossed = _check_crossed(args)
         if suite in ("lemma", "upsilon", "all"):
             lemmas = _check_lemmas(args, suite)
+        # last: run before the lemmas, the blocks' tables raised this process's peak memory
+        if child:
+            blocks = _crossed_blocks(args)
     finally:
         if child:
             sent, status = _reap(child)
     if child:
-        crossed = _child_value(sent, status)
+        crossed = _crossed_records(_child_value(sent, status), blocks)
     checks = identities + crossed + lemmas
     if not checks:
         raise ValueError(f"unknown check suite {suite!r}")

@@ -223,7 +223,7 @@ def test_e_of_tables_match_payload_rules(words):
 
 
 def test_reorientation_comparison():
-    for n in range(3):
+    for n in range(4):
         for g in all_perms(n):
             assert upsilon_comparison(g)
 

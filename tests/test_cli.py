@@ -10,6 +10,8 @@ import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
+from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +23,7 @@ import csx.checks
 from csx import cli
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json, total_space
 from csx.cli import effective_cap, main
+from csx.perms import all_perms, inverse, multiply
 from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules, sset_to_json
 
 import oracles
@@ -370,9 +373,10 @@ def test_unset_simplex_dimension_reports_its_default(capsys):
 @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
 def test_draw_is_random_sample_over_the_same_stream(seed):
     ours, theirs = random.Random(seed), random.Random(seed)
-    for _ in range(20):
+    for count in (1, 2, 3) * 7:
         for n in range(cli.HARD_CAP + 1):
-            assert csx.checks._draw(ours, n) == tuple(theirs.sample(range(n + 1), n + 1))
+            samples = [tuple(theirs.sample(range(n + 1), n + 1)) for _ in range(count)]
+            assert list(csx.checks._draws(ours, n, count)) == samples
             assert ours.getstate() == theirs.getstate()
 
 
@@ -620,13 +624,18 @@ def _assert_no_child():
 
 
 def test_check_all_runs_the_crossed_sweep_in_a_child(capsys, monkeypatch):
-    monkeypatch.setattr(csx.checks, "_check_crossed", lambda cfg: [csx.checks._check_result(f"pid {os.getpid()}", 0, None)])
+    def seeded(cfg):
+        return csx.checks._check_result(f"pid {os.getpid()}", 0, None), (0, None)
+
+    monkeypatch.setattr(csx.checks, "_crossed_seeded", seeded)
     code, rep = run_json(capsys, "check", "all", "--max-dim", "3")
     names = [c["name"] for c in rep["checks"]]
     assert code == 0
-    # the five identity audits, then the sweep's record, then the lemmas
+    # the five identity audits, then the child's face record and the degeneracy
+    # record of the blocks run here, then the lemmas
     assert names[5].startswith("pid ") and names[5] != f"pid {os.getpid()}"
-    assert names[6:] == ["lemma:pullback", "lemma:upsilon"]
+    assert names[6:] == ["crossed:degeneracy", "lemma:pullback", "lemma:upsilon"]
+    assert rep["checks"][6]["cases"] == sum(factorial(n + 1) ** 2 * (n + 1) for n in range(1, 4))
     _assert_no_child()
 
 
@@ -656,7 +665,7 @@ def test_an_input_error_in_the_child_exits_2(capsys, monkeypatch):
     def boom(cfg):
         raise ValueError("boom")
 
-    monkeypatch.setattr(csx.checks, "_check_crossed", boom)
+    monkeypatch.setattr(csx.checks, "_crossed_seeded", boom)
     assert main(["check", "all", "--max-dim", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: boom\n" and captured.out == ""
@@ -667,7 +676,7 @@ def test_an_internal_error_in_the_child_stays_a_traceback(capsys, monkeypatch):
     def bug(cfg):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(csx.checks, "_check_crossed", bug)
+    monkeypatch.setattr(csx.checks, "_crossed_seeded", bug)
     with pytest.raises(RuntimeError, match="^bug$") as info:
         main(["check", "all", "--max-dim", "3"])
     # the child's own traceback comes along as the cause
@@ -676,7 +685,7 @@ def test_an_internal_error_in_the_child_stays_a_traceback(capsys, monkeypatch):
 
 
 def test_a_child_that_sends_nothing_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(csx.checks, "_check_crossed", lambda cfg: os._exit(5))
+    monkeypatch.setattr(csx.checks, "_crossed_seeded", lambda cfg: os._exit(5))
     with pytest.raises(RuntimeError, match=r"wait status 1280\)$"):
         main(["check", "all", "--max-dim", "3"])
     _assert_no_child()
@@ -733,6 +742,13 @@ def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
         assert csx.checks._check_crossed(args) == oracles.check_crossed_by_words(args)
 
 
+def test_product_ids_are_the_ids_of_the_composites():
+    for n in range(5):
+        words = all_perms(n)
+        index = {w: k for k, w in enumerate(words)}
+        assert csx.checks._product_ids(n) == [tuple(index[multiply(h, f)] for f in words) for h in words]
+
+
 @pytest.mark.parametrize(
     "rel, faults",
     [
@@ -772,6 +788,88 @@ def test_crossed_sweep_reports_the_word_by_word_counterexample(monkeypatch, rel,
     assert got == oracles.check_crossed_by_words(args)
     bad = next(c for c in got if c["name"] == f"crossed:{rel.split('_')[0]}")
     assert bad["counterexample"].startswith(f"n={len(faults[0][0]) - 1} ")
+
+
+# the first word a fresh seed-3 rng draws at degree 5: with the face relation
+# failing at degree 2 it draws nothing, so the degeneracy samples start with it
+_FRESH_5 = tuple(random.Random(3).sample(range(6), 6))
+
+
+@pytest.mark.parametrize("cpus", [2, 1])
+@pytest.mark.parametrize(
+    "faults",
+    [
+        [("degeneracy_perm", (0, 2, 1, 3), 0)],
+        [("degeneracy_perm", (4, 1, 5, 0, 3, 2), 2)],
+        [("face_perm", (1, 0, 2), 1), ("degeneracy_perm", _FRESH_5, 0)],
+    ],
+    ids=["degeneracy-block-3", "degeneracy-sampled-5", "face-block-2"],
+)
+def test_check_all_merges_the_crossed_records_of_both_processes(capsys, monkeypatch, cpus, faults):
+    # the child's face record and degeneracy samples, and the degeneracy blocks
+    # run in the parent or in turn, give the records of the sweep word by word
+    for rel in {rel for rel, _, _ in faults}:
+        real = getattr(csx.checks, rel)
+
+        def forged(i, f, real=real, planted={(w, i) for r, w, i in faults if r == rel}):
+            out = real(i, f)
+            return out[::-1] if (f, i) in planted else out
+
+        for module in (csx.checks, oracles):
+            monkeypatch.setattr(module, rel, forged)
+    real_fork, forks = os.fork, []
+
+    def counting_fork():
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", counting_fork if cpus > 1 else _fork_on_one_cpu)
+    code, rep = run_json(capsys, "check", "all", "--max-dim", "6", "--seed", "3")
+    _assert_no_child()
+    assert len(forks) == (cpus > 1)
+    crossed = [c for c in rep["checks"] if c["name"].startswith("crossed:")]
+    assert code == 1
+    assert crossed == oracles.check_crossed_by_words(argparse.Namespace(max_dim=6, seed=3))
+    rel, word, _ = faults[-1]
+    assert _checks_by_name(rep)[f"crossed:{rel.split('_')[0]}"]["counterexample"].startswith(f"n={len(word) - 1} ")
+
+
+def _crossed_sampled_per_pair(op, n, rng):
+    """_crossed_sampled with three fresh rows per pair, the way it was first written."""
+    first = None
+    for _ in range(csx.checks._SAMPLES):
+        f = tuple(rng.sample(range(n + 1), n + 1))
+        h = tuple(rng.sample(range(n + 1), n + 1))
+        got, op_h, op_f = ([op(i, w) for i in range(n + 1)] for w in (tuple(map(h.__getitem__, f)), h, f))
+        want = [tuple(map(a.__getitem__, op_f[j])) for a, j in zip(op_h, inverse(h))]
+        if got != want and first is None:
+            first = (h, f, next(i for i, (a, b) in enumerate(zip(got, want)) if a != b))
+    return first
+
+
+def _forged_face(i, f):
+    # wrong on every word starting with 3 at index 2: many pairs fail, the first is reported
+    out = csx.checks.face_perm(i, f)
+    return out[::-1] if f[0] == 3 and i == 2 else out
+
+
+@pytest.mark.parametrize("op", [csx.checks.degeneracy_perm, _forged_face], ids=["degeneracy", "forged-face"])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_sampled_rows_are_computed_once_per_word(op, seed):
+    n = 6
+    calls = Counter()
+
+    def counting(i, w):
+        calls[w] += 1
+        return op(i, w)
+
+    rng, per_pair_rng = random.Random(seed), random.Random(seed)
+    got = csx.checks._crossed_sampled(counting, n, rng)
+    assert got == _crossed_sampled_per_pair(op, n, per_pair_rng)
+    assert rng.getstate() == per_pair_rng.getstate()
+    assert set(calls.values()) == {n + 1}
+    assert (got is None) == (op is csx.checks.degeneracy_perm)
 
 
 def test_bundle_builds_its_decoration_map_once(capsys, monkeypatch):

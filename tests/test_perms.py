@@ -16,6 +16,7 @@ from csx.perms import (
     is_perm_word,
     multiply,
 )
+from csx.simpset import build_C
 from oracles import (
     CyclicElement,
     SetMap,
@@ -247,3 +248,17 @@ def test_cyclic_closure_under_structure_maps():
             for i in range(n + 1):
                 assert cyclic_power(face_perm(i, w)) is not None
                 assert cyclic_power(degeneracy_perm(i, w)) is not None
+
+
+def test_inverse_of_a_rotated_word_is_a_rotation_of_its_inverse():
+    # upsilon_comparison reads inverse(tau^k . w) off inverse(w) by slicing, with
+    # k taken from each rotation of C in payload order, which is sorted: 0, m, m - 1, ..., 1
+    C = build_C(4)
+    for m in range(5):
+        shifts = [0, *range(m, 0, -1)]
+        assert C.payloads[m] == tuple(cyclic_word(m, k) for k in shifts)
+        assert [-h[0] % (m + 1) for h in C.payloads[m]] == shifts
+        for w in all_perms(m):
+            w_inv = inverse(w)
+            for h, k in zip(C.payloads[m], shifts):
+                assert inverse(multiply(h, w)) == w_inv[k:] + w_inv[:k]
