@@ -297,24 +297,30 @@ def _turned_ids(S: TruncatedSimplicialSet, w: Word) -> tuple[int, ...]:
     return tuple(S.id_of(m, w[-k:] + w[:-k]) for k in range(m + 1))
 
 
-def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool:
+def class_pullback(c: Word, max_dim: int) -> TruncatedSimplicialSet:
+    """The pullback of the quotient along the classifying map of the rotation class c, a 0-first word."""
+    n = len(c) - 1
+    SC = build_SC(max_dim)
+    return pullback(yoneda(SC, n, SC.id_of(n, c), max_dim), quotient_map(max_dim))[0]
+
+
+def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None, pulled=None) -> bool:
     """Check E_of(g) against the generic pullback route.
 
     The pullback of the quotient along the classifying map of the rotation
     class of g must reproduce E_of(g) verbatim: same payload lists, same
     face and degeneracy tables.  Both number simplices lexicographically by
     their (Delta[n] id, S id) pairs, so table equality is the whole
-    comparison.  bundle, if given, is E_of(g, max_dim) built by the caller.
+    comparison.  bundle, if given, is E_of(g, max_dim) built by the caller,
+    and pulled that pullback, which every word of the class compares with.
     """
-    n = len(g) - 1
     if max_dim is None:
-        max_dim = n + 1
+        max_dim = len(g)  # n + 1, for g of degree n
     E = (E_of(g, max_dim) if bundle is None else bundle).total
-    SC = build_SC(max_dim)
-    j = g.index(0)
-    y = yoneda(SC, n, SC.id_of(n, g[j:] + g[:j]), max_dim)
-    P, _, _ = pullback(y, quotient_map(max_dim))
-    return E.payloads == P.payloads and E.faces == P.faces and E.degeneracies == P.degeneracies
+    if pulled is None:
+        j = g.index(0)
+        pulled = class_pullback(g[j:] + g[:j], max_dim)
+    return E.payloads == pulled.payloads and E.faces == pulled.faces and E.degeneracies == pulled.degeneracies
 
 
 @lru_cache(maxsize=8)

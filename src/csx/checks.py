@@ -7,7 +7,7 @@ from __future__ import annotations
 import os
 import random
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 
 from .perms import all_perms, degeneracy_perm, face_perm, inverse
@@ -59,23 +59,25 @@ def _product_ids(n: int) -> list[tuple[int, ...]]:
 def _crossed_block(op, words, products):
     """The least (f, h, i), as ids, at which op breaks the crossed relation on words.
 
-    products[h][f] is the id of h.f.  For each (h, i) the words op(i, h.f)
-    over all f, gathered from the rows op(i, w) tabulated once per word, are
-    compared in one pass with op(i, h) applied to the letters of the words
-    op(h^-1(i), f) laid end to end.
+    products[h][f] is the id of h.f.  The words op(i, w), tabulated once per
+    word, are laid end to end over all w in flat[i].  For each (h, i) the
+    letters of the words op(i, h.f) over all f, read out of flat[i] by one
+    getter per h, are compared in one pass with op(i, h) read at the letters
+    of flat[j], j = h^-1(i), by one getter per j.
     """
     rows = [[op(i, w) for i in range(len(w))] for w in words]
-    cols = list(zip(*rows))
     size = len(rows[0][0])
-    flat = [tuple(chain.from_iterable(col)) for col in cols]
+    flat = [tuple(chain.from_iterable(col)) for col in zip(*rows)]
+    at_letters = [itemgetter(*letters) for letters in flat]
+    spans = [range(k * size, (k + 1) * size) for k in range(len(words))]
     bad = []
     for h, (hf, row) in enumerate(zip(products, rows)):
-        at_hf = itemgetter(*hf)
+        at_hf = itemgetter(*chain.from_iterable(map(spans.__getitem__, hf)))
         for i, j in enumerate(inverse(words[h])):
-            got = at_hf(cols[i])
-            want = tuple(zip(*[map(row[i].__getitem__, flat[j])] * size))
+            got, want = at_hf(flat[i]), at_letters[j](row[i])
             if got != want:
-                bad.append((next(f for f, (a, b) in enumerate(zip(got, want)) if a != b), h, i))
+                f = next(f for f, s in enumerate(spans) if got[s.start : s.stop] != want[s.start : s.stop])
+                bad.append((f, h, i))
     return min(bad, default=None)
 
 
@@ -110,14 +112,14 @@ def _draws(rng, n: int, count: int):
 
 
 class _Rows(dict):
-    """The row [op(0, w), ..., op(n, w)] of each word w, computed on its first read."""
+    """The row (op(0, w), ..., op(n, w)) of each word w, a tuple computed on its first read."""
 
     def __init__(self, op, n: int):
         super().__init__()
         self.op, self.indices = op, range(n + 1)
 
     def __missing__(self, w):
-        row = self[w] = [self.op(i, w) for i in self.indices]
+        row = self[w] = tuple(map(self.op, self.indices, repeat(w)))
         return row
 
 
@@ -129,78 +131,51 @@ def _crossed_sampled(op, n: int, rng):
     distinct word h, f or h.f has its row computed once.  The n + 1 words
     op(i, h.f) of a pair are compared with their values at once, taken in
     the order i = h(0), h(1), ..., where op(i, h.f) = op(i, h) . op(j, f)
-    with h(j) = i.
+    with h(j) = i; each composite, h.f among them, is read through a getter.
     """
     rows = _Rows(op, n)
     words = _draws(rng, n, 2 * _SAMPLES)
     first = None
     for f, h in zip(words, words):
         at_h = itemgetter(*h)
-        got, op_h, op_f = at_h(rows[tuple(map(h.__getitem__, f))]), at_h(rows[h]), rows[f]
-        want = [tuple(map(a.__getitem__, b)) for a, b in zip(op_h, op_f)]
+        got, op_h, op_f = at_h(rows[itemgetter(*f)(h)]), at_h(rows[h]), rows[f]
+        want = [itemgetter(*b)(a) for a, b in zip(op_h, op_f)]
         if list(got) != want and first is None:
             first = (h, f, min(i for i, a, b in zip(h, got, want) if a != b))
     return first
 
 
-def _crossed_steps(op, degrees, rng) -> tuple[int, str | None]:
-    """The case count and first counterexample of op's relation over degrees, in order.
+def _check_crossed(args) -> list[dict]:
+    """The records of d_i(h.f) = d_i h . d_{h^-1(i)} f, then of the same for s_i.
 
-    d_i(h.f) = d_i h . d_{h^-1(i)} f, and likewise for s_i.  Through degree 4
-    every pair of words is checked on blocks of ids, with the ids of h.f
-    tabulated once per degree for both relations; above, seeded samples
-    drawn from rng.  The steps stop after the first degree with a
+    Through degree 4 every pair of words is checked on blocks of ids, with
+    the ids of h.f tabulated once per degree for both relations; above,
+    seeded samples, drawn from one rng by the face relation and then the
+    degeneracy relation.  Each relation stops after its first degree with a
     counterexample.
     """
-    cases = 0
-    for n in degrees:
-        if n <= 4:
-            words = all_perms(n)
-            cases += len(words) ** 2 * (n + 1)
-            bad = _crossed_block(op, words, _product_ids(n))
-            if bad:
-                f, h, i = bad
-                return cases, f"n={n} h={words[h]} f={words[f]} i={i}"
-        else:
-            cases += _SAMPLES * (n + 1)
-            bad = _crossed_sampled(op, n, rng)
-            if bad:
-                h, f, i = bad
-                return cases, f"n={n} h={h} f={f} i={i}"
-    return cases, None
-
-
-def _crossed_seeded(args) -> tuple[dict, tuple[int, str | None]]:
-    """The part of the crossed sweep that reads the seeded rng, or decides how much it draws.
-
-    That is the face relation at every degree, whose samples come first and
-    whose first failure ends its draws, then the degeneracy relation's
-    sampled degrees.  Returns the face record and the degeneracy samples'
-    steps, which _crossed_records puts after the degeneracy blocks.
-    """
     rng = random.Random(args.seed)
-    face = _crossed_steps(face_perm, range(1, args.max_dim + 1), rng)
-    sampled = _crossed_steps(degeneracy_perm, range(5, args.max_dim + 1), rng)
-    return _check_result("crossed:face", *face), sampled
-
-
-def _crossed_blocks(args) -> tuple[int, str | None]:
-    """The degeneracy relation's exhaustive degrees, 1 to 4, which read no rng."""
-    return _crossed_steps(degeneracy_perm, range(1, min(args.max_dim, 4) + 1), None)
-
-
-def _crossed_records(seeded, blocks) -> list[dict]:
-    """The crossed records: the degeneracy blocks' steps, then its samples' if no block failed."""
-    face, sampled = seeded
-    cases, counterexample = blocks
-    if counterexample is None:
-        cases, counterexample = cases + sampled[0], sampled[1]
-    return [face, _check_result("crossed:degeneracy", cases, counterexample)]
-
-
-def _check_crossed(args) -> list[dict]:
-    """The crossed sweep in one process: both parts in turn."""
-    return _crossed_records(_crossed_seeded(args), _crossed_blocks(args))
+    out = []
+    for rel, op in (("face", face_perm), ("degeneracy", degeneracy_perm)):
+        cases, counterexample = 0, None
+        for n in range(1, args.max_dim + 1):
+            if n <= 4:
+                words = all_perms(n)
+                cases += len(words) ** 2 * (n + 1)
+                bad = _crossed_block(op, words, _product_ids(n))
+                if bad:
+                    f, h, i = bad
+                    counterexample = f"n={n} h={words[h]} f={words[f]} i={i}"
+            else:
+                cases += _SAMPLES * (n + 1)
+                bad = _crossed_sampled(op, n, rng)
+                if bad:
+                    h, f, i = bad
+                    counterexample = f"n={n} h={h} f={f} i={i}"
+            if counterexample:
+                break
+        out.append(_check_result(f"crossed:{rel}", cases, counterexample))
+    return out
 
 
 def _check_lemmas(args, suite: str) -> list[dict]:
@@ -211,17 +186,18 @@ def _check_lemmas(args, suite: str) -> list[dict]:
     pullback lemma and E(g^-1) for the upsilon lemma, so the comparisons of
     a degree are grouped by the word of the E they read, which takes the
     words in pairs {g, g^-1}.  Each E is built once, through bundles.E_of,
-    and dropped once every comparison reading it has run.  Each lemma
-    reports its own first failing word and stops after that degree.
+    and dropped once every comparison reading it has run.  The pullback P
+    that the pullback lemma compares E(g) with depends only on the rotation
+    class of g, so the Es are walked class by class, and each class builds
+    its P on its first pullback comparison and drops it when it is done.
+    Each lemma reports its own first failing word and stops after that
+    degree.
     """
     from . import bundles
 
     lemmas = [
-        (name, compare, reads)
-        for key, name, compare, reads in (
-            ("lemma", "lemma:pullback", bundles.pullback_comparison, lambda g: g),
-            ("upsilon", "lemma:upsilon", bundles.upsilon_comparison, inverse),
-        )
+        (name, reads)
+        for key, name, reads in (("lemma", "lemma:pullback", lambda g: g), ("upsilon", "lemma:upsilon", inverse))
         if suite in (key, "all")
     ]
     rng = random.Random(args.seed)
@@ -235,18 +211,32 @@ def _check_lemmas(args, suite: str) -> list[dict]:
             words = all_perms(n)
         else:
             words = list(_draws(rng, n, 2))
-        readers = {}
+        readers, classes = {}, {}
         for g in words:
             for k in live:
-                readers.setdefault(lemmas[k][2](g), []).append((k, g))
+                readers.setdefault(lemmas[k][1](g), []).append((k, g))
+        for w in readers:
+            # the 0-first word of w's rotation class
+            classes.setdefault(w[w.index(0) :] + w[: w.index(0)], []).append(w)
         failed = set()
-        for w, comparisons in readers.items():
-            bundle = bundles.E_of(w, n + 1)
-            failed.update((k, g) for k, g in comparisons if not lemmas[k][1](g, n + 1, bundle))
+        for c, ws in classes.items():
+            pulled = None
+            for w in ws:
+                bundle = bundles.E_of(w, n + 1)
+                for k, g in readers[w]:
+                    if lemmas[k][0] == "lemma:upsilon":
+                        ok = bundles.upsilon_comparison(g, n + 1, bundle)
+                    else:
+                        pulled = pulled or bundles.class_pullback(c, n + 1)
+                        ok = bundles.pullback_comparison(g, n + 1, bundle, pulled)
+                    if not ok:
+                        failed.add((k, g))
+                # before the next E is built, which would otherwise raise the peak by one E
+                del bundle
         for k in live:
             cases[k] += len(words)
             found[k] = next((f"g={g}" for g in words if (k, g) in failed), None)
-    return [_check_result(name, c, bad) for (name, _, _), c, bad in zip(lemmas, cases, found)]
+    return [_check_result(name, c, bad) for (name, _), c, bad in zip(lemmas, cases, found)]
 
 
 def _fork_call(fn, *args):
@@ -315,17 +305,16 @@ def cmd_check(args, objects) -> tuple[dict, int]:
     args are the CLI's parsed arguments, and objects maps each object the
     identity audits read to its builder of (max_dim, args).
 
-    For check all on two or more CPUs, the crossed sweep is split along its
-    seeded rng: a forked child runs _crossed_seeded while this process runs
-    the other suites and then the degeneracy blocks, which read no rng, and
-    the two parts merge into the same records.  On one CPU, or where os.fork
-    is unavailable, both parts run here, in turn.  The child is read to EOF
-    and reaped on every path.
+    For check all on two or more CPUs, the crossed sweep (no object built,
+    its own seeded rng) runs in a forked child while this process runs the
+    other suites, with the same records; on one CPU, or where os.fork is
+    unavailable, it runs here, in turn.  The child is read to EOF and
+    reaped on every path.
     """
     suite = args.suite
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    child = _fork_call(_crossed_seeded, args) if suite == "all" and cpus >= 2 else None
+    child = _fork_call(_check_crossed, args) if suite == "all" and cpus >= 2 else None
     identities, crossed, lemmas = [], [], []
     try:
         if suite in ("identities", "all"):
@@ -335,14 +324,11 @@ def cmd_check(args, objects) -> tuple[dict, int]:
             crossed = _check_crossed(args)
         if suite in ("lemma", "upsilon", "all"):
             lemmas = _check_lemmas(args, suite)
-        # last: run before the lemmas, the blocks' tables raised this process's peak memory
-        if child:
-            blocks = _crossed_blocks(args)
     finally:
         if child:
             sent, status = _reap(child)
     if child:
-        crossed = _crossed_records(_child_value(sent, status), blocks)
+        crossed = _child_value(sent, status)
     checks = identities + crossed + lemmas
     if not checks:
         raise ValueError(f"unknown check suite {suite!r}")

@@ -11,7 +11,6 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from math import factorial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -550,15 +549,15 @@ def test_check_crossed_catches_a_forged_face_at_degree_5(capsys, monkeypatch):
     assert checks["crossed:face"]["counterexample"].startswith("n=5 ")
 
 
-def _forge_swapped_face_in_E(monkeypatch):
-    """Swap two face entries in the top dimension of E((2, 0, 1)) only."""
+def _forge_swapped_face_in_E(monkeypatch, word=(2, 0, 1)):
+    """Swap two face entries in the top dimension of E(word) only."""
     from csx import bundles
 
     real = bundles.E_of
 
     def forged(g, max_dim=None):
         bundle = real(g, max_dim)
-        if g == (2, 0, 1):
+        if g == word:
             E = bundle.total
             top = [list(col) for col in E.faces[E.max_dim]]
             k = next(k for k, (a, b) in enumerate(zip(top[0], top[1])) if a != b)
@@ -618,24 +617,53 @@ def test_check_all_builds_each_E_once_per_run(capsys, monkeypatch):
     assert calls[37:] == calls[:37]
 
 
+def test_pullback_lemma_pulls_back_once_per_class(capsys, monkeypatch):
+    from csx import bundles
+
+    real_E, real_pullback = bundles.E_of, bundles.pullback
+    built, pulled = [], []
+
+    def counting_E(g, max_dim=None):
+        built.append(g)
+        return real_E(g, max_dim)
+
+    def counting_pullback(p, q):
+        pulled.append(p)
+        return real_pullback(p, q)
+
+    monkeypatch.setattr(bundles, "E_of", counting_E)
+    monkeypatch.setattr(bundles, "pullback", counting_pullback)
+    assert run_json(capsys, "check", "all", "--max-dim", "6", "--seed", "7")[0] == 0
+    # the rotation classes of degrees 0-3 (1 + 1 + 2 + 6) and of seed 7's two
+    # degree-4 words, in place of one pullback per word (35); E is built per word
+    assert len(pulled) == 12 and len(built) == 37
+    # the last E a degree-3 class builds is compared with the P built for its first
+    last = [g for g in built if len(g) == 4 and g[g.index(0) :] + g[: g.index(0)] == (0, 1, 2, 3)][-1]
+    assert last != (0, 1, 2, 3)
+    monkeypatch.setattr(bundles, "E_of", real_E)
+    _forge_swapped_face_in_E(monkeypatch, last)
+    code, rep = run_json(capsys, "check", "all", "--max-dim", "6", "--seed", "7")
+    assert code == 1
+    assert _checks_by_name(rep)["lemma:pullback"]["counterexample"] == f"g={last}"
+
+
 def _assert_no_child():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_check_all_runs_the_crossed_sweep_in_a_child(capsys, monkeypatch):
-    def seeded(cfg):
-        return csx.checks._check_result(f"pid {os.getpid()}", 0, None), (0, None)
+    def crossed(cfg):
+        return [csx.checks._check_result(f"{rel} pid {os.getpid()}", 0, None) for rel in ("face", "degeneracy")]
 
-    monkeypatch.setattr(csx.checks, "_crossed_seeded", seeded)
+    monkeypatch.setattr(csx.checks, "_check_crossed", crossed)
     code, rep = run_json(capsys, "check", "all", "--max-dim", "3")
     names = [c["name"] for c in rep["checks"]]
     assert code == 0
-    # the five identity audits, then the child's face record and the degeneracy
-    # record of the blocks run here, then the lemmas
-    assert names[5].startswith("pid ") and names[5] != f"pid {os.getpid()}"
-    assert names[6:] == ["crossed:degeneracy", "lemma:pullback", "lemma:upsilon"]
-    assert rep["checks"][6]["cases"] == sum(factorial(n + 1) ** 2 * (n + 1) for n in range(1, 4))
+    # the five identity audits, then both of the child's crossed records, then the lemmas
+    pid = names[5].removeprefix("face pid ")
+    assert pid != names[5] and pid != str(os.getpid())
+    assert names[6:] == [f"degeneracy pid {pid}", "lemma:pullback", "lemma:upsilon"]
     _assert_no_child()
 
 
@@ -665,7 +693,7 @@ def test_an_input_error_in_the_child_exits_2(capsys, monkeypatch):
     def boom(cfg):
         raise ValueError("boom")
 
-    monkeypatch.setattr(csx.checks, "_crossed_seeded", boom)
+    monkeypatch.setattr(csx.checks, "_check_crossed", boom)
     assert main(["check", "all", "--max-dim", "3"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: boom\n" and captured.out == ""
@@ -676,7 +704,7 @@ def test_an_internal_error_in_the_child_stays_a_traceback(capsys, monkeypatch):
     def bug(cfg):
         raise RuntimeError("bug")
 
-    monkeypatch.setattr(csx.checks, "_crossed_seeded", bug)
+    monkeypatch.setattr(csx.checks, "_check_crossed", bug)
     with pytest.raises(RuntimeError, match="^bug$") as info:
         main(["check", "all", "--max-dim", "3"])
     # the child's own traceback comes along as the cause
@@ -685,7 +713,7 @@ def test_an_internal_error_in_the_child_stays_a_traceback(capsys, monkeypatch):
 
 
 def test_a_child_that_sends_nothing_is_an_internal_error(capsys, monkeypatch):
-    monkeypatch.setattr(csx.checks, "_crossed_seeded", lambda cfg: os._exit(5))
+    monkeypatch.setattr(csx.checks, "_check_crossed", lambda cfg: os._exit(5))
     with pytest.raises(RuntimeError, match=r"wait status 1280\)$"):
         main(["check", "all", "--max-dim", "3"])
     _assert_no_child()
@@ -763,17 +791,21 @@ def test_product_ids_are_the_ids_of_the_composites():
             "face_perm",
             [((2, 4, 1, 6, 0, 5, 3), 3), ((2, 4, 1, 6, 0, 5, 3), 5), ((6, 5, 1, 2, 4, 0, 3), 6)],
         ),
-    ],
+    ]
+    # one wrong word op(i, w) breaks the pairs with h.f = w at index i, with
+    # h = w at index i and with f = w at index h(i), at every index i
+    + [(rel, [((3, 1, 4, 0, 2), i)]) for rel in ("face_perm", "degeneracy_perm") for i in range(5)],
     ids=[
         "face-degree-3",
         "degeneracy-degree-4",
         "face-degree-5-sampled",
         "degeneracy-degree-5-sampled",
         "face-degree-6-sampled",
-    ],
+    ]
+    + [f"{rel}-degree-4-index-{i}" for rel in ("face", "degeneracy") for i in range(5)],
 )
 def test_crossed_sweep_reports_the_word_by_word_counterexample(monkeypatch, rel, faults):
-    # two planted faults in one degree: the block sweep must still report the
+    # planted faults in one degree: the block sweep must still report the
     # first case the word-by-word loop meets
     real = getattr(csx.checks, rel)
 
@@ -806,8 +838,8 @@ _FRESH_5 = tuple(random.Random(3).sample(range(6), 6))
     ids=["degeneracy-block-3", "degeneracy-sampled-5", "face-block-2"],
 )
 def test_check_all_merges_the_crossed_records_of_both_processes(capsys, monkeypatch, cpus, faults):
-    # the child's face record and degeneracy samples, and the degeneracy blocks
-    # run in the parent or in turn, give the records of the sweep word by word
+    # the crossed records the child sends beside the parent's, or those of the
+    # sweep run in turn on one CPU, are the records of the sweep word by word
     for rel in {rel for rel, _, _ in faults}:
         real = getattr(csx.checks, rel)
 
