@@ -25,12 +25,12 @@ from .constructions import (
 )
 from .perms import (
     Word,
-    all_perms,
     cyclic_word,
     degeneracy_perm,
     face_perm,
     inverse,
     is_perm_word,
+    relabel_ids,
 )
 from .simpset import (
     SimplicialMap,
@@ -41,7 +41,6 @@ from .simpset import (
     build_delta,
     from_rules,
     pullback,
-    quotient_map,
     quotient_over,
     sset_to_json,
 )
@@ -212,21 +211,27 @@ class BundleTotalSpace:
         self.classifying, self.pulled_along, self.quotient = classifying, pulled_along, quotient
 
 
-def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpace:
-    """Pull the word-to-rotation-class quotient back along the decoration.
+def _pull_back_quotient(p: SimplicialMap):
+    """pullback(p, q) and q, for p a map into SC and q the quotient over p's image (quotient_over).
 
-    Simplices are pairs (completed base simplex, permutation word) whose
-    rotation class matches the decoration.  Only the words over the
-    decoration's image are read: the quotient is restricted to it
-    (quotient_over), which numbers the pairs as the whole quotient would.
-    max_dim defaults to two above the base so that the top reported
-    homology of a circle bundle over the base is reliable.
+    Only the image's words are read, and the pairs are numbered as the whole
+    quotient would number them.
+    """
+    q = quotient_over(tuple(tuple(sorted(set(level))) for level in p.table), p.source.max_dim)
+    return (*pullback(p, q), q)
+
+
+def total_space(decor: Decoration, max_dim: int | None = None) -> BundleTotalSpace:
+    """Pull the word-to-rotation-class quotient back along the decoration (_pull_back_quotient).
+
+    Simplices are pairs (completed base simplex, permutation word) whose rotation
+    class matches the decoration.  max_dim defaults to two above the base so
+    that the top reported homology of a circle bundle over the base is reliable.
     """
     if max_dim is None:
         max_dim = decor.base.max_dim + 2
     dec = decoration_map(decor, max_dim)
-    q = quotient_over(tuple(tuple(sorted(set(level))) for level in dec.table), max_dim)
-    total, proj, classifying = pullback(dec, q)
+    total, proj, classifying, q = _pull_back_quotient(dec)
     return BundleTotalSpace(total, dec.source, proj, classifying, dec, q)
 
 
@@ -290,18 +295,18 @@ def _turned_ids(S: TruncatedSimplicialSet, w: Word) -> tuple[int, ...]:
     """The S ids of w . tau^k, which is w turned right by k places, for k = 0..m.
 
     Kept per word: the words act(xi)(g) of the low levels recur from one g to
-    the next.  Not tabulated over S(m) like _rotated_ids: E(g) is also built
+    the next.  Not tabulated over S(m) like perms.relabel_ids: E(g) is also built
     at any depth, where S(m) has far more words than E(g) reads.
     """
     m = len(w) - 1
     return tuple(S.id_of(m, w[-k:] + w[:-k]) for k in range(m + 1))
 
 
-def class_pullback(c: Word, max_dim: int) -> TruncatedSimplicialSet:
-    """The pullback of the quotient along the classifying map of the rotation class c, a 0-first word."""
-    n = len(c) - 1
+def class_pullback(w: Word, max_dim: int) -> TruncatedSimplicialSet:
+    """The pullback of the quotient along the classifying map of the rotation class of the word w."""
+    n, j = len(w) - 1, w.index(0)
     SC = build_SC(max_dim)
-    return pullback(yoneda(SC, n, SC.id_of(n, c), max_dim), quotient_map(max_dim))[0]
+    return _pull_back_quotient(yoneda(SC, n, SC.id_of(n, w[j:] + w[:j]), max_dim))[0]
 
 
 def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None, pulled=None) -> bool:
@@ -318,26 +323,8 @@ def pullback_comparison(g: Word, max_dim: int | None = None, bundle=None, pulled
         max_dim = len(g)  # n + 1, for g of degree n
     E = (E_of(g, max_dim) if bundle is None else bundle).total
     if pulled is None:
-        j = g.index(0)
-        pulled = class_pullback(g[j:] + g[:j], max_dim)
+        pulled = class_pullback(g, max_dim)
     return E.payloads == pulled.payloads and E.faces == pulled.faces and E.degeneracies == pulled.degeneracies
-
-
-@lru_cache(maxsize=8)
-def _rotated_ids(m: int) -> tuple[tuple[int, ...], ...]:
-    """Row r holds, by S(m) id, the S(m) id of tau^r . w, for r = 0..m.
-
-    The lemma suites compare words of degree n at depth n + 1 <= 5, where
-    every word of a degree reads the same small tables.
-    """
-    words = all_perms(m)
-    index = {w: k for k, w in enumerate(words)}
-    flat = tuple(chain.from_iterable(words))
-    # tau^r applied to every letter of every word, cut back into words
-    return tuple(
-        tuple(map(index.__getitem__, zip(*[map(cyclic_word(m, r).__getitem__, flat)] * (m + 1))))
-        for r in range(m + 1)
-    )
 
 
 @lru_cache(maxsize=1)
@@ -355,7 +342,7 @@ def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool
     pushes the base coordinate forward along g.  The word act(xi)(g), its
     S id, its inverse and the pushed-forward operator are computed once per
     operator xi and shared by the simplices (h, xi); the S ids of the words
-    h . act(xi)(g) are read off a table of S(m) kept per level.  Both maps
+    h . act(xi)(g) are read off the rotation rows of relabel_ids.  Both maps
     are id tables.  bundle, if given, is E_of(inverse(g), max_dim) built by
     the caller.  Returns False on any mismatch.
     """
@@ -375,7 +362,7 @@ def upsilon_comparison(g: Word, max_dim: int | None = None, bundle=None) -> bool
     for m, moved in enumerate(_acted(g, max_dim)):
         pushed = [tuple(sorted(map(g_inv.__getitem__, xi))) for xi in D.payloads[m]]
         shifts = [-h[0] % (m + 1) for h in C.payloads[m]]
-        ids, rows = [S.id_of(m, w) for w in moved], _rotated_ids(m)
+        ids, rows = [S.id_of(m, w) for w in moved], relabel_ids(m, tuple(map(cyclic_word, repeat(m), range(m + 1))))
         decor.append(tuple(chain.from_iterable(map(rows[r].__getitem__, ids) for r in shifts)))
         inverses = list(map(inverse, moved))
         try:

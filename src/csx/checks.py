@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 from operator import itemgetter
 
-from .perms import all_perms, degeneracy_perm, face_perm, inverse
+from .perms import all_perms, degeneracy_perm, face_perm, inverse, relabel_ids
 from .simpset import audit_identities
 
 
@@ -34,24 +34,17 @@ def _check_identities(args, target: str, objects) -> dict:
 def _product_ids(n: int) -> list[tuple[int, ...]]:
     """products[h][f] is the id of h.f, for the words of degree n in lexicographic order.
 
-    The rows of the transpositions t of adjacent values a, a + 1 are computed
-    letter by letter.  A word h other than the identity places some a after
+    The rows of the transpositions t of adjacent values a, a + 1 are rows of
+    perms.relabel_ids.  A word h other than the identity places some a after
     a + 1; then t.h, which swaps them, comes earlier in the order, and since
     h.f = t.(t.h.f), row h is row t read at the entries of row t.h.
     """
     words = all_perms(n)
-    index = {w: k for k, w in enumerate(words)}
-    size = n + 1
-    flat = tuple(chain.from_iterable(words))
-    swaps = []
-    for a in range(size - 1):
-        t = [*range(a), a + 1, a, *range(a + 2, size)]
-        # t applied to every letter of every word, cut back into words
-        swaps.append(tuple(map(index.__getitem__, zip(*[map(t.__getitem__, flat)] * size))))
+    swaps = relabel_ids(n, tuple((*range(a), a + 1, a, *range(a + 2, n + 1)) for a in range(n)))
     products = [tuple(range(len(words)))]
     for k, h in enumerate(words[1:], start=1):
         place = inverse(h)
-        row = swaps[next(a for a in range(size - 1) if place[a] > place[a + 1])]
+        row = swaps[next(a for a in range(n) if place[a] > place[a + 1])]
         products.append(tuple(map(row.__getitem__, products[row[k]])))
     return products
 

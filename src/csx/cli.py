@@ -270,11 +270,14 @@ def _reject_stray_options(args) -> None:
             (("decoration", "base", "cochain"), args.target == "bundle", "bundle target"),
         ]
     else:
-        return
+        groups = []
     for options, applies, where in groups:
         stray = [f"--{opt}" for opt in options if getattr(args, opt) is not None]
         if stray and not applies:
             raise ValueError(f"{subject} does not take {', '.join(stray)} ({where} only)")
+    stray = [f"--{opt}" for opt in ("base", "cochain") if getattr(args, opt, None) is not None]
+    if stray and getattr(args, "decoration", None) is not None:
+        raise ValueError(f"--decoration does not take {', '.join(stray)}: the file gives the base and its decoration")
 
 
 def _as_text(obj, prefix="") -> list[str]:
@@ -306,8 +309,13 @@ def _emit(args, report: dict) -> None:
         sys.stdout.flush()
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # an input error: one line on stderr, exit 2
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="csx", description=__doc__.splitlines()[0])
+    ap = _Parser(prog="csx", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p, default_dim=6):
@@ -315,13 +323,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(default_dim=default_dim)
         p.add_argument("--format", choices=("json", "text"), default="text", dest="fmt")
         p.add_argument("--out", default=None, help="write the report here instead of stdout")
-        p.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
-        p.add_argument(
-            "--overflow",
-            choices=("bigint", "checked"),
-            default="bigint",
-            help="integer policy: arbitrary precision, or raise outside 64-bit",
-        )
+
+    def overflow(p):
+        policy = "integer policy: arbitrary precision, or raise outside 64-bit"
+        p.add_argument("--overflow", choices=("bigint", "checked"), default="bigint", help=policy)
 
     pe = sub.add_parser("enumerate", help="per-dimension simplex counts")
     pe.add_argument("which", choices=[name for name in _OBJECTS if name != "bundle"])
@@ -333,6 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("suite", choices=("identities", "crossed", "lemma", "upsilon", "all"))
     pc.add_argument("--target", default=None, help="object for the identities suite")
     pc.add_argument("--n", type=int, default=None, help="simplex dimension for delta/twisted targets (default 2)")
+    pc.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     common(pc, default_dim=4)
 
     ph = sub.add_parser("homology", help="exact integer homology of a truncation")
@@ -343,12 +349,14 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("--base", default=None, help=f"builtin base: {', '.join(sorted(_BASES))}")
     ph.add_argument("--cochain", nargs="*", default=None, help="2-simplex values as id:value")
     ph.add_argument("--dump-matrices", default=None, help="directory for boundary matrix dumps")
+    overflow(ph)
     common(ph)
 
     pb = sub.add_parser("bundle", help="build a decorated circle bundle and report on it")
     pb.add_argument("--decoration", default=None, help="decoration JSON file")
     pb.add_argument("--base", default=None, help=f"builtin base: {', '.join(sorted(_BASES))}")
     pb.add_argument("--cochain", nargs="*", default=None, help="2-simplex values as id:value")
+    overflow(pb)
     common(pb)
 
     return ap

@@ -7,7 +7,8 @@ rotation tau(n) = (n, 0, 1, ..., n-1) generates the cyclic subgroup.
 
 from __future__ import annotations
 
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, permutations
 
 Word = tuple[int, ...]
 
@@ -37,6 +38,16 @@ def cyclic_word(n: int, k: int) -> Word:
 def all_perms(n: int) -> list[Word]:
     """All words of degree n, lexicographic."""
     return list(permutations(range(n + 1)))
+
+
+@lru_cache(maxsize=16)
+def relabel_ids(n: int, hs: tuple[Word, ...]) -> tuple[tuple[int, ...], ...]:
+    """Row r maps the place of each word w in all_perms(n) to the place of hs[r] . w."""
+    words = all_perms(n)
+    index = {w: k for k, w in enumerate(words)}
+    flat = tuple(chain.from_iterable(words))
+    # hs[r] applied to every letter of every word, cut back into words
+    return tuple(tuple(map(index.__getitem__, zip(*[map(h.__getitem__, flat)] * (n + 1)))) for h in hs)
 
 
 def face_perm(i: int, f: Word) -> Word:

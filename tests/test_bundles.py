@@ -1,6 +1,8 @@
 """Bases, decorations, total spaces, and the two structural comparisons."""
 
+import json
 import random
+import sys
 from itertools import product
 
 import pytest
@@ -27,6 +29,7 @@ from csx.bundles import (
     total_space,
     upsilon_comparison,
 )
+from csx.cli import main
 from csx.homology import homology_report, normalized_complex
 from csx.perms import all_perms
 from csx.simpset import (
@@ -462,6 +465,18 @@ def test_total_space_tables_match_payload_rules(bits):
     assert pullback_tables(pullback(dec, q)) == pullback_tables(pullback_by_payload(dec, q))
 
 
+def _refuse_quotient_map(monkeypatch):
+    """Make simpset.quotient_map, and any csx module's binding of it, raise."""
+    real = simpset.quotient_map
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quotient_map was called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.partition(".")[0] == "csx" and getattr(mod, "quotient_map", None) is real:
+            monkeypatch.setattr(mod, "quotient_map", refuse)
+
+
 def _on_fresh_S_and_SC(monkeypatch, max_dim):
     """A bundle built on fresh S(max_dim), SC(max_dim) and restricted quotients, with quotient_map refused.
 
@@ -474,12 +489,16 @@ def _on_fresh_S_and_SC(monkeypatch, max_dim):
         monkeypatch.setattr(mod, "build_SC", lambda max_dim: SC)
     monkeypatch.setattr(bundles, "quotient_over", simpset.quotient_over.__wrapped__)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("quotient_map was called")
-
-    for mod in (simpset, bundles):
-        monkeypatch.setattr(mod, "quotient_map", refuse)
+    _refuse_quotient_map(monkeypatch)
     return S, SC, total_space(decor, max_dim)
+
+
+def test_pullback_lemma_pulls_back_over_the_class_image(capsys, monkeypatch):
+    # the lemma certifies the route every bundle takes, not the whole quotient_map
+    _refuse_quotient_map(monkeypatch)
+    assert main(["check", "lemma", "--max-dim", "5", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [(c["name"], c["pass"]) for c in rep["checks"]] == [("lemma:pullback", True)]
 
 
 def test_total_space_never_makes_the_words_of_S(monkeypatch):

@@ -22,7 +22,7 @@ import csx.checks
 from csx import cli
 from csx.bundles import TwoCochain, boundary_delta, decorate_from_cochain, decoration_to_json, total_space
 from csx.cli import effective_cap, main
-from csx.perms import all_perms, inverse, multiply
+from csx.perms import all_perms, cyclic_word, inverse, multiply, relabel_ids
 from csx.simpset import TruncatedSimplicialSet, build_SC, from_rules, sset_to_json
 
 import oracles
@@ -110,6 +110,22 @@ def test_homology_quotient(capsys):
     assert code == 0
     assert rep["groups"][:5] == ["Z", "0", "Z", "0", "Z"]
     assert rep["chains"] == [1, 0, 1, 2, 9, 44]
+
+
+def test_checked_overflow_policy_gives_the_bigint_groups(capsys):
+    _, bigint = run_json(capsys, "homology", "SC", "--max-dim", "5")
+    code, checked = run_json(capsys, "homology", "SC", "--max-dim", "5", "--overflow", "checked")
+    assert code == 0
+    assert (bigint.pop("policy"), checked.pop("policy")) == ("bigint", "checked")
+    assert checked == bigint
+
+
+def test_bundle_takes_the_overflow_policy(capsys):
+    argv = ("bundle", "--base", "boundary3", "--cochain", "1:1")
+    _, bigint = run_json(capsys, *argv)
+    code, checked = run_json(capsys, *argv, "--overflow", "checked")
+    assert code == 0
+    assert checked == bigint
 
 
 def test_homology_bundle_by_cochain(capsys):
@@ -224,6 +240,40 @@ def test_bundle_decoration_file_with_shuffled_base_rows(capsys, tmp_path):
     vertices = obj["base"]["dims"][0]["payloads"]
     assert vertices != sorted(vertices)
     assert rep["total_space"]["dims"][0]["payloads"] == [f"((0)x({v}))x(0)" for v in vertices]
+
+
+@pytest.mark.parametrize("command", [["bundle"], ["homology", "bundle"]])
+@pytest.mark.parametrize("options", [["--base", "boundary2"], ["--cochain", "0:1"], ["--base", "boundary3", "--cochain"]])
+def test_decoration_file_beside_base_or_cochain_is_an_input_error(capsys, tmp_path, command, options):
+    path = tmp_path / "decor.json"
+    path.write_text(json.dumps(hopf_decoration()), encoding="utf-8")
+    assert main([*command, "--decoration", str(path), *options]) == 2
+    captured = capsys.readouterr()
+    given = [opt for opt in ("--base", "--cochain") if opt in options]
+    assert captured.err == (
+        f"error: --decoration does not take {', '.join(given)}: the file gives the base and its decoration\n"
+    )
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "S", "--seed", "5"],
+        ["homology", "SC", "--max-dim", "3", "--seed", "5"],
+        ["bundle", "--base", "boundary3", "--seed", "5"],
+        ["enumerate", "S", "--overflow", "checked"],
+        ["check", "all", "--overflow", "checked"],
+    ],
+)
+def test_seed_and_overflow_elsewhere_are_input_errors(capfd, argv):
+    # argparse rejects them before anything runs: one error line, exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capfd.readouterr()
+    assert captured.err == f"error: unrecognized arguments: {' '.join(argv[-2:])}\n"
+    assert captured.out == ""
 
 
 def test_out_writes_file(capsys, tmp_path):
@@ -771,10 +821,14 @@ def test_crossed_sweep_matches_the_word_by_word_sweep(seed):
 
 
 def test_product_ids_are_the_ids_of_the_composites():
-    for n in range(5):
+    for n in range(6):
         words = all_perms(n)
         index = {w: k for k, w in enumerate(words)}
-        assert csx.checks._product_ids(n) == [tuple(index[multiply(h, f)] for f in words) for h in words]
+        if n < 5:
+            assert csx.checks._product_ids(n) == [tuple(index[multiply(h, f)] for f in words) for h in words]
+        # the rotation rows upsilon_comparison reads
+        rotations = tuple(cyclic_word(n, r) for r in range(n + 1))
+        assert relabel_ids(n, rotations) == tuple(tuple(index[multiply(h, w)] for w in words) for h in rotations)
 
 
 @pytest.mark.parametrize(
